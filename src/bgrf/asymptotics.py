@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Sequence
+from functools import reduce
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .fields import DomainPair, Rect, union_covers
 from .model import BivariateMaternModel, LocalExpansion, local_expansion
 
 _CELL_BUDGET = 10**8
+_CHUNK_PAIRS = 2**18  # candidate pairs per vectorised membership step
 
 
 class CellBudgetError(RuntimeError):
@@ -241,19 +243,122 @@ def _cell_range(lo: float, hi: float, d: float) -> range:
     return range(k_min, k_max + 1)
 
 
-def _cells_of_union(boxes: Sequence[Rect], d: float) -> dict:
-    """Map cell index tuple -> list of (cell intersect box) pieces."""
-    cells: dict[tuple, list[Rect]] = {}
+def _cells_of_union(
+    boxes: Sequence[Rect], d: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells [k d, (k+1) d] meeting the union, each once, as
+    (k, piece_lo, piece_hi): k is an (n, N) integer array in lexicographic
+    order; the pieces have shape (n, len(boxes), N), piece b being the cell
+    intersect box b, or the empty box (+inf, -inf) where box b misses it."""
+    per_box = []
     for box in boxes:
-        ranges = [
-            _cell_range(box.lo[j], box.hi[j], d) for j in range(box.dim)
-        ]
-        for k in product(*ranges):
-            cell = Rect(tuple(kj * d for kj in k), tuple((kj + 1) * d for kj in k))
-            piece = cell.intersect(box)
-            if piece is not None:
-                cells.setdefault(k, []).append(piece)
-    return cells
+        ranges = [_cell_range(box.lo[j], box.hi[j], d) for j in range(box.dim)]
+        mesh = np.meshgrid(*(np.arange(r.start, r.stop) for r in ranges), indexing="ij")
+        per_box.append(np.column_stack([g.ravel() for g in mesh]))
+    k, inverse = np.unique(np.vstack(per_box), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    shape = (len(k), len(boxes), k.shape[1])
+    piece_lo, piece_hi = np.full(shape, np.inf), np.full(shape, -np.inf)
+    start = 0
+    for b, (box, kb) in enumerate(zip(boxes, per_box)):
+        rows = inverse[start : start + len(kb)]
+        start += len(kb)
+        # _cell_range yields only cells that meet the box: no piece is empty
+        piece_lo[rows, b] = np.maximum(kb * d, box.lo)
+        piece_hi[rows, b] = np.minimum((kb + 1) * d, box.hi)
+    return k, piece_lo, piece_hi
+
+
+def _covered(boxes: Sequence[Rect], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows [lo_i, hi_i] the union covers: a single-box test for every
+    row, exact union arithmetic only for rows no single box covers."""
+    inside = np.zeros(len(lo), dtype=bool)
+    for box in boxes:
+        inside |= np.all((lo >= box.lo) & (hi <= box.hi), axis=1)
+    if len(boxes) > 1:
+        for i in np.nonzero(~inside)[0]:
+            inside[i] = union_covers(boxes, Rect(tuple(lo[i]), tuple(hi[i])))
+    return inside
+
+
+def _band_pairs(
+    k: np.ndarray,
+    piece_lo: np.ndarray,
+    piece_hi: np.ndarray,
+    l_lo: np.ndarray,
+    l_hi: np.ndarray,
+    A2: Sequence[Rect],
+    d1: float,
+    d2: float,
+    delta: float,
+    cells: str,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (k, l) index arrays, one row per cell pair in the band.
+
+    Cell k's candidates are the l with l_lo[k] <= l <= l_hi[k] per axis.
+    A chunk of cells is laid out as one (cells, W_1, ..., W_N) window, slots
+    past each cell's own bound masked off, and tested at once. A chunk holds
+    at most _CHUNK_PAIRS candidates; a window larger than that is split
+    along its first axis.
+    """
+    n, N = k.shape
+    width = (l_hi - l_lo + 1).max(axis=0, initial=0)
+    inner = max(math.prod(width[1:]), 1)
+    rows = max(1, _CHUNK_PAIRS // max(width[0] * inner, 1))  # cells per chunk
+    step = max(1, _CHUNK_PAIRS // inner)  # first-axis window slots per chunk
+
+    def col(a: np.ndarray) -> np.ndarray:
+        # a per-cell value, shaped to broadcast over the window axes
+        return a.reshape((-1,) + (1,) * N)
+
+    def all_axes(tests) -> np.ndarray:
+        return reduce(np.logical_and, tests)
+
+    for c0 in range(0, n, rows):
+        c = slice(c0, c0 + rows)
+        for i0 in range(0, width[0], step):
+            offs = [np.arange(i0, min(i0 + step, width[0]))]
+            offs += [np.arange(w) for w in width[1:]]
+            # axis j of the window, a (cells, 1.., W_j, ..1) array
+            l = [col(l_lo[c, j]) + o.reshape([-1 if i == j else 1 for i in range(N)])
+                 for j, o in enumerate(offs)]
+            member = all_axes(l[j] <= col(l_hi[c, j]) for j in range(N))
+            t_lo = [lj * d2 for lj in l]
+            t_hi = [(lj + 1) * d2 for lj in l]
+            if cells == "intersect":
+                # (cell k intersect A1) x (cell l intersect A2) meets the band
+                near = np.zeros_like(member)
+                for box2 in A2:
+                    tb_lo = [np.maximum(t, lo) for t, lo in zip(t_lo, box2.lo)]
+                    tb_hi = [np.minimum(t, hi) for t, hi in zip(t_hi, box2.hi)]
+                    valid = all_axes(tb_lo[j] <= tb_hi[j] for j in range(N))
+                    for b in range(piece_lo.shape[1]):
+                        dist2 = sum(
+                            np.maximum(
+                                np.maximum(tb_lo[j] - col(piece_hi[c, b, j]),
+                                           col(piece_lo[c, b, j]) - tb_hi[j]),
+                                0.0,
+                            ) ** 2
+                            for j in range(N)
+                        )
+                        near |= valid & (dist2 <= delta * delta)
+            else:
+                # cell k x cell l lies inside the band
+                dist2 = sum(
+                    np.maximum(np.abs(t_hi[j] - col(k[c, j] * d1)),
+                               np.abs(col((k[c, j] + 1) * d1) - t_lo[j])) ** 2
+                    for j in range(N)
+                )
+                near = dist2 <= delta * delta
+            member &= near
+            hit = np.nonzero(member)
+            ks = k[c][hit[0]]
+            ls = l_lo[c][hit[0]] + np.column_stack([o[h] for o, h in zip(offs, hit[1:])])
+            if cells == "subset":
+                # and cell l lies inside A2
+                inside = _covered(A2, ls * d2, (ls + 1) * d2)
+                ks, ls = ks[inside], ls[inside]
+            yield ks, ls
 
 
 def _limit_value(e: LocalExpansion, regime: str, M: int, mes: float,
@@ -351,82 +456,47 @@ def riemann_sum_check(
             f"about {budget:.2e} cell pairs exceed the budget {_CELL_BUDGET:.0e}; "
             "use a smaller u or a larger T_scale"
         )
-    cells1 = _cells_of_union(d.A1, d1)
+    k, piece_lo, piece_hi = _cells_of_union(d.A1, d1)
+    if cells == "subset":
+        keep = _covered(d.A1, k * d1, (k + 1) * d1)
+        k, piece_lo, piece_hi = k[keep], piece_lo[keep], piece_hi[keep]
+    # candidate l window per cell and axis from the tau range; the slack
+    # covers the piece geometry
+    lax = delta + d1 + d2
+    l_lo = np.floor((k * d1 - lax) / d2).astype(np.int64)
+    l_hi = np.floor(((k + 1) * d1 + lax) / d2).astype(np.int64) + 1
+    pairs = _band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, d.A2, d1, d2, delta, cells)
 
     one_over_1p_rho = 1.0 / (1.0 + e.rho)
-    partials: list[float] = []
-    n_pairs = 0
-    lax = delta + d1 + d2  # tau window slack covering piece geometry
 
-    for k, pieces1 in sorted(cells1.items()):
-        if cells == "subset":
-            cell_k = Rect(
-                tuple(kj * d1 for kj in k), tuple((kj + 1) * d1 for kj in k)
-            )
-            if not union_covers(d.A1, cell_k):
-                continue
-            s_lo = np.array(cell_k.lo)
-            s_hi = np.array(cell_k.hi)
+    def kernel(tau: np.ndarray) -> np.ndarray:
+        r_vals = np.asarray(cross_r(np.sqrt(np.sum(tau * tau, axis=1))), dtype=float)
+        return np.exp(-u * u * (1.0 / (1.0 + r_vals) - one_over_1p_rho))
 
-        # candidate l window per axis from the tau range
-        axes = [
-            np.arange(
-                math.floor((k[j] * d1 - lax) / d2),
-                math.floor(((k[j] + 1) * d1 + lax) / d2) + 2,
-            )
-            for j in range(N)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ls = np.column_stack([g.ravel() for g in mesh])  # (n_cand, N)
+    if d1 == d2:
+        # tau = (l - k) d1 depends on the offset alone: count the pairs per
+        # offset and evaluate the kernel once per distinct offset
+        o_min = (l_lo - k).min(axis=0, initial=0)
+        shape = tuple((l_hi - k).max(axis=0, initial=0) - o_min + 1)
+        counts = np.zeros(math.prod(shape), dtype=np.int64)
+        for ks, ls in pairs:
+            flat = np.ravel_multi_index((ls - ks - o_min).T, shape)
+            counts += np.bincount(flat, minlength=len(counts))
+        hit = np.nonzero(counts)[0]
+        offsets = np.column_stack(np.unravel_index(hit, shape)) + o_min
+        h_sum = math.fsum(counts[hit] * kernel(offsets * d1))
+        n_pairs = int(counts.sum())
+    else:
+        sizes: list[int] = []
 
-        t_lo_cell = ls * d2
-        t_hi_cell = (ls + 1) * d2
+        def kernel_values():
+            for ks, ls in pairs:
+                sizes.append(len(ks))
+                yield kernel(ls * d2 - ks * d1).tolist()
 
-        if cells == "intersect":
-            member = np.zeros(len(ls), dtype=bool)
-            for p1 in pieces1:
-                p_lo, p_hi = np.array(p1.lo), np.array(p1.hi)
-                for box2 in d.A2:
-                    b_lo, b_hi = np.array(box2.lo), np.array(box2.hi)
-                    t_lo = np.maximum(t_lo_cell, b_lo)
-                    t_hi = np.minimum(t_hi_cell, b_hi)
-                    valid = np.all(t_lo <= t_hi, axis=1)
-                    gap = np.maximum(
-                        np.maximum(t_lo - p_hi, p_lo - t_hi), 0.0
-                    )
-                    dist2 = np.sum(gap * gap, axis=1)
-                    member |= valid & (dist2 <= delta * delta)
-        else:
-            far = np.maximum(
-                np.abs(t_hi_cell - s_lo), np.abs(s_hi - t_lo_cell)
-            )
-            member = np.sum(far * far, axis=1) <= delta * delta
-            if np.any(member):
-                # cell l must lie inside A2 (single-box fast path, exact
-                # union coverage for stragglers)
-                inside_one = np.zeros(len(ls), dtype=bool)
-                for box2 in d.A2:
-                    b_lo, b_hi = np.array(box2.lo), np.array(box2.hi)
-                    inside_one |= np.all(
-                        (t_lo_cell >= b_lo) & (t_hi_cell <= b_hi), axis=1
-                    )
-                pending = member & ~inside_one
-                if np.any(pending) and len(d.A2) > 1:
-                    for i in np.nonzero(pending)[0]:
-                        cell_l = Rect(tuple(t_lo_cell[i]), tuple(t_hi_cell[i]))
-                        inside_one[i] = union_covers(d.A2, cell_l)
-                member &= inside_one
+        h_sum = math.fsum(chain.from_iterable(kernel_values()))
+        n_pairs = sum(sizes)
 
-        if not np.any(member):
-            continue
-        tau = ls[member] * d2 - np.array(k, dtype=float) * d1
-        tau_norm = np.sqrt(np.sum(tau * tau, axis=1))
-        r_vals = np.asarray(cross_r(tau_norm), dtype=float)
-        g_vals = 1.0 / (1.0 + r_vals) - one_over_1p_rho
-        partials.append(float(np.sum(np.exp(-u * u * g_vals))))
-        n_pairs += int(np.count_nonzero(member))
-
-    h_sum = math.fsum(partials)
     limit = _limit_value(e, regime, M, mes, T_scale, u)
     return RiemannCheck(
         u=u,

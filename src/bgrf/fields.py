@@ -17,7 +17,8 @@ count reproduces identical streams.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -248,6 +249,17 @@ class GridSpec:
     def n2(self) -> int:
         return self.nodes2.shape[0]
 
+    def node_steps(self) -> tuple[float, float]:
+        """Largest node spacing along any axis of any box, per field
+        (nan with one node per axis)."""
+        gaps = self.points_per_axis - 1
+        steps = (
+            max(h - l for b in boxes for l, h in zip(b.lo, b.hi)) / gaps
+            if gaps else float("nan")
+            for boxes in (self.domain.A1, self.domain.A2)
+        )
+        return tuple(steps)
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -303,17 +315,17 @@ def _noise_block(seed: int, block: int, n: int) -> np.ndarray:
 
 
 def block_map(
-    n_blocks: int, fn: Callable[[int], object], threads: int = 1
+    n_blocks: int, fn: Callable[[int], object], pool: Executor | None = None
 ) -> list:
-    """Apply fn to block indices 0..n_blocks-1, optionally thread-parallel.
+    """Apply fn to block indices 0..n_blocks-1, on the pool's threads when
+    one is given.
 
     Results come back in block order, so reductions downstream are
     independent of the worker count.
     """
-    if threads <= 1:
+    if pool is None:
         return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n_blocks)))
+    return list(pool.map(fn, range(n_blocks)))
 
 
 def sample_blocks(
@@ -331,14 +343,18 @@ def sample_blocks(
         return L @ _noise_block(seed, b, n)
 
     done = 0
-    # process in modest chunks so thread parallelism does not hoard memory
+    # process in modest chunks so thread parallelism does not hoard memory;
+    # one pool serves every chunk of the call
     chunk = max(threads, 1) * 4
-    for lo in range(0, n_blocks, chunk):
-        blocks = block_map(min(chunk, n_blocks - lo), lambda i, lo=lo: one(lo + i), threads)
-        for mat in blocks:
-            take = min(_BLOCK, count - done)
-            yield done, mat[:, :take]
-            done += take
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for lo in range(0, n_blocks, chunk):
+            blocks = block_map(
+                min(chunk, n_blocks - lo), lambda i, lo=lo: one(lo + i), pool
+            )
+            for mat in blocks:
+                take = min(_BLOCK, count - done)
+                yield done, mat[:, :take]
+                done += take
 
 
 def cholesky_sample(

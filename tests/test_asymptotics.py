@@ -11,12 +11,14 @@ mes=1, rho=0.5, r''(0)=-0.25, c=H=1, u=3:
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgrf import asymptotics
 from bgrf.asymptotics import (
     AsymptoticResult,
     CellBudgetError,
@@ -30,7 +32,7 @@ from bgrf.asymptotics import (
     theorem1_value,
     theorem2_value,
 )
-from bgrf.fields import DomainPair, Rect
+from bgrf.fields import DomainPair, Rect, union_covers
 from bgrf.model import BivariateMaternModel, LocalExpansion, cross_corr, local_expansion
 
 
@@ -250,3 +252,175 @@ class TestRiemannSum:
         bare = DomainPair(A1=(interval(0, 1),), A2=(interval(1, 2),), dim_N=1)
         with pytest.raises(ValueError, match="split_M"):
             riemann_sum_check(STANDARD, bare, standard_r, 1.0, 3.0, 30.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-cell loop riemann_sum_check once ran, one cell of A1 at a
+# time, kept as the reference for the chunked array code.
+# ---------------------------------------------------------------------------
+
+def reference_riemann(e, d, cross_r, T_scale, C_delta, u, cells="intersect"):
+    """(h_sum, n_pairs) by the per-cell loop."""
+    N = d.dim_N
+    d1 = T_scale * u ** (-2.0 / e.alpha1)
+    d2 = T_scale * u ** (-2.0 / e.alpha2)
+    delta = C_delta * math.sqrt(math.log(u)) / u
+
+    cells1 = {}
+    for box in d.A1:
+        ranges = [asymptotics._cell_range(box.lo[j], box.hi[j], d1) for j in range(N)]
+        for k in product(*ranges):
+            cell = Rect(tuple(kj * d1 for kj in k), tuple((kj + 1) * d1 for kj in k))
+            piece = cell.intersect(box)
+            if piece is not None:
+                cells1.setdefault(k, []).append(piece)
+
+    one_over_1p_rho = 1.0 / (1.0 + e.rho)
+    partials = []
+    n_pairs = 0
+    lax = delta + d1 + d2
+    for k, pieces1 in sorted(cells1.items()):
+        if cells == "subset":
+            cell_k = Rect(tuple(kj * d1 for kj in k), tuple((kj + 1) * d1 for kj in k))
+            if not union_covers(d.A1, cell_k):
+                continue
+            s_lo = np.array(cell_k.lo)
+            s_hi = np.array(cell_k.hi)
+        axes = [
+            np.arange(
+                math.floor((k[j] * d1 - lax) / d2),
+                math.floor(((k[j] + 1) * d1 + lax) / d2) + 2,
+            )
+            for j in range(N)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        ls = np.column_stack([g.ravel() for g in mesh])
+        t_lo_cell = ls * d2
+        t_hi_cell = (ls + 1) * d2
+        if cells == "intersect":
+            member = np.zeros(len(ls), dtype=bool)
+            for p1 in pieces1:
+                p_lo, p_hi = np.array(p1.lo), np.array(p1.hi)
+                for box2 in d.A2:
+                    b_lo, b_hi = np.array(box2.lo), np.array(box2.hi)
+                    t_lo = np.maximum(t_lo_cell, b_lo)
+                    t_hi = np.minimum(t_hi_cell, b_hi)
+                    valid = np.all(t_lo <= t_hi, axis=1)
+                    gap = np.maximum(np.maximum(t_lo - p_hi, p_lo - t_hi), 0.0)
+                    member |= valid & (np.sum(gap * gap, axis=1) <= delta * delta)
+        else:
+            far = np.maximum(np.abs(t_hi_cell - s_lo), np.abs(s_hi - t_lo_cell))
+            member = np.sum(far * far, axis=1) <= delta * delta
+            if np.any(member):
+                inside_one = np.zeros(len(ls), dtype=bool)
+                for box2 in d.A2:
+                    b_lo, b_hi = np.array(box2.lo), np.array(box2.hi)
+                    inside_one |= np.all(
+                        (t_lo_cell >= b_lo) & (t_hi_cell <= b_hi), axis=1
+                    )
+                pending = member & ~inside_one
+                if np.any(pending) and len(d.A2) > 1:
+                    for i in np.nonzero(pending)[0]:
+                        cell_l = Rect(tuple(t_lo_cell[i]), tuple(t_hi_cell[i]))
+                        inside_one[i] = union_covers(d.A2, cell_l)
+                member &= inside_one
+        if not np.any(member):
+            continue
+        tau = ls[member] * d2 - np.array(k, dtype=float) * d1
+        r_vals = np.asarray(cross_r(np.sqrt(np.sum(tau * tau, axis=1))), dtype=float)
+        g_vals = 1.0 / (1.0 + r_vals) - one_over_1p_rho
+        partials.append(float(np.sum(np.exp(-u * u * g_vals))))
+        n_pairs += int(np.count_nonzero(member))
+    return math.fsum(partials), n_pairs
+
+
+def boxes(*spans):
+    """Boxes from per-axis (lo, hi) spans: boxes(((0, 1), (0, 2)))."""
+    return tuple(
+        Rect(tuple(float(lo) for lo, _ in b), tuple(float(hi) for _, hi in b))
+        for b in spans
+    )
+
+
+def _model(nu2, N):
+    # nu2 = 0.5 gives alpha1 = alpha2 (d1 == d2); nu2 = 0.75 gives d1 != d2
+    rho = 0.5 if nu2 == 0.5 else 0.4
+    return BivariateMaternModel(nu1=0.5, nu2=nu2, nu12=1.5, rho=rho, dim_N=N)
+
+
+# (name, A1, A2, split_M, N, u, T); faces at 0.5317 and 0.6137 fall inside
+# cells, so cells meet two boxes of A1 and straddle the boxes of A2
+ORACLE_DOMAINS = {
+    "1d-overlap": (boxes(((0, 1),)), boxes(((0, 1),)), None, 1, 12.0, 1.0),
+    "1d-split": (boxes(((0, 1),)), boxes(((1, 2),)), 0, 1, 12.0, 1.0),
+    "2d-overlap": (boxes(((0, 1), (0, 1))), boxes(((0, 1), (0, 1))), None, 2, 8.0, 2.0),
+    "2d-split": (boxes(((0, 1), (0, 1))), boxes(((0, 1), (1, 2))), 1, 2, 12.0, 4.0),
+    "1d-unions": (
+        boxes(((0, 0.5317),), ((0.5317, 1),)),
+        boxes(((0, 0.6137),), ((0.6137, 1),)),
+        None, 1, 12.0, 1.0,
+    ),
+    "2d-unions": (
+        boxes(((0, 0.5317), (0, 1)), ((0.5317, 1), (0, 1))),
+        boxes(((0, 1), (0, 0.6137)), ((0, 1), (0.6137, 1))),
+        None, 2, 8.0, 4.0,
+    ),
+}
+
+
+def oracle_case(name, nu2):
+    A1, A2, split_M, N, u, T = ORACLE_DOMAINS[name]
+    m = _model(nu2, N)
+    e = local_expansion(m)
+    d = DomainPair(A1=A1, A2=A2, dim_N=N, split_M=split_M)
+    return e, d, (lambda h: cross_corr(m, h)), T, default_delta_constant(e), u
+
+
+def assert_matches_reference(args, cells):
+    chk = riemann_sum_check(*args, cells)
+    h_ref, n_ref = reference_riemann(*args, cells)
+    assert n_ref > 0
+    assert chk.n_pairs == n_ref
+    assert abs(chk.h_sum - h_ref) <= 1e-12 * h_ref
+
+
+class TestRiemannOracle:
+    @pytest.mark.parametrize("cells", ["intersect", "subset"])
+    @pytest.mark.parametrize("nu2", [0.5, 0.75], ids=["d1==d2", "d1!=d2"])
+    @pytest.mark.parametrize("name", list(ORACLE_DOMAINS))
+    def test_matches_per_cell_loop(self, name, nu2, cells):
+        assert_matches_reference(oracle_case(name, nu2), cells)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_no_subset_cell(self, N):
+        # A1 thinner than a cell: no cell lies inside it, so the subset sum
+        # is empty
+        thin = boxes(((0.0, 0.001),) + ((0, 1),) * (N - 1))
+        m = _model(0.75, N)
+        e = local_expansion(m)
+        d = DomainPair(A1=thin, A2=boxes(((0, 1),) * N), dim_N=N)
+        chk = riemann_sum_check(e, d, lambda h: cross_corr(m, h), 4.0, 3.0, 20.0, "subset")
+        assert (chk.h_sum, chk.n_pairs) == (0.0, 0)
+
+    def test_unions_reach_exact_coverage(self, monkeypatch):
+        # subset cells straddling a face of A1 or A2 are settled by
+        # union_covers, not by the single-box test
+        calls = []
+
+        def counting(boxes, cell):
+            calls.append(cell)
+            return union_covers(boxes, cell)
+
+        monkeypatch.setattr(asymptotics, "union_covers", counting)
+        for name in ("1d-unions", "2d-unions"):
+            calls.clear()
+            riemann_sum_check(*oracle_case(name, 0.5), "subset")
+            assert calls
+
+    @pytest.mark.parametrize("cells", ["intersect", "subset"])
+    @pytest.mark.parametrize("name", ["1d-unions", "2d-unions"])
+    def test_chunks_split_a_window(self, monkeypatch, name, cells):
+        # 16 candidates per chunk: less than one cell's window (about 39 in
+        # 1-D, 10 x 10 in 2-D), so chunk ends fall inside windows
+        monkeypatch.setattr(asymptotics, "_CHUNK_PAIRS", 16)
+        assert_matches_reference(oracle_case(name, 0.75), cells)

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from bgrf import cli
 from bgrf.cli import main
+from bgrf.pickands import estimate_H_constant
 
 
 def write_config(tmp_path, name="cfg.json", **sections):
@@ -234,8 +236,32 @@ class TestRiemannCheckCommand:
             assert 0.9 < float(r["ratio"]) < 1.05
 
 
+class TestPickandsConstantsOncePerAlpha:
+    @pytest.mark.parametrize("nu2, estimates", [(0.5, 1), (0.75, 2)])
+    @pytest.mark.parametrize("command", ["verify", "theorem1"])
+    def test_estimate_calls(self, tmp_path, monkeypatch, command, nu2, estimates):
+        calls = []
+
+        def counting(alpha, *args):
+            calls.append(alpha)
+            return estimate_H_constant(alpha, *args)
+
+        monkeypatch.setattr(cli, "estimate_H_constant", counting)
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.5, "nu2": nu2, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            grid={"points_per_axis": 5},
+            estimation={"reps": 1000, "seed": 3, "eta": 0.125, "T_list": [1, 2, 4]},
+            verify={"riemann_u": [25.0]},
+        )
+        main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert (tmp_path / "o" / f"{command}.csv").exists()  # the run got through
+        assert len(calls) == estimates
+        assert sorted(calls) == sorted({1.0, 2.0 * nu2})
+
+
 class TestVerify:
-    def test_quick_verify_passes(self, tmp_path):
+    def test_quick_verify_passes(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             model={"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.5, "dim_N": 1},
@@ -249,6 +275,16 @@ class TestVerify:
         rows = read_rows(out / "verify.csv")
         assert len(rows) == 4
         assert code == 0
+        # grid step in the local Pickands scale, per u and field:
+        # delta(u) = (1/29) c^(1/alpha) (u/(1+rho))^(2/alpha) with c = alpha = 1
+        printed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("grid u=")
+        ]
+        assert len(printed) == 4
+        for line, u in zip(printed, [1.6, 2.0, 2.4, 2.8]):
+            want = (u / 1.5) ** 2 / 29
+            assert line == f"grid u={u:g}: delta1 = {want:.6g}, delta2 = {want:.6g}"
 
     def test_verify_rejects_starved_reps(self, tmp_path, capsys):
         cfg = write_config(

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from bgrf import fields
 from bgrf.fields import (
     DomainPair,
     FieldSample,
@@ -106,6 +107,8 @@ class TestGridSpec:
         g = GridSpec(d, 3)
         # 0, .5, 1, 1.5, 2 with the shared corner 1 deduped
         assert g.n1 == 5
+        assert g.node_steps() == (0.5, 1.0)
+        assert all(np.isnan(GridSpec(d, 1).node_steps()))
 
     def test_nodes_inside_boxes(self):
         d = DomainPair(
@@ -218,6 +221,26 @@ class TestCholeskySampling:
             return h.hexdigest()
 
         assert digest(1) == digest(4)
+
+    def test_one_pool_per_call(self, monkeypatch):
+        # ten blocks are two chunks at two threads; every chunk must run
+        # on the same pool, and the stream must not depend on the threads
+        pools = []
+
+        class CountingPool(fields.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
+        L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
+        count = 9 * 4096 + 1
+
+        def stream(threads):
+            return np.hstack([m for _, m in sample_blocks(L, 9, count, threads)])
+
+        assert np.array_equal(stream(1), stream(2))
+        assert len(pools) == 1
 
     def test_field_sample_metadata(self):
         g = unit_overlap(4)
