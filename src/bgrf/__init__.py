@@ -19,15 +19,12 @@ from .asymptotics import (
 )
 from .fields import (
     DomainPair,
-    FieldSample,
     GridSpec,
     NotPositiveDefiniteError,
     Rect,
     build_covariance,
     cholesky_factor,
-    cholesky_sample,
     read_sample_dump,
-    sample_fbm,
     write_sample_dump,
 )
 from .model import (
@@ -46,7 +43,6 @@ from .montecarlo import (
     ExcursionEstimate,
     RateFit,
     field_maxima,
-    mc_excursion,
     mc_excursion_multi,
     rate_fit,
 )

@@ -32,6 +32,7 @@ from .fields import (
     Rect,
     build_covariance,
     cholesky_factor,
+    dump_header,
     sample_blocks,
     write_sample_dump,
 )
@@ -154,12 +155,15 @@ def build_domain(cfg: dict, m: BivariateMaternModel) -> DomainPair:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
 
-def config_hash(cfg: dict) -> str:
-    # the hash covers the scientific sections only, not output routing
-    payload = {k: cfg[k] for k in ("model", "domain", "grid", "estimation",
-                                   "thresholds", "verify")}
+def config_hash(cfg: dict, sections: tuple[str, ...]) -> str:
+    payload = {k: cfg[k] for k in sections}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _dump_tag(cfg: dict) -> int:
+    """32-bit hash of the sections a sample dump's rows depend on."""
+    return int(config_hash(cfg, ("model", "domain", "grid"))[:8], 16)
 
 
 def _fmt(v) -> str:
@@ -174,16 +178,11 @@ class Writer:
         self.fmt = args.format or cfg["output"]["format"]
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
-        out_dir = (
-            args.out_dir
-            or cfg["output"]["directory"]
-            or os.environ.get("BGRF_OUT_DIR")
-            or "bgrf-out"
-        )
-        os.makedirs(out_dir, exist_ok=True)
         ext = "csv" if self.fmt == "csv" else "jsonl"
-        self.path = os.path.join(out_dir, f"{command}.{ext}")
-        self.meta = {"config_sha256": config_hash(cfg), "seed": _seed(cfg, args)}
+        self.path = os.path.join(_out_dir(cfg, args), f"{command}.{ext}")
+        # the hash covers the scientific sections only, not output routing
+        science = ("model", "domain", "grid", "estimation", "thresholds", "verify")
+        self.meta = {"config_sha256": config_hash(cfg, science)[:16], "seed": _seed(cfg, args)}
         self.rows: list[list] = []
 
     def add(self, *values):
@@ -211,6 +210,24 @@ class Writer:
         return self.path
 
 
+def _out_dir(cfg: dict, args) -> str:
+    """--out-dir, else output.directory, else $BGRF_OUT_DIR, else
+    ./bgrf-out; created when missing."""
+    out_dir = (
+        args.out_dir
+        or cfg["output"]["directory"]
+        or os.environ.get("BGRF_OUT_DIR")
+        or "bgrf-out"
+    )
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def _thresholds(given, default) -> list[float]:
+    """The --u values when given, else the config's list, as floats."""
+    return [float(u) for u in (given or default)]
+
+
 def _seed(cfg: dict, args) -> int:
     return args.seed if args.seed is not None else cfg["estimation"]["seed"]
 
@@ -229,6 +246,15 @@ def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
     return seen
 
 
+def _estimate_H(cfg, args, alpha: float):
+    """Pickands constant estimate at the config's T_list and eta."""
+    est = cfg["estimation"]
+    return estimate_H_constant(
+        alpha, [float(t) for t in est["T_list"]], float(est["eta"]),
+        _reps(cfg, args), _seed(cfg, args), args.threads,
+    )
+
+
 def _pickands_constants(cfg, m, args) -> tuple[float, float]:
     """User-supplied H values, or constant estimates at the config's
     estimation settings (one estimate per distinct alpha)."""
@@ -239,12 +265,62 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
             H[label] = float(est[label])
             continue
         if alpha not in by_alpha:
-            by_alpha[alpha] = estimate_H_constant(
-                alpha, [float(t) for t in est["T_list"]], float(est["eta"]),
-                _reps(cfg, args), _seed(cfg, args), args.threads,
-            ).value
+            by_alpha[alpha] = _estimate_H(cfg, args, alpha).value
         H[label] = by_alpha[alpha]
     return H["H1"], H["H2"]
+
+
+def _theorem(e, d: DomainPair, which: str):
+    """(u, H1, H2) -> the named theorem's asymptotic on this domain pair.
+
+    Raises before any estimation when the pair cannot carry the theorem.
+    """
+    if which == "theorem1":
+        mes = d.mes_intersection()
+        if mes <= 0.0:
+            raise ValueError(
+                "theorem1 needs mes_N(A1 and A2) > 0; this domain pair "
+                "routes to theorem2"
+            )
+        return lambda u, H1, H2: theorem1_value(e, mes, H1, H2, u)
+    if d.split_M is None:
+        raise ValueError("theorem2 needs domain.split_M")
+    face = d.mes_shared_face()
+    return lambda u, H1, H2: theorem2_value(e, d.split_M, face, H1, H2, u)
+
+
+def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
+    """Joint excursion estimates at every u on shared maxima, read from the
+    dump at `samples` when one is named, else sampled afresh."""
+    seed = _seed(cfg, args)
+    if not samples:
+        maxima = field_maxima(m, g, _reps(cfg, args), seed, args.threads)
+        return estimates_from_maxima(*maxima, us, seed)
+    nodes, _, tag = dump_header(samples)
+    if (nodes, tag) != (g.n1 + g.n2, _dump_tag(cfg)):
+        raise ValueError(
+            f"{samples} holds {nodes} nodes per replicate under tag {tag:08x}; "
+            f"this config's model, domain and grid give {g.n1} + {g.n2} nodes "
+            f"and tag {_dump_tag(cfg):08x}"
+        )
+    return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
+
+
+def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T):
+    """riemann_sum_check at each u and cell family, lazily, so a caller
+    reports each check before the next one runs; C and T default to the
+    config's verify section, C then to default_delta_constant."""
+    e = local_expansion(m)
+    ver = cfg["verify"]
+    C = C if C is not None else ver["riemann_C"]
+    if C is None:
+        C = default_delta_constant(e)
+    T = T if T is not None else ver["riemann_T"]
+    return (
+        riemann_sum_check(e, d, lambda h: cross_corr(m, h), T, C, u, mode)
+        for u in us
+        for mode in modes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +366,8 @@ def cmd_simulate(cfg, args) -> int:
     g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
     reps, seed = _reps(cfg, args), _seed(cfg, args)
     L = cholesky_factor(build_covariance(m, g))
-    rows = np.empty((reps, g.n1 + g.n2))
-    for start, mat in sample_blocks(L, seed, reps, args.threads):
-        rows[start : start + mat.shape[1]] = mat.T
-    out_dir = (
-        args.out_dir or cfg["output"]["directory"]
-        or os.environ.get("BGRF_OUT_DIR") or "bgrf-out"
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    dump = os.path.join(out_dir, "samples.bgrf")
-    write_sample_dump(dump, rows)
+    dump = os.path.join(_out_dir(cfg, args), "samples.bgrf")
+    write_sample_dump(dump, sample_blocks(L, seed, reps, args.threads), _dump_tag(cfg))
     w = Writer(cfg, args, "simulate", ["replicates", "nodes1", "nodes2", "seed", "dump"])
     w.add(reps, g.n1, g.n2, seed, dump)
     w.flush()
@@ -308,16 +376,11 @@ def cmd_simulate(cfg, args) -> int:
 
 def cmd_pickands(cfg, args) -> int:
     m = build_model(cfg)
-    est = cfg["estimation"]
     w = Writer(cfg, args, "pickands", ["alpha", "T", "eta", "reps", "value", "std_error"])
-    reps, seed = _reps(cfg, args), _seed(cfg, args)
     for alpha in _alphas(cfg, m):
-        r = estimate_H_constant(
-            alpha, [float(t) for t in est["T_list"]], float(est["eta"]),
-            reps, seed, args.threads,
-        )
+        r = _estimate_H(cfg, args, alpha)
         for T, value, se in r.sequence:
-            w.add(alpha, T, float(est["eta"]), reps, value, se)
+            w.add(alpha, T, r.eta, r.replicates, value, se)
         if r.warning:
             print(f"warning: alpha={alpha:g}: {r.warning}", file=sys.stderr)
     w.flush()
@@ -326,29 +389,12 @@ def cmd_pickands(cfg, args) -> int:
 
 def cmd_theorem(cfg, args, which: str) -> int:
     m = build_model(cfg)
-    d = build_domain(cfg, m)
-    e = local_expansion(m)
-    mes = d.mes_intersection()
-    # routing consistency between the domain pair and the requested theorem
-    if which == "theorem1" and mes <= 0.0:
-        print(
-            "error: theorem1 needs mes_N(A1 and A2) > 0; this domain pair "
-            "routes to theorem2",
-            file=sys.stderr,
-        )
-        return 1
-    if which == "theorem2" and d.split_M is None:
-        print("error: theorem2 needs domain.split_M", file=sys.stderr)
-        return 1
+    theorem = _theorem(local_expansion(m), build_domain(cfg, m), which)
     H1, H2 = _pickands_constants(cfg, m, args)
-    us = [float(u) for u in (args.u or cfg["thresholds"]["u"])]
     w = Writer(cfg, args, which,
                ["u", "value", "log_value", "exp_rate", "u_power", "constant"])
-    for u in us:
-        if which == "theorem1":
-            r = theorem1_value(e, mes, H1, H2, u)
-        else:
-            r = theorem2_value(e, d.split_M, d.mes_shared_face(), H1, H2, u)
+    for u in _thresholds(args.u, cfg["thresholds"]["u"]):
+        r = theorem(u, H1, H2)
         w.add(u, r.value, r.log_value, r.exp_rate, r.u_power, r.constant)
     w.flush()
     return 0
@@ -356,21 +402,13 @@ def cmd_theorem(cfg, args, which: str) -> int:
 
 def cmd_riemann_check(cfg, args) -> int:
     m = build_model(cfg)
-    d = build_domain(cfg, m)
-    e = local_expansion(m)
-    ver = cfg["verify"]
-    C = args.C if args.C is not None else ver["riemann_C"]
-    if C is None:
-        C = default_delta_constant(e)
-    T = args.T if args.T is not None else ver["riemann_T"]
-    us = [float(u) for u in (args.u or ver["riemann_u"])]
+    us = _thresholds(args.u, cfg["verify"]["riemann_u"])
+    modes = ("intersect", "subset") if args.both_cells else ("intersect",)
     w = Writer(cfg, args, "riemann-check",
                ["u", "h_sum", "limit_value", "ratio", "n_pairs", "regime", "cells", "delta"])
-    for u in us:
-        for mode in ("intersect", "subset") if args.both_cells else ("intersect",):
-            chk = riemann_sum_check(e, d, lambda h: cross_corr(m, h), T, C, u, mode)
-            w.add(u, chk.h_sum, chk.limit_value, chk.ratio, chk.n_pairs,
-                  chk.regime, chk.cells, chk.delta)
+    for chk in _riemann_checks(cfg, m, build_domain(cfg, m), us, modes, args.C, args.T):
+        w.add(chk.u, chk.h_sum, chk.limit_value, chk.ratio, chk.n_pairs,
+              chk.regime, chk.cells, chk.delta)
     w.flush()
     return 0
 
@@ -378,13 +416,8 @@ def cmd_riemann_check(cfg, args) -> int:
 def cmd_mc_excursion(cfg, args) -> int:
     m = build_model(cfg)
     g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
-    reps, seed = _reps(cfg, args), _seed(cfg, args)
-    us = [float(u) for u in (args.u or cfg["thresholds"]["u"])]
-    if args.samples:
-        max1, max2 = maxima_from_dump(args.samples, g.n1)
-    else:
-        max1, max2 = field_maxima(m, g, reps, seed, args.threads)
-    ests = estimates_from_maxima(max1, max2, us, seed)
+    us = _thresholds(args.u, cfg["thresholds"]["u"])
+    ests = _excursions(cfg, args, m, g, us, args.samples)
     w = Writer(cfg, args, "mc-excursion",
                ["u", "p_hat", "ci_low", "ci_high", "hits", "reps"])
     w.meta["samples"] = "shared-across-u"  # thresholds reuse one sample set
@@ -404,22 +437,14 @@ def cmd_verify(cfg, args) -> int:
     e = local_expansion(m)
     g = GridSpec(d, cfg["grid"]["points_per_axis"])
     ver = cfg["verify"]
-    reps, seed = _reps(cfg, args), _seed(cfg, args)
+    reps = _reps(cfg, args)
     if reps < 1000:
         print(f"verify FAILED: reps = {reps} below the Monte Carlo floor of 1000")
         return 1
+    theorem = _theorem(e, d, "theorem1" if d.mes_intersection() > 0.0 else "theorem2")
     H1, H2 = _pickands_constants(cfg, m, args)
-    us = [float(u) for u in (args.u or cfg["thresholds"]["u"])]
-
-    mes = d.mes_intersection()
-    max1, max2 = field_maxima(m, g, reps, seed, args.threads)
-    ests = estimates_from_maxima(max1, max2, us, seed)
-    theorem = []
-    for u in us:
-        if mes > 0.0:
-            theorem.append(theorem1_value(e, mes, H1, H2, u))
-        else:
-            theorem.append(theorem2_value(e, d.split_M, d.mes_shared_face(), H1, H2, u))
+    us = _thresholds(args.u, cfg["thresholds"]["u"])
+    ests = _excursions(cfg, args, m, g, us, None)
 
     # p_hat is a maximum over grid nodes; at level u field i's node step in
     # the local Pickands scale is delta_i(u)
@@ -443,14 +468,15 @@ def cmd_verify(cfg, args) -> int:
     w = Writer(cfg, args, "verify",
                ["u", "p_hat", "hits", "theorem_value", "ratio"])
     w.meta["samples"] = "shared-across-u"
-    for u, est, th in zip(us, ests, theorem):
+    for est in ests:
+        th = theorem(est.u, H1, H2)
         ratio = est.p_hat / th.value if th.value > 0 else math.nan
-        w.add(u, est.p_hat, est.hits, th.value, ratio)
+        w.add(est.u, est.p_hat, est.hits, th.value, ratio)
 
     failures = []
     target = -1.0 / (1.0 + e.rho)
     try:
-        fit = rate_fit(list(zip(us, ests)))
+        fit = rate_fit([(est.u, est) for est in ests])
         rate_ok = abs(fit.slope - target) <= ver["rate_tol"] * abs(target)
         print(
             f"rate: slope = {fit.slope:.4f} (se {fit.slope_se:.4f}), "
@@ -463,19 +489,16 @@ def cmd_verify(cfg, args) -> int:
         print(f"rate: FAIL ({exc})")
         failures.append("rate")
 
-    C = ver["riemann_C"]
-    if C is None:
-        C = default_delta_constant(e)
     band = ver["riemann_band"]
-    for u in ver["riemann_u"]:
-        chk = riemann_sum_check(e, d, lambda h: cross_corr(m, h), ver["riemann_T"], C, float(u))
+    riemann_u = _thresholds(None, ver["riemann_u"])
+    for chk in _riemann_checks(cfg, m, d, riemann_u, ("intersect",), None, None):
         ok = abs(chk.ratio - 1.0) <= band
         print(
-            f"riemann u={u:g}: ratio = {chk.ratio:.4f}, band {band:.0%}: "
+            f"riemann u={chk.u:g}: ratio = {chk.ratio:.4f}, band {band:.0%}: "
             + ("PASS" if ok else "FAIL")
         )
         if not ok:
-            failures.append(f"riemann(u={u:g})")
+            failures.append(f"riemann(u={chk.u:g})")
     w.flush()
     if failures:
         print("verify FAILED: " + ", ".join(failures))
@@ -504,38 +527,39 @@ def main(argv=None) -> int:
         "Pickands estimation, tail asymptotics, and Monte Carlo verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    handlers = {
+        "validate": cmd_validate,
+        "expansion": cmd_expansion,
+        "simulate": cmd_simulate,
+        "pickands": cmd_pickands,
+        "matern-eval": cmd_matern_eval,
+        "theorem1": lambda c, a: cmd_theorem(c, a, "theorem1"),
+        "theorem2": lambda c, a: cmd_theorem(c, a, "theorem2"),
+        "riemann-check": cmd_riemann_check,
+        "mc-excursion": cmd_mc_excursion,
+        "verify": cmd_verify,
+    }
+    parsers = {}
+    for name in handlers:
+        parsers[name] = p = sub.add_parser(name)
+        _add_common(p)
+        if name in ("theorem1", "theorem2", "riemann-check", "mc-excursion", "verify"):
+            p.add_argument("--u", type=float, nargs="+", default=None)
 
-    for name in ("validate", "expansion", "simulate", "pickands"):
-        _add_common(sub.add_parser(name))
-
-    p = sub.add_parser("matern-eval")
-    _add_common(p)
+    p = parsers["matern-eval"]
     p.add_argument("--h-min", type=float, default=0.0)
     p.add_argument("--h-max", type=float, default=5.0)
     p.add_argument("--h-points", type=int, default=26)
 
-    for name in ("theorem1", "theorem2"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--u", type=float, nargs="+", default=None)
-
-    p = sub.add_parser("riemann-check")
-    _add_common(p)
-    p.add_argument("--u", type=float, nargs="+", default=None)
+    p = parsers["riemann-check"]
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--C", type=float, default=None)
     p.add_argument("--both-cells", action="store_true",
                    help="also sum over the subset cell family")
 
-    p = sub.add_parser("mc-excursion")
-    _add_common(p)
-    p.add_argument("--u", type=float, nargs="+", default=None)
-    p.add_argument("--samples", default=None,
-                   help="reuse a binary sample dump instead of sampling")
-
-    p = sub.add_parser("verify")
-    _add_common(p)
-    p.add_argument("--u", type=float, nargs="+", default=None)
+    parsers["mc-excursion"].add_argument(
+        "--samples", default=None,
+        help="reuse a binary sample dump instead of sampling")
 
     args = ap.parse_args(argv)
 
@@ -545,18 +569,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    handlers = {
-        "validate": cmd_validate,
-        "matern-eval": cmd_matern_eval,
-        "expansion": cmd_expansion,
-        "simulate": cmd_simulate,
-        "pickands": cmd_pickands,
-        "theorem1": lambda c, a: cmd_theorem(c, a, "theorem1"),
-        "theorem2": lambda c, a: cmd_theorem(c, a, "theorem2"),
-        "riemann-check": cmd_riemann_check,
-        "mc-excursion": cmd_mc_excursion,
-        "verify": cmd_verify,
-    }
     try:
         return handlers[args.command](cfg, args)
     except ConfigError as exc:

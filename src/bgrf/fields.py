@@ -12,15 +12,21 @@ only. Replicates are generated in fixed blocks of _BLOCK; block b draws
 its noise from default_rng([seed, b]) regardless of how many replicates
 are requested or how many worker threads process blocks, so any thread
 count reproduces identical streams.
+
+Samples travel as one stream of (start, block) pairs, a block holding
+replicates start .. start + take - 1 as the columns of a (nodes, take)
+array: sample_blocks draws them, write_sample_dump stores them and
+read_sample_dump yields them back, one block at a time.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,14 +267,6 @@ class GridSpec:
         return tuple(steps)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    x1: np.ndarray
-    x2: np.ndarray
-    seed: int
-    replicate_index: int
-
-
 # ---------------------------------------------------------------------------
 # covariance assembly and sampling
 # ---------------------------------------------------------------------------
@@ -348,32 +346,14 @@ def sample_blocks(
     chunk = max(threads, 1) * 4
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for lo in range(0, n_blocks, chunk):
-            blocks = block_map(
+            # no name holds a chunk's list, so it is freed before the next
+            # chunk is computed
+            for mat in block_map(
                 min(chunk, n_blocks - lo), lambda i, lo=lo: one(lo + i), pool
-            )
-            for mat in blocks:
+            ):
                 take = min(_BLOCK, count - done)
                 yield done, mat[:, :take]
                 done += take
-
-
-def cholesky_sample(
-    cov: np.ndarray, grid: GridSpec, seed: int, count: int, threads: int = 1
-) -> Iterator[FieldSample]:
-    """Stream `count` zero-mean Gaussian field samples with covariance cov.
-
-    Replicate r is bit-reproducible from (seed, r) alone.
-    """
-    L = cholesky_factor(cov)
-    n1 = grid.n1
-    for start, mat in sample_blocks(L, seed, count, threads):
-        for j in range(mat.shape[1]):
-            yield FieldSample(
-                x1=mat[:n1, j].copy(),
-                x2=mat[n1:, j].copy(),
-                seed=seed,
-                replicate_index=start + j,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -408,47 +388,59 @@ def fbm_cholesky_factor(alpha: float, horizon_T: float, eta: float) -> tuple[np.
     return t, L
 
 
-def sample_fbm(
-    alpha: float, horizon_T: float, eta: float, seed: int, count: int,
-    threads: int = 1,
-) -> Iterator[np.ndarray]:
-    """Stream paths of chi on {0, eta, ..., T}; chi(0) = 0 on every path."""
-    t, L = fbm_cholesky_factor(alpha, horizon_T, eta)
-    for start, mat in sample_blocks(L, seed, count, threads):
-        for j in range(mat.shape[1]):
-            path = np.empty(len(t))
-            path[0] = 0.0
-            path[1:] = mat[:, j]
-            yield path
-
-
 # ---------------------------------------------------------------------------
-# binary dump (magic "BGRF", u32 node count, u32 replicate count, u32 pad;
-# then row-major float64 little-endian, one replicate per row)
+# binary dump: a 16-byte header (magic "BGRF", then little-endian u32 node
+# count, u32 replicate count and u32 tag), then row-major float64
+# little-endian, one replicate per row. The tag identifies what the rows
+# were drawn from: the CLI stores a 32-bit hash of the config's model,
+# domain and grid sections there and refuses a dump whose tag differs.
 # ---------------------------------------------------------------------------
 
+_HEADER = struct.Struct("<4sIII")
 _MAGIC = b"BGRF"
 
 
-def write_sample_dump(path: str, samples: np.ndarray) -> None:
-    samples = np.ascontiguousarray(samples, dtype="<f8")
-    if samples.ndim != 2:
-        raise ValueError("samples must be a (replicates, nodes) array")
-    reps, nodes = samples.shape
+def write_sample_dump(
+    path: str, blocks: Iterable[tuple[int, np.ndarray]], tag: int
+) -> None:
+    """Stream (start, block) pairs, blocks of shape (nodes, take) in
+    replicate order, to a dump one block at a time.
+
+    The header goes in last, so a run that stops part-way leaves a file
+    whose magic a reader rejects.
+    """
+    nodes = reps = 0
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _MAGIC, nodes, reps, 0))
-        fh.write(samples.tobytes(order="C"))
+        fh.seek(_HEADER.size)
+        for _, mat in blocks:
+            nodes = mat.shape[0]
+            reps += mat.shape[1]
+            fh.write(np.ascontiguousarray(mat.T, dtype="<f8"))
+        fh.seek(0)
+        fh.write(_HEADER.pack(_MAGIC, nodes, reps, tag))
 
 
-def read_sample_dump(path: str) -> np.ndarray:
+def dump_header(path: str) -> tuple[int, int, int]:
+    """(nodes, reps, tag) of a dump whose magic and size check out."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError("truncated dump header")
-        magic, nodes, reps, _ = struct.unpack("<4sIII", header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != nodes * reps:
+        header = fh.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise ValueError("truncated dump header")
+    magic, nodes, reps, tag = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    if os.path.getsize(path) != _HEADER.size + 8 * nodes * reps:
         raise ValueError("dump payload size mismatch")
-    return data.reshape(reps, nodes).copy()
+    return nodes, reps, tag
+
+
+def read_sample_dump(path: str) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, block) pairs as sample_blocks does, reading at most
+    _BLOCK replicates of the dump at a time."""
+    nodes, reps, _ = dump_header(path)
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        for start in range(0, reps, _BLOCK):
+            take = min(_BLOCK, reps - start)
+            rows = np.frombuffer(fh.read(8 * take * nodes), dtype="<f8")
+            yield start, rows.reshape(take, nodes).T

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .fields import (
     GridSpec,
     build_covariance,
     cholesky_factor,
+    dump_header,
     read_sample_dump,
     sample_blocks,
 )
@@ -52,6 +54,20 @@ def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
+def _maxima(
+    blocks: Iterable[tuple[int, np.ndarray]], n1: int, reps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replicate maxima of rows [:n1] (X1) and rows [n1:] (X2) over a
+    stream of (start, block) pairs."""
+    max1 = np.empty(reps)
+    max2 = np.empty(reps)
+    for start, mat in blocks:
+        take = mat.shape[1]
+        max1[start : start + take] = mat[:n1].max(axis=0)
+        max2[start : start + take] = mat[n1:].max(axis=0)
+    return max1, max2
+
+
 def field_maxima(
     m: BivariateMaternModel, g: GridSpec, reps: int, seed: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -59,22 +75,15 @@ def field_maxima(
     if reps < 1:
         raise ValueError("reps must be positive")
     L = cholesky_factor(build_covariance(m, g))
-    n1 = g.n1
-    max1 = np.empty(reps)
-    max2 = np.empty(reps)
-    for start, mat in sample_blocks(L, seed, reps, threads):
-        take = mat.shape[1]
-        max1[start : start + take] = mat[:n1].max(axis=0)
-        max2[start : start + take] = mat[n1:].max(axis=0)
-    return max1, max2
+    return _maxima(sample_blocks(L, seed, reps, threads), g.n1, reps)
 
 
 def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """Recompute per-replicate maxima from a stored sample dump."""
-    samples = read_sample_dump(path)
-    if n1 >= samples.shape[1]:
+    nodes, reps, _ = dump_header(path)
+    if n1 >= nodes:
         raise ValueError("n1 exceeds the stored node count")
-    return samples[:, :n1].max(axis=1), samples[:, n1:].max(axis=1)
+    return _maxima(read_sample_dump(path), n1, reps)
 
 
 def estimates_from_maxima(
@@ -111,17 +120,6 @@ def mc_excursion_multi(
         raise ValueError("reps must be at least 1000")
     max1, max2 = field_maxima(m, g, reps, seed, threads)
     return estimates_from_maxima(max1, max2, u_list, seed)
-
-
-def mc_excursion(
-    m: BivariateMaternModel,
-    g: GridSpec,
-    u: float,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-) -> ExcursionEstimate:
-    return mc_excursion_multi(m, g, [u], reps, seed, threads)[0]
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,30 @@ class TestSimulateAndReuse:
         main(["mc-excursion", "--config", cfg, "--out-dir", str(out3)])
         assert (out2 / "mc-excursion.csv").read_bytes() == (out3 / "mc-excursion.csv").read_bytes()
 
+    @pytest.mark.parametrize("change, message", [
+        # 5 + 5 nodes: the old reader would mix 3 X1 nodes into max2
+        ({"grid": {"points_per_axis": 5}}, "give 5 + 5 nodes"),
+        ({"model": {"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.3, "dim_N": 1}},
+         "give 8 + 8 nodes"),
+    ], ids=["other-grid", "other-model"])
+    def test_dump_from_another_config_rejected(self, tmp_path, capsys, change, message):
+        sections = {
+            "grid": {"points_per_axis": 8},
+            "estimation": {"reps": 2000, "seed": 5},
+            "thresholds": {"u": [1.5]},
+        }
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        other = write_config(tmp_path, name="other.json", **{**sections, **change})
+        capsys.readouterr()
+        assert main([
+            "mc-excursion", "--config", other, "--out-dir", str(tmp_path / "reuse"),
+            "--samples", str(out / "samples.bgrf"),
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
+
 
 class TestRiemannCheckCommand:
     def test_rows(self, tmp_path):
@@ -294,6 +318,22 @@ class TestVerify:
         )
         assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
         assert "floor" in capsys.readouterr().out
+
+    def test_touching_without_split_fails_before_estimating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimation ran before the routing check")
+
+        monkeypatch.setattr(cli, "estimate_H_constant", unreachable)
+        monkeypatch.setattr(cli, "field_maxima", unreachable)
+        cfg = write_config(
+            tmp_path,
+            domain={"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": None},
+            estimation={"reps": 100_000, "seed": 1},
+        )
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "theorem2 needs domain.split_M" in capsys.readouterr().err
 
     def test_verify_fails_on_tight_band(self, tmp_path, capsys):
         cfg = write_config(

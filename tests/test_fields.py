@@ -8,18 +8,17 @@ import pytest
 from bgrf import fields
 from bgrf.fields import (
     DomainPair,
-    FieldSample,
     GridSpec,
     NotPositiveDefiniteError,
     Rect,
     build_covariance,
     cholesky_factor,
-    cholesky_sample,
+    dump_header,
+    fbm_cholesky_factor,
     fbm_covariance,
     fbm_grid,
     read_sample_dump,
     sample_blocks,
-    sample_fbm,
     subtract_box,
     union_covers,
     write_sample_dump,
@@ -42,6 +41,11 @@ def unit_overlap(points=10):
 
 def model(rho=0.4, nu12=1.5, **kw):
     return BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=nu12, rho=rho, **kw)
+
+
+def draw(L, seed, count):
+    """(count, nodes) array of replicates, one per row, from sample_blocks."""
+    return np.hstack([mat for _, mat in sample_blocks(L, seed, count)]).T
 
 
 class TestGeometry:
@@ -168,22 +172,18 @@ class TestCovariance:
 class TestCholeskySampling:
     def test_identity_covariance_statistics(self):
         g = GridSpec(point_domain(), 1)
-        cov = build_covariance(model(rho=0.0), g)
+        L = cholesky_factor(build_covariance(model(rho=0.0), g))
         n = 100_000
-        xs = np.empty((n, 2))
-        for i, s in enumerate(cholesky_sample(cov, g, seed=7, count=n)):
-            xs[i, 0], xs[i, 1] = s.x1[0], s.x2[0]
+        xs = draw(L, seed=7, count=n)
         se = np.sqrt(2.0 / n)
         assert abs(xs[:, 0].var(ddof=1) - 1.0) < 3 * se
         assert abs(xs[:, 1].var(ddof=1) - 1.0) < 3 * se
 
     def test_correlated_pair_statistics(self):
         g = GridSpec(point_domain(), 1)
-        cov = build_covariance(model(rho=0.5), g)
+        L = cholesky_factor(build_covariance(model(rho=0.5), g))
         n = 100_000
-        xs = np.empty((n, 2))
-        for i, s in enumerate(cholesky_sample(cov, g, seed=11, count=n)):
-            xs[i] = (s.x1[0], s.x2[0])
+        xs = draw(L, seed=11, count=n)
         corr = np.corrcoef(xs.T)[0, 1]
         se = (1 - 0.25) / np.sqrt(n)
         assert abs(corr - 0.5) < 3 * se
@@ -193,21 +193,18 @@ class TestCholeskySampling:
         g = unit_overlap(3)
         cov = build_covariance(m, g)
         n = 100_000
-        xs = np.empty((n, 6))
-        for i, s in enumerate(cholesky_sample(cov, g, seed=3, count=n)):
-            xs[i] = np.concatenate([s.x1, s.x2])
+        xs = draw(cholesky_factor(cov), seed=3, count=n)
         emp = np.cov(xs.T)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(emp - cov) < 4 * se)
 
     def test_replicate_deterministic_in_seed_and_index(self):
         g = unit_overlap(5)
-        cov = build_covariance(model(rho=0.3), g)
-        a = [s for s in cholesky_sample(cov, g, seed=42, count=3)]
-        b = [s for s in cholesky_sample(cov, g, seed=42, count=5000)][:3]
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.x1, sb.x1)
-            assert np.array_equal(sa.x2, sb.x2)
+        L = cholesky_factor(build_covariance(model(rho=0.3), g))
+        a = draw(L, seed=42, count=3)
+        b = draw(L, seed=42, count=5000)[:3]
+        assert a.shape == (3, 10)
+        assert np.array_equal(a, b)
 
     def test_thread_count_does_not_change_stream(self):
         g = unit_overlap(5)
@@ -242,14 +239,6 @@ class TestCholeskySampling:
         assert np.array_equal(stream(1), stream(2))
         assert len(pools) == 1
 
-    def test_field_sample_metadata(self):
-        g = unit_overlap(4)
-        cov = build_covariance(model(), g)
-        s = next(iter(cholesky_sample(cov, g, seed=5, count=1)))
-        assert isinstance(s, FieldSample)
-        assert s.seed == 5 and s.replicate_index == 0
-        assert s.x1.shape == (4,) and s.x2.shape == (4,)
-
 
 class TestFbm:
     def test_grid_validation(self):
@@ -257,18 +246,15 @@ class TestFbm:
             fbm_grid(1.0, 0.3)
         assert len(fbm_grid(8.0, 1 / 64)) == 513
 
-    def test_chi_zero_is_zero(self):
-        for path in sample_fbm(0.8, 1.0, 1 / 8, seed=1, count=10):
-            assert path[0] == 0.0
-
     def test_variance_is_twice_t_alpha(self):
         alpha, T, eta, n = 0.8, 2.0, 1 / 4, 100_000
-        paths = np.array(list(sample_fbm(alpha, T, eta, seed=2, count=n)))
-        t = fbm_grid(T, eta)
-        want = 2.0 * t**alpha
+        t, L = fbm_cholesky_factor(alpha, T, eta)
+        assert np.array_equal(t, fbm_grid(T, eta))
+        paths = draw(L, seed=2, count=n)  # chi on t[1:]
+        want = 2.0 * t[1:] ** alpha
         got = paths.var(axis=0, ddof=1)
         se = want * np.sqrt(2.0 / n)
-        assert np.all(np.abs(got[1:] - want[1:]) < 3 * se[1:])
+        assert np.all(np.abs(got - want) < 3 * se)
 
     def test_alpha_one_is_scaled_brownian(self):
         # |s| + |t| - |t - s| = 2 min(s, t) for s, t >= 0
@@ -277,30 +263,60 @@ class TestFbm:
         want = 2.0 * np.minimum(t[:, None], t[None, :])
         assert np.max(np.abs(cov - want)) < 1e-12
         n = 100_000
-        paths = np.array(list(sample_fbm(1.0, 2.0, 0.5, seed=4, count=n)))
-        emp = np.cov(paths[:, 1:].T)
+        _, L = fbm_cholesky_factor(1.0, 2.0, 0.5)
+        emp = np.cov(draw(L, seed=4, count=n).T)
         se = np.sqrt((np.outer(np.diag(want[1:, 1:]), np.diag(want[1:, 1:])) + want[1:, 1:] ** 2) / n)
         assert np.all(np.abs(emp - want[1:, 1:]) < 4 * se)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            next(sample_fbm(2.0, 1.0, 0.25, seed=0, count=1))
+            fbm_cholesky_factor(2.0, 1.0, 0.25)
 
 
 class TestDump:
+    def stream(self, count):
+        L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
+        return list(sample_blocks(L, seed=6, count=count))
+
     def test_roundtrip(self, tmp_path):
-        data = np.arange(12, dtype=float).reshape(3, 4)
+        count = 2 * 4096 + 7  # three blocks, the last one partial
+        blocks = self.stream(count)
         p = str(tmp_path / "x.bgrf")
-        write_sample_dump(p, data)
-        back = read_sample_dump(p)
-        assert np.array_equal(back, data)
+        write_sample_dump(p, iter(blocks), 0xDEADBEEF)
         raw = open(p, "rb").read()
         assert raw[:4] == b"BGRF"
-        assert len(raw) == 16 + 3 * 4 * 8
+        assert dump_header(p) == (6, count, 0xDEADBEEF)
+        rows = np.vstack([mat.T for _, mat in blocks])
+        assert raw[16:] == rows.astype("<f8").tobytes()
+        back = list(read_sample_dump(p))
+        assert [s for s, _ in back] == [s for s, _ in blocks]
+        for (_, got), (_, want) in zip(back, blocks):
+            assert np.array_equal(got, want)
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "y.bgrf")
         with open(p, "wb") as fh:
             fh.write(b"NOPE" + b"\0" * 12)
         with pytest.raises(ValueError, match="magic"):
-            read_sample_dump(p)
+            dump_header(p)
+        with pytest.raises(ValueError, match="magic"):
+            next(read_sample_dump(p))
+
+    def test_interrupted_write_leaves_no_header(self, tmp_path):
+        def failing():
+            yield from self.stream(5)
+            raise RuntimeError("sampling stopped")
+
+        p = str(tmp_path / "z.bgrf")
+        with pytest.raises(RuntimeError):
+            write_sample_dump(p, failing(), 1)
+        with pytest.raises(ValueError, match="magic"):
+            dump_header(p)
+
+    def test_truncated_payload(self, tmp_path):
+        p = str(tmp_path / "t.bgrf")
+        write_sample_dump(p, iter(self.stream(5)), 0)
+        with open(p, "r+b") as fh:
+            fh.truncate(16 + 8 * 29)
+        with pytest.raises(ValueError, match="size mismatch"):
+            dump_header(p)

@@ -17,7 +17,6 @@ from bgrf.montecarlo import (
     estimates_from_maxima,
     field_maxima,
     maxima_from_dump,
-    mc_excursion,
     mc_excursion_multi,
     rate_fit,
     wilson_interval,
@@ -40,20 +39,25 @@ def model(rho, nu12=1.5):
     return BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=nu12, rho=rho)
 
 
+def excursion(m, g, u, reps, seed):
+    """The single-threshold estimate on live maxima."""
+    return estimates_from_maxima(*field_maxima(m, g, reps, seed), [u], seed)[0]
+
+
 class TestMcExcursion:
     def test_threshold_below_everything(self):
-        est = mc_excursion(model(0.4), point_grid(), u=-1000.0, reps=1000, seed=1)
+        est = excursion(model(0.4), point_grid(), u=-1000.0, reps=1000, seed=1)
         assert est.p_hat == 1.0
         assert est.hits == 1000
 
     def test_independent_single_nodes(self):
-        est = mc_excursion(model(0.0), point_grid(), u=1.0, reps=200_000, seed=2)
+        est = excursion(model(0.0), point_grid(), u=1.0, reps=200_000, seed=2)
         want = PHIBAR_1**2
         se = math.sqrt(want * (1 - want) / est.replicates)
         assert abs(est.p_hat - want) < 3 * se
 
     def test_colocated_pair_orthant_oracle(self):
-        est = mc_excursion(model(0.5), point_grid(), u=2.0, reps=500_000, seed=3)
+        est = excursion(model(0.5), point_grid(), u=2.0, reps=500_000, seed=3)
         se = math.sqrt(ORTHANT_2_HALF * (1 - ORTHANT_2_HALF) / est.replicates)
         assert abs(est.p_hat - ORTHANT_2_HALF) < 3 * se
 
@@ -90,26 +94,23 @@ class TestMcExcursion:
         assert abs(pj - p1 * p2) < 3 * se
 
     def test_zero_hits_warning(self):
-        est = mc_excursion(model(0.4), point_grid(), u=20.0, reps=1000, seed=7)
+        est = excursion(model(0.4), point_grid(), u=20.0, reps=1000, seed=7)
         assert est.p_hat == 0.0
         assert est.ci_low == 0.0 and est.ci_high > 0.0
         assert "too rare" in est.warning
 
     def test_reps_floor(self):
         with pytest.raises(ValueError, match="1000"):
-            mc_excursion(model(0.4), point_grid(), u=1.0, reps=10, seed=0)
+            mc_excursion_multi(model(0.4), point_grid(), [1.0], reps=10, seed=0)
 
-    def test_dump_reuse_matches_live_maxima(self, tmp_path):
+    @pytest.mark.parametrize("reps", [2000, 9000])  # 9000 ends on a partial block
+    def test_dump_reuse_matches_live_maxima(self, tmp_path, reps):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)
         g = GridSpec(d, 8)
         m = model(0.4)
-        reps = 2000
         L = cholesky_factor(build_covariance(m, g))
-        rows = np.empty((reps, 16))
-        for start, mat in sample_blocks(L, seed=8, count=reps):
-            rows[start : start + mat.shape[1]] = mat.T
         p = str(tmp_path / "samples.bgrf")
-        write_sample_dump(p, rows)
+        write_sample_dump(p, sample_blocks(L, seed=8, count=reps), 0)
         d1, d2 = maxima_from_dump(p, g.n1)
         l1, l2 = field_maxima(m, g, reps=reps, seed=8)
         assert np.array_equal(d1, l1) and np.array_equal(d2, l2)
