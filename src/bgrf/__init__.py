@@ -10,12 +10,9 @@ from .asymptotics import (
     RiemannCheck,
     default_delta_constant,
     delta_lower_bound,
-    matern_theorem1,
-    matern_theorem2,
     psi,
     riemann_sum_check,
-    theorem1_value,
-    theorem2_value,
+    tail_asymptotic,
 )
 from .fields import (
     DomainPair,

@@ -1,6 +1,6 @@
 """Closed-form tail asymptotics and the deterministic Riemann-sum check.
 
-Every evaluator returns an AsymptoticResult decomposed as
+The tail asymptotic returns an AsymptoticResult decomposed as
 
     value = constant * u^u_power * exp(exp_rate * u^2),
 
@@ -21,9 +21,9 @@ and
     h(u) = sum over cell pairs meeting D of
            exp(-u^2 (1/(1 + r(|tau_kl|)) - 1/(1 + rho))),
 
-whose growth must match the closed-form limit, overlapping-domain or
-split-domain flavour. Cell-pair membership uses exact interval
-arithmetic against the rectangle unions.
+whose growth must match the closed-form limit at the domain pair's
+(M, mes_M), M = N for overlapping domains. Cell-pair membership uses
+exact interval arithmetic against the rectangle unions.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .fields import DomainPair, Rect, union_covers
-from .model import BivariateMaternModel, LocalExpansion, local_expansion
+from .model import LocalExpansion
 
 _CELL_BUDGET = 10**8
 _CHUNK_PAIRS = 2**18  # candidate pairs per vectorised membership step
@@ -48,7 +48,7 @@ class CellBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Psi and the theorem evaluators
+# Psi and the tail asymptotic
 # ---------------------------------------------------------------------------
 
 def log_psi(u: float, rho: float) -> float:
@@ -110,46 +110,20 @@ def _check_theorem_inputs(mes: float, H1: float, H2: float, u: float):
         raise ValueError(f"u must be > 0, got {u}")
 
 
-def theorem1_value(
-    e: LocalExpansion, mes_N: float, H1: float, H2: float, u: float
-) -> AsymptoticResult:
-    """Joint excursion asymptotics for overlapping domains
-    (mes_N(A1 and A2) > 0):
-
-        (2 pi)^(N/2) (-r''(0))^(-N/2) c1^(N/a1) c2^(N/a2) mes_N H1 H2
-        * (1+rho)^(-N(2/a1 + 2/a2 - 1)) u^(N(2/a1 + 2/a2 - 1)) Psi(u, rho)
-    """
-    _check_theorem_inputs(mes_N, H1, H2, u)
-    N = e.dim_N
-    power = N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 1.0)
-    log_pre = (
-        0.5 * N * math.log(2.0 * math.pi)
-        - 0.5 * N * math.log(-e.r2_zero)
-        + (N / e.alpha1) * math.log(e.c1)
-        + (N / e.alpha2) * math.log(e.c2)
-        + math.log(mes_N)
-        + math.log(H1)
-        + math.log(H2)
-        - power * math.log1p(e.rho)
-    )
-    return AsymptoticResult.from_parts(
-        log_pre + _log_psi_constant(e.rho), power - 2.0, e.rho, u
-    )
-
-
-def theorem2_value(
+def tail_asymptotic(
     e: LocalExpansion, M: int, mes_M: float, H1: float, H2: float, u: float
 ) -> AsymptoticResult:
-    """Joint excursion asymptotics for the split structure (shared first M
-    coordinates, touching intervals after):
+    """Joint excursion asymptotics for domains sharing their first M
+    coordinates and touching in the other N - M (Theorem 2); M = N with
+    mes_N(A1 and A2) > 0 is the overlapping case (Theorem 1):
 
         (2 pi)^(M/2) (-r''(0))^(-(2N-M)/2) c1^(N/a1) c2^(N/a2) H1 H2 mes_M
         * (1+rho)^(2N - M - 2N/a1 - 2N/a2) u^(M + N(2/a1 + 2/a2 - 2))
         * Psi(u, rho)
     """
     N = e.dim_N
-    if not (isinstance(M, int) and 0 <= M <= N - 1):
-        raise ValueError(f"M must be an integer in [0, N-1], got {M}")
+    if not (isinstance(M, int) and 0 <= M <= N):
+        raise ValueError(f"M must be an integer in [0, N], got {M}")
     if M == 0 and mes_M != 1.0:
         raise ValueError("mes_0 is identically 1 by convention")
     _check_theorem_inputs(mes_M, H1, H2, u)
@@ -167,24 +141,6 @@ def theorem2_value(
     return AsymptoticResult.from_parts(
         log_pre + _log_psi_constant(e.rho), power - 2.0, e.rho, u
     )
-
-
-def matern_theorem1(
-    m: BivariateMaternModel, u: float, H1: float, H2: float
-) -> AsymptoticResult:
-    """Standardized bivariate Matern field over [0,1]^N for both
-    components; the pre-Psi power of u is N(1/nu1 + 1/nu2 - 1)."""
-    return theorem1_value(local_expansion(m), 1.0, H1, H2, u)
-
-
-def matern_theorem2(
-    m: BivariateMaternModel, u: float, H1: float, H2: float
-) -> AsymptoticResult:
-    """Standardized bivariate Matern field over [0,1]^N and
-    [0,1]^(N-1) x [1,2] (regions sharing part of their boundary);
-    the pre-Psi power of u is N(1/nu1 + 1/nu2 - 1) - 1."""
-    e = local_expansion(m)
-    return theorem2_value(e, e.dim_N - 1, 1.0, H1, H2, u)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +317,8 @@ def _band_pairs(
             yield ks, ls
 
 
-def _limit_value(e: LocalExpansion, regime: str, M: int, mes: float,
-                 T: float, u: float) -> float:
+def _limit_value(e: LocalExpansion, M: int, mes: float, T: float, u: float) -> float:
     N = e.dim_N
-    if regime == "overlap":
-        return (
-            (2.0 * math.pi) ** (N / 2.0)
-            * (-e.r2_zero) ** (-N / 2.0)
-            * (1.0 + e.rho) ** N
-            * T ** (-2.0 * N)
-            * mes
-            * u ** (N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 1.0))
-        )
     return (
         (2.0 * math.pi) ** (M / 2.0)
         * (-e.r2_zero) ** (M / 2.0 - N)
@@ -393,7 +339,7 @@ def riemann_sum_check(
     cells: str = "intersect",
 ) -> RiemannCheck:
     """Sum the double-sum kernel h(u) over cell pairs and compare with the
-    closed-form limit for the domain pair's regime.
+    closed-form limit at the domain pair's shared_part().
 
     cells = "intersect" uses pairs whose cell product meets the band D;
     cells = "subset" restricts to cell products contained in D. Both
@@ -431,19 +377,7 @@ def riemann_sum_check(
             f"delta(u) = {delta:.4g}; increase u or decrease T"
         )
 
-    mes_overlap = d.mes_intersection()
-    if mes_overlap > 0.0:
-        regime, M, mes = "overlap", N, mes_overlap
-    else:
-        if d.split_M is None:
-            raise ValueError(
-                "domains have zero-measure intersection but no split_M "
-                "structure; the split-regime limit needs it"
-            )
-        regime, M = "split", d.split_M
-        mes = d.mes_shared_face()
-        if M > 0 and mes <= 0.0:
-            raise ValueError("split regime needs mes_M(A1_M and A2_M) > 0")
+    M, mes = d.shared_part()
 
     n_cells_estimate = sum(
         math.prod(len(_cell_range(b.lo[j], b.hi[j], d1)) for j in range(N))
@@ -497,14 +431,14 @@ def riemann_sum_check(
         h_sum = math.fsum(chain.from_iterable(kernel_values()))
         n_pairs = sum(sizes)
 
-    limit = _limit_value(e, regime, M, mes, T_scale, u)
+    limit = _limit_value(e, M, mes, T_scale, u)
     return RiemannCheck(
         u=u,
         h_sum=h_sum,
         limit_value=limit,
         ratio=h_sum / limit,
         n_pairs=n_pairs,
-        regime=regime,
+        regime="overlap" if M == N else "split",
         cells=cells,
         delta=delta,
         T_scale=T_scale,

@@ -22,8 +22,7 @@ from .asymptotics import (
     CellBudgetError,
     default_delta_constant,
     riemann_sum_check,
-    theorem1_value,
-    theorem2_value,
+    tail_asymptotic,
 )
 from .fields import (
     DomainPair,
@@ -270,25 +269,6 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
     return H["H1"], H["H2"]
 
 
-def _theorem(e, d: DomainPair, which: str):
-    """(u, H1, H2) -> the named theorem's asymptotic on this domain pair.
-
-    Raises before any estimation when the pair cannot carry the theorem.
-    """
-    if which == "theorem1":
-        mes = d.mes_intersection()
-        if mes <= 0.0:
-            raise ValueError(
-                "theorem1 needs mes_N(A1 and A2) > 0; this domain pair "
-                "routes to theorem2"
-            )
-        return lambda u, H1, H2: theorem1_value(e, mes, H1, H2, u)
-    if d.split_M is None:
-        raise ValueError("theorem2 needs domain.split_M")
-    face = d.mes_shared_face()
-    return lambda u, H1, H2: theorem2_value(e, d.split_M, face, H1, H2, u)
-
-
 def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
     """Joint excursion estimates at every u on shared maxima, read from the
     dump at `samples` when one is named, else sampled afresh."""
@@ -306,9 +286,8 @@ def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
     return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
 
 
-def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T):
-    """riemann_sum_check at each u and cell family, lazily, so a caller
-    reports each check before the next one runs; C and T default to the
+def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T) -> list:
+    """riemann_sum_check at each u and cell family; C and T default to the
     config's verify section, C then to default_delta_constant."""
     e = local_expansion(m)
     ver = cfg["verify"]
@@ -316,11 +295,11 @@ def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T):
     if C is None:
         C = default_delta_constant(e)
     T = T if T is not None else ver["riemann_T"]
-    return (
+    return [
         riemann_sum_check(e, d, lambda h: cross_corr(m, h), T, C, u, mode)
         for u in us
         for mode in modes
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +368,25 @@ def cmd_pickands(cfg, args) -> int:
 
 def cmd_theorem(cfg, args, which: str) -> int:
     m = build_model(cfg)
-    theorem = _theorem(local_expansion(m), build_domain(cfg, m), which)
+    e = local_expansion(m)
+    d = build_domain(cfg, m)
+    # each command forces its case: M = N, or M = split_M
+    if which == "theorem1":
+        M, mes = d.dim_N, d.mes(d.dim_N)
+        if mes <= 0.0:
+            raise ValueError(
+                "theorem1 needs mes_N(A1 and A2) > 0; this domain pair "
+                "routes to theorem2"
+            )
+    elif d.split_M is None:
+        raise ValueError("theorem2 needs domain.split_M")
+    else:
+        M, mes = d.split_M, d.mes(d.split_M)
     H1, H2 = _pickands_constants(cfg, m, args)
     w = Writer(cfg, args, which,
                ["u", "value", "log_value", "exp_rate", "u_power", "constant"])
     for u in _thresholds(args.u, cfg["thresholds"]["u"]):
-        r = theorem(u, H1, H2)
+        r = tail_asymptotic(e, M, mes, H1, H2, u)
         w.add(u, r.value, r.log_value, r.exp_rate, r.u_power, r.constant)
     w.flush()
     return 0
@@ -441,7 +433,11 @@ def cmd_verify(cfg, args) -> int:
     if reps < 1000:
         print(f"verify FAILED: reps = {reps} below the Monte Carlo floor of 1000")
         return 1
-    theorem = _theorem(e, d, "theorem1" if d.mes_intersection() > 0.0 else "theorem2")
+    M, mes = d.shared_part()
+    # the Riemann checks run before any estimation: the cell budget can
+    # fail them
+    riemann = _riemann_checks(cfg, m, d, _thresholds(None, ver["riemann_u"]),
+                              ("intersect",), None, None)
     H1, H2 = _pickands_constants(cfg, m, args)
     us = _thresholds(args.u, cfg["thresholds"]["u"])
     ests = _excursions(cfg, args, m, g, us, None)
@@ -469,7 +465,7 @@ def cmd_verify(cfg, args) -> int:
                ["u", "p_hat", "hits", "theorem_value", "ratio"])
     w.meta["samples"] = "shared-across-u"
     for est in ests:
-        th = theorem(est.u, H1, H2)
+        th = tail_asymptotic(e, M, mes, H1, H2, est.u)
         ratio = est.p_hat / th.value if th.value > 0 else math.nan
         w.add(est.u, est.p_hat, est.hits, th.value, ratio)
 
@@ -490,8 +486,7 @@ def cmd_verify(cfg, args) -> int:
         failures.append("rate")
 
     band = ver["riemann_band"]
-    riemann_u = _thresholds(None, ver["riemann_u"])
-    for chk in _riemann_checks(cfg, m, d, riemann_u, ("intersect",), None, None):
+    for chk in riemann:
         ok = abs(chk.ratio - 1.0) <= band
         print(
             f"riemann u={chk.u:g}: ratio = {chk.ratio:.4f}, band {band:.0%}: "
@@ -579,9 +574,10 @@ def main(argv=None) -> int:
         NotPositiveDefiniteError,
         CellBudgetError,
         ValueError,
+        OSError,
     ) as exc:
         # model/domain parsed fine but the requested computation is
-        # semantically impossible with it
+        # semantically impossible with it, or a file it names is unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

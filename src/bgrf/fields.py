@@ -198,21 +198,30 @@ class DomainPair:
                     f"got [{S}, {T1}] / [{T2}, {R}]"
                 )
 
-    def mes_intersection(self) -> float:
-        """N-dimensional measure of A1 intersect A2."""
-        return _union_measure(_intersect_unions(self.A1, self.A2))
-
-    def mes_shared_face(self) -> float:
-        """M-dimensional measure of the projected intersection for the
-        split case (mes_0 is identically 1 by convention)."""
-        if self.split_M is None:
-            raise ValueError("mes_shared_face requires split_M")
-        M = self.split_M
+    def mes(self, M: int) -> float:
+        """M-dimensional measure of A1 and A2 projected on their first M
+        coordinates and intersected: mes_N(A1 and A2) at M = N, the shared
+        face at M = split_M, and 1 at M = 0 by convention."""
         if M == 0:
             return 1.0
         P1 = [Rect(r.lo[:M], r.hi[:M]) for r in self.A1]
         P2 = [Rect(r.lo[:M], r.hi[:M]) for r in self.A2]
         return _union_measure(_intersect_unions(P1, P2))
+
+    def shared_part(self) -> tuple[int, float]:
+        """(M, mes_M) of the tail asymptotic: (N, mes_N(A1 and A2)) when
+        that measure is positive, else (split_M, the shared face)."""
+        mes = self.mes(self.dim_N)
+        if mes > 0.0:
+            return self.dim_N, mes
+        if self.split_M is None:
+            raise ValueError(
+                "A1 and A2 meet in a null set, and theorem2 needs domain.split_M"
+            )
+        mes = self.mes(self.split_M)
+        if not mes > 0.0:
+            raise ValueError("split regime needs mes_M(A1_M and A2_M) > 0")
+        return self.split_M, mes
 
 
 def _box_nodes(box: Rect, points_per_axis: int) -> np.ndarray:
@@ -341,9 +350,9 @@ def sample_blocks(
         return L @ _noise_block(seed, b, n)
 
     done = 0
-    # process in modest chunks so thread parallelism does not hoard memory;
-    # one pool serves every chunk of the call
-    chunk = max(threads, 1) * 4
+    # a chunk is one block per thread: no more blocks are held than run at
+    # once; one pool serves every chunk of the call
+    chunk = max(threads, 1)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for lo in range(0, n_blocks, chunk):
             # no name holds a chunk's list, so it is freed before the next

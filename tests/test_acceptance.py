@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
 
-from bgrf.asymptotics import riemann_sum_check, theorem1_value
+from bgrf.asymptotics import riemann_sum_check, tail_asymptotic
 from bgrf.fields import DomainPair, GridSpec, Rect
 from bgrf.model import (
     BivariateMaternModel,
@@ -344,7 +344,7 @@ def test_c7_theorem_ratio(mc7_runs):
     ]
     hs = [discrete_pickands_h1(d) for d in deltas]
     ratios = [
-        est.p_hat / theorem1_value(e, 1.0, h, h, u).value
+        est.p_hat / tail_asymptotic(e, e.dim_N, 1.0, h, h, u).value
         for est, h, u in zip(over, hs, MC7_US)
     ]
     factors = [max(r, 1.0 / r) for r in ratios]

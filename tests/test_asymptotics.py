@@ -4,8 +4,8 @@ Frozen values computed with mpmath at 30 digits:
   psi(1, 0)    = 0.0585498315243192
   psi(2, 0.5)  = 0.00718279395239271
   psi(3, 0.5)  = 0.000113883974965486
-and for the overlapping-domain evaluator at N=1, alpha1=alpha2=1,
-mes=1, rho=0.5, r''(0)=-0.25, c=H=1, u=3:
+and for the tail asymptotic of overlapping domains (M = N = 1) at
+alpha1=alpha2=1, mes=1, rho=0.5, r''(0)=-0.25, c=H=1, u=3:
   value        = 0.00456743666681368
   constant     = 0.614211821282374   (u-free prefactor incl. Psi factors)
 """
@@ -25,12 +25,9 @@ from bgrf.asymptotics import (
     default_delta_constant,
     delta_lower_bound,
     log_psi,
-    matern_theorem1,
-    matern_theorem2,
     psi,
     riemann_sum_check,
-    theorem1_value,
-    theorem2_value,
+    tail_asymptotic,
 )
 from bgrf.fields import DomainPair, Rect, union_covers
 from bgrf.model import BivariateMaternModel, LocalExpansion, cross_corr, local_expansion
@@ -76,9 +73,27 @@ class TestPsi:
             psi(1.0, 1.0)
 
 
+def theorem1_product(e, mes, H1, H2, u):
+    """Theorem 1 (overlapping domains) written out as a plain product."""
+    N = e.dim_N
+    power = N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 1.0)
+    return (
+        (2.0 * math.pi) ** (N / 2.0)
+        * (-e.r2_zero) ** (-N / 2.0)
+        * e.c1 ** (N / e.alpha1)
+        * e.c2 ** (N / e.alpha2)
+        * mes * H1 * H2
+        * (1.0 + e.rho) ** (-power)
+        * u**power
+        * psi(u, e.rho)
+    )
+
+
 class TestTheorem1:
+    """The tail asymptotic at M = N: overlapping domains."""
+
     def test_frozen_example(self):
-        r = theorem1_value(expansion(), mes_N=1.0, H1=1.0, H2=1.0, u=3.0)
+        r = tail_asymptotic(expansion(), M=1, mes_M=1.0, H1=1.0, H2=1.0, u=3.0)
         assert r.u_power == pytest.approx(1.0, abs=1e-14)
         assert r.exp_rate == -1.0 / 1.5
         assert r.constant == pytest.approx(0.614211821282374, rel=1e-13)
@@ -87,16 +102,16 @@ class TestTheorem1:
     def test_remark_total_power_of_u(self):
         # N = 1: power including Psi's u^-2 is 2/a1 + 2/a2 - 3
         for a1, a2 in [(1.0, 1.0), (0.5, 1.5), (0.8, 1.9)]:
-            r = theorem1_value(expansion(alpha1=a1, alpha2=a2), 1.0, 1.0, 1.0, 2.0)
+            r = tail_asymptotic(expansion(alpha1=a1, alpha2=a2), 1, 1.0, 1.0, 1.0, 2.0)
             assert r.u_power == pytest.approx(2 / a1 + 2 / a2 - 3, rel=1e-14)
 
     def test_linear_in_measure(self):
-        a = theorem1_value(expansion(), 1.0, 1.0, 1.0, 3.0)
-        b = theorem1_value(expansion(), 2.0, 1.0, 1.0, 3.0)
+        a = tail_asymptotic(expansion(), 1, 1.0, 1.0, 1.0, 3.0)
+        b = tail_asymptotic(expansion(), 1, 2.0, 1.0, 1.0, 3.0)
         assert b.value == pytest.approx(2.0 * a.value, rel=1e-14)
 
     def test_log_value_survives_underflow(self):
-        r = theorem1_value(expansion(), 1.0, 1.0, 1.0, 60.0)
+        r = tail_asymptotic(expansion(), 1, 1.0, 1.0, 1.0, 60.0)
         assert r.value == 0.0
         assert math.isfinite(r.log_value)
         assert r.log_value < -745.0
@@ -112,18 +127,38 @@ class TestTheorem1:
     )
     def test_reconstruction_identity(self, a1, a2, c1, rho, r2, u):
         e = expansion(alpha1=a1, alpha2=a2, c1=c1, rho=rho, r2=r2)
-        r = theorem1_value(e, 0.7, 1.1, 0.9, u)
+        r = tail_asymptotic(e, 1, 0.7, 1.1, 0.9, u)
         rebuilt = r.constant * u**r.u_power * math.exp(r.exp_rate * u * u)
         assert rebuilt == pytest.approx(r.value, rel=1e-12)
         assert r.exp_rate == -1.0 / (1.0 + rho)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        N=st.integers(1, 3),
+        a1=st.floats(0.3, 1.9),
+        a2=st.floats(0.3, 1.9),
+        c1=st.floats(0.2, 3.0),
+        c2=st.floats(0.2, 3.0),
+        rho=st.floats(0.05, 0.9),
+        r2=st.floats(-3.0, -0.1),
+        mes=st.floats(0.1, 4.0),
+        u=st.floats(1.0, 6.0),
+    )
+    def test_matches_theorem1_product(self, N, a1, a2, c1, c2, rho, r2, mes, u):
+        e = LocalExpansion(a1, a2, c1, c2, rho, r2, N)
+        want = theorem1_product(e, mes, 1.1, 0.9, u)
+        r = tail_asymptotic(e, N, mes, 1.1, 0.9, u)
+        assert r.value == pytest.approx(want, rel=1e-12)
+
 
 class TestTheorem2:
+    """The tail asymptotic at M < N: domains touching in N - M axes."""
+
     def test_hand_checked_M0(self):
         # M=0, N=1, alpha=1: (-r'')^-1 c1 c2 H1 H2 (1+rho)^-2 u^2 Psi
         e = expansion()
         u = 3.0
-        r = theorem2_value(e, 0, 1.0, 1.0, 1.0, u)
+        r = tail_asymptotic(e, 0, 1.0, 1.0, 1.0, u)
         want = 4.0 * (1.5) ** (-2.0) * u * u * psi(u, 0.5)
         assert r.value == pytest.approx(want, rel=1e-13)
         assert r.u_power == pytest.approx(0.0, abs=1e-14)
@@ -133,21 +168,27 @@ class TestTheorem2:
         for M in (0, 1):
             mes = 1.0 if M == 0 else 0.7
             d1 = (
-                theorem2_value(e, M, mes, 1.0, 1.0, 2.0).log_value
-                - theorem1_value(e, 1.0, 1.0, 1.0, 2.0).log_value
+                tail_asymptotic(e, M, mes, 1.0, 1.0, 2.0).log_value
+                - tail_asymptotic(e, 2, 1.0, 1.0, 1.0, 2.0).log_value
             )
             d2 = (
-                theorem2_value(e, M, mes, 1.0, 1.0, 4.0).log_value
-                - theorem1_value(e, 1.0, 1.0, 1.0, 4.0).log_value
+                tail_asymptotic(e, M, mes, 1.0, 1.0, 4.0).log_value
+                - tail_asymptotic(e, 2, 1.0, 1.0, 1.0, 4.0).log_value
             )
             assert d2 - d1 == pytest.approx((M - 2) * math.log(2.0), rel=1e-12)
 
     def test_M_validation(self):
         e = expansion(N=2)
-        with pytest.raises(ValueError):
-            theorem2_value(e, 2, 1.0, 1.0, 1.0, 2.0)
+        assert tail_asymptotic(e, 2, 1.0, 1.0, 1.0, 2.0).value > 0.0  # M = N
+        with pytest.raises(ValueError, match=r"\[0, N\]"):
+            tail_asymptotic(e, 3, 1.0, 1.0, 1.0, 2.0)
         with pytest.raises(ValueError, match="convention"):
-            theorem2_value(e, 0, 0.5, 1.0, 1.0, 2.0)
+            tail_asymptotic(e, 0, 0.5, 1.0, 1.0, 2.0)
+
+
+def matern_tail(m, M, u):
+    """Tail asymptotic of the standardized Matern field on unit domains."""
+    return tail_asymptotic(local_expansion(m), M, 1.0, 1.0, 1.0, u)
 
 
 class TestMaternComposition:
@@ -155,15 +196,17 @@ class TestMaternComposition:
         return BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=2.0, rho=0.5)
 
     def test_power_prints_as_advertised(self):
-        m = self.model()
-        r = matern_theorem1(m, 3.0, H1=1.0, H2=1.0)
+        r = matern_tail(self.model(), 1, 3.0)
         # pre-Psi exponent N(1/nu1 + 1/nu2 - 1) = 3
         assert r.u_power + 2.0 == pytest.approx(3.0, abs=1e-14)
 
     def test_equals_explicit_composition(self):
-        m = self.model()
-        e = local_expansion(m)
-        assert matern_theorem1(m, 2.5, 1.0, 1.0) == theorem1_value(e, 1.0, 1.0, 1.0, 2.5)
+        # nu = 1/2 gives alpha = 1 and c = 1; -r''(0) = rho / (2 (nu12 - 1))
+        u = 2.5
+        want = (
+            math.sqrt(2.0 * math.pi) * 0.25**-0.5 * 1.5**-3.0 * u**3.0 * psi(u, 0.5)
+        )
+        assert matern_tail(self.model(), 1, u).value == pytest.approx(want, rel=1e-13)
 
     def test_cross_second_derivative_slot(self):
         e = local_expansion(self.model())
@@ -171,15 +214,13 @@ class TestMaternComposition:
 
     def test_touching_variant_power_and_ratio(self):
         m = self.model()
-        r2 = matern_theorem2(m, 3.0, 1.0, 1.0)
+        r2 = matern_tail(m, 0, 3.0)
         assert r2.u_power + 2.0 == pytest.approx(2.0, abs=1e-14)
         la, lb = 3.0, 6.0
         d = (
-            matern_theorem2(m, lb, 1.0, 1.0).log_value
-            - matern_theorem1(m, lb, 1.0, 1.0).log_value
+            matern_tail(m, 0, lb).log_value - matern_tail(m, 1, lb).log_value
         ) - (
-            matern_theorem2(m, la, 1.0, 1.0).log_value
-            - matern_theorem1(m, la, 1.0, 1.0).log_value
+            matern_tail(m, 0, la).log_value - matern_tail(m, 1, la).log_value
         )
         assert d == pytest.approx(-math.log(2.0), rel=1e-12)
 

@@ -242,6 +242,17 @@ class TestSimulateAndReuse:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
 
+    def test_missing_dump_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, estimation={"reps": 2000, "seed": 5})
+        missing = tmp_path / "nothere.bgrf"
+        assert main([
+            "mc-excursion", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+            "--samples", str(missing),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+
 
 class TestRiemannCheckCommand:
     def test_rows(self, tmp_path):
@@ -319,21 +330,34 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
         assert "floor" in capsys.readouterr().out
 
-    def test_touching_without_split_fails_before_estimating(
-        self, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("sections, message", [
+        ({"domain": {"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": None},
+          "estimation": {"reps": 100_000, "seed": 1}},
+         "theorem2 needs domain.split_M"),
+        # the touching-2d benchmark config: at riemann_T = 4 the u = 50 check
+        # needs about 1.14e8 cell pairs, over the 1e8 budget
+        ({"model": {"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 2},
+          "domain": {"A1": [[[0, 1], [0, 1]]], "A2": [[[0, 1], [1, 2]]], "split_M": 1},
+          "grid": {"points_per_axis": 20},
+          "estimation": {"reps": 50_000},
+          "verify": {"riemann_T": 4.0}},
+         "exceed the budget"),
+    ], ids=["touching-without-split", "cell-budget"])
+    def test_fails_before_estimating(
+        self, tmp_path, monkeypatch, capsys, sections, message
     ):
         def unreachable(*args, **kwargs):
-            raise AssertionError("estimation ran before the routing check")
+            raise AssertionError("estimation ran before a check that fails")
 
         monkeypatch.setattr(cli, "estimate_H_constant", unreachable)
         monkeypatch.setattr(cli, "field_maxima", unreachable)
-        cfg = write_config(
-            tmp_path,
-            domain={"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": None},
-            estimation={"reps": 100_000, "seed": 1},
-        )
-        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
-        assert "theorem2 needs domain.split_M" in capsys.readouterr().err
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (out / "verify.csv").exists()
 
     def test_verify_fails_on_tight_band(self, tmp_path, capsys):
         cfg = write_config(

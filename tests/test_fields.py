@@ -57,12 +57,12 @@ class TestGeometry:
 
     def test_intersection_measure_1d(self):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(0.5, 2),), dim_N=1)
-        assert d.mes_intersection() == 0.5
+        assert d.mes(1) == 0.5
 
     def test_intersection_measure_touching(self):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(1, 2),), dim_N=1, split_M=0)
-        assert d.mes_intersection() == 0.0
-        assert d.mes_shared_face() == 1.0  # mes_0 convention
+        assert d.mes(1) == 0.0
+        assert d.mes(0) == 1.0  # mes_0 convention
 
     def test_union_measure_overlapping_boxes(self):
         d = DomainPair(
@@ -70,14 +70,33 @@ class TestGeometry:
             A2=(interval(0, 2),),
             dim_N=1,
         )
-        assert abs(d.mes_intersection() - 1.5) < 1e-15
+        assert abs(d.mes(1) - 1.5) < 1e-15
 
     def test_2d_split_structure(self):
         A1 = (Rect((0.0, 0.0), (1.0, 1.0)),)
         A2 = (Rect((0.0, 1.0), (1.0, 2.0)),)
         d = DomainPair(A1=A1, A2=A2, dim_N=2, split_M=1)
-        assert d.mes_intersection() == 0.0
-        assert d.mes_shared_face() == 1.0
+        assert d.mes(2) == 0.0
+        assert d.mes(1) == 1.0
+
+    def test_shared_part_overlap(self):
+        # positive overlap: M = N with mes_N, also when split_M is absent
+        A1 = (Rect((0.0, 0.0), (1.0, 1.0)),)
+        A2 = (Rect((0.5, 0.0), (2.0, 0.5)),)
+        assert DomainPair(A1=A1, A2=A2, dim_N=2).shared_part() == (2, 0.25)
+
+    def test_shared_part_touching_split(self):
+        A1 = (Rect((0.0, 0.0), (1.0, 1.0)),)
+        A2 = (Rect((0.25, 1.0), (2.0, 2.0)),)
+        d = DomainPair(A1=A1, A2=A2, dim_N=2, split_M=1)
+        assert d.shared_part() == (1, 0.75)  # the shared face [0.25, 1]
+        d0 = DomainPair(A1=(interval(0, 1),), A2=(interval(1, 2),), dim_N=1, split_M=0)
+        assert d0.shared_part() == (0, 1.0)
+
+    def test_shared_part_needs_split(self):
+        d = DomainPair(A1=(interval(0, 1),), A2=(interval(1, 2),), dim_N=1)
+        with pytest.raises(ValueError, match="split_M"):
+            d.shared_part()
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="shared T"):
@@ -220,7 +239,7 @@ class TestCholeskySampling:
         assert digest(1) == digest(4)
 
     def test_one_pool_per_call(self, monkeypatch):
-        # ten blocks are two chunks at two threads; every chunk must run
+        # ten blocks are five chunks at two threads; every chunk must run
         # on the same pool, and the stream must not depend on the threads
         pools = []
 
