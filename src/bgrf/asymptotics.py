@@ -329,29 +329,20 @@ def _limit_value(e: LocalExpansion, M: int, mes: float, T: float, u: float) -> f
     )
 
 
-def riemann_sum_check(
-    e: LocalExpansion,
-    d: DomainPair,
-    cross_r: Callable[[np.ndarray], np.ndarray],
-    T_scale: float,
-    C_delta: float,
-    u: float,
-    cells: str = "intersect",
-) -> RiemannCheck:
-    """Sum the double-sum kernel h(u) over cell pairs and compare with the
-    closed-form limit at the domain pair's shared_part().
+def riemann_cells(
+    e: LocalExpansion, d: DomainPair, T_scale: float, C_delta: float, u: float
+) -> tuple[float, float, float]:
+    """Cell sides (d1, d2) and band radius delta of the Riemann check at u.
 
-    cells = "intersect" uses pairs whose cell product meets the band D;
-    cells = "subset" restricts to cell products contained in D. Both
-    converge to the same limit.
+    Raises ValueError when a precondition of the check fails and
+    CellBudgetError when its cell pairs would exceed _CELL_BUDGET; both are
+    known from the domains alone, before any pair is tested.
     """
     N = d.dim_N
     if e.dim_N != N:
         raise ValueError("expansion dimension does not match the domains")
     if N not in (1, 2):
         raise ValueError("simulation-scale check supports N in {1, 2} only")
-    if cells not in ("intersect", "subset"):
-        raise ValueError(f"unknown cell mode {cells!r}")
     if not (T_scale > 0 and C_delta > 0 and u > 1):
         raise ValueError("need T_scale > 0, C_delta > 0, u > 1")
 
@@ -377,8 +368,6 @@ def riemann_sum_check(
             f"delta(u) = {delta:.4g}; increase u or decrease T"
         )
 
-    M, mes = d.shared_part()
-
     n_cells_estimate = sum(
         math.prod(len(_cell_range(b.lo[j], b.hi[j], d1)) for j in range(N))
         for b in d.A1
@@ -390,6 +379,30 @@ def riemann_sum_check(
             f"about {budget:.2e} cell pairs exceed the budget {_CELL_BUDGET:.0e}; "
             "use a smaller u or a larger T_scale"
         )
+    return d1, d2, delta
+
+
+def riemann_sum_check(
+    e: LocalExpansion,
+    d: DomainPair,
+    cross_r: Callable[[np.ndarray], np.ndarray],
+    T_scale: float,
+    C_delta: float,
+    u: float,
+    cells: str = "intersect",
+) -> RiemannCheck:
+    """Sum the double-sum kernel h(u) over cell pairs and compare with the
+    closed-form limit at the domain pair's shared_part().
+
+    cells = "intersect" uses pairs whose cell product meets the band D;
+    cells = "subset" restricts to cell products contained in D. Both
+    converge to the same limit.
+    """
+    if cells not in ("intersect", "subset"):
+        raise ValueError(f"unknown cell mode {cells!r}")
+    d1, d2, delta = riemann_cells(e, d, T_scale, C_delta, u)
+    M, mes = d.shared_part()
+
     k, piece_lo, piece_hi = _cells_of_union(d.A1, d1)
     if cells == "subset":
         keep = _covered(d.A1, k * d1, (k + 1) * d1)
@@ -438,7 +451,7 @@ def riemann_sum_check(
         limit_value=limit,
         ratio=h_sum / limit,
         n_pairs=n_pairs,
-        regime="overlap" if M == N else "split",
+        regime="overlap" if M == d.dim_N else "split",
         cells=cells,
         delta=delta,
         T_scale=T_scale,

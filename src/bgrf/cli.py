@@ -21,6 +21,7 @@ import numpy as np
 from .asymptotics import (
     CellBudgetError,
     default_delta_constant,
+    riemann_cells,
     riemann_sum_check,
     tail_asymptotic,
 )
@@ -288,13 +289,16 @@ def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
 
 def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T) -> list:
     """riemann_sum_check at each u and cell family; C and T default to the
-    config's verify section, C then to default_delta_constant."""
+    config's verify section, C then to default_delta_constant. Every u is
+    checked against the preconditions and the cell budget before any sum."""
     e = local_expansion(m)
     ver = cfg["verify"]
     C = C if C is not None else ver["riemann_C"]
     if C is None:
         C = default_delta_constant(e)
     T = T if T is not None else ver["riemann_T"]
+    for u in us:
+        riemann_cells(e, d, T, C, u)
     return [
         riemann_sum_check(e, d, lambda h: cross_corr(m, h), T, C, u, mode)
         for u in us

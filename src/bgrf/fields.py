@@ -16,7 +16,9 @@ count reproduces identical streams.
 Samples travel as one stream of (start, block) pairs, a block holding
 replicates start .. start + take - 1 as the columns of a (nodes, take)
 array: sample_blocks draws them, write_sample_dump stores them and
-read_sample_dump yields them back, one block at a time.
+read_sample_dump yields them back, one block at a time. Given a
+reduction, sample_blocks yields (start, reduce(block)) instead, reduced on
+the worker thread that drew the block.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class NotPositiveDefiniteError(RuntimeError):
 
 
 _BLOCK = 4096          # replicate block size; part of the determinism contract
+_PANEL = 256           # rows per panel of the block product L @ noise
+_NODE_BUDGET = 8192    # largest node count of a dense covariance
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 
 
@@ -285,11 +289,23 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
+def _check_nodes(n: int) -> None:
+    """Refuse a dense covariance over _NODE_BUDGET nodes before allocating
+    it: it and its Cholesky factor take 16 n^2 bytes."""
+    if n > _NODE_BUDGET:
+        raise ValueError(
+            f"{n} nodes exceed the node budget {_NODE_BUDGET}: the dense "
+            f"covariance and its factor would need about {16e-9 * n * n:.1f} GB; "
+            "use fewer points per axis or a coarser eta"
+        )
+
+
 def build_covariance(m: BivariateMaternModel, g: GridSpec) -> np.ndarray:
     """Joint covariance of (X1 at A1 nodes, X2 at A2 nodes).
 
     Exactly symmetric; unit diagonal for the standardized model.
     """
+    _check_nodes(g.n1 + g.n2)
     s, t = g.nodes1, g.nodes2
     c11 = m.sigma1**2 * matern(_pairwise_dist(s, s), MaternParams(m.nu1, m.a1))
     c22 = m.sigma2**2 * matern(_pairwise_dist(t, t), MaternParams(m.nu2, m.a2))
@@ -335,21 +351,54 @@ def block_map(
     return list(pool.map(fn, range(n_blocks)))
 
 
+def _panels(n: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) of the row panels of an n x n factor."""
+    return [(a, min(a + _PANEL, n)) for a in range(0, n, _PANEL)]
+
+
+def _check_lower(L: np.ndarray) -> None:
+    """Raise unless L is square and lower triangular: the panel product
+    skips every entry right of a panel's last column."""
+    n = L.shape[0]
+    if L.ndim != 2 or L.shape[1] != n:
+        raise ValueError(f"factor must be square, got shape {L.shape}")
+    for a, b in _panels(n):
+        if np.any(L[a:b, b:]) or np.any(np.triu(L[a:b, a:b], 1)):
+            raise ValueError("factor must be lower triangular")
+
+
 def sample_blocks(
-    L: np.ndarray, seed: int, count: int, threads: int = 1
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, samples) blocks; samples has shape (n, take)."""
+    L: np.ndarray,
+    seed: int,
+    count: int,
+    threads: int = 1,
+    reduce: Callable[[np.ndarray], object] | None = None,
+) -> Iterator[tuple[int, object]]:
+    """Yield (start_index, samples) blocks; samples has shape (n, take).
+
+    L must be lower triangular: the product L @ noise is taken one row
+    panel at a time, L[a:b, :b] @ noise[:b], which skips the zero upper
+    triangle. With reduce given, each block is replaced by reduce(samples)
+    on the worker that computed it, so the consumer receives only what
+    the reduction keeps; reduce may overwrite samples.
+    """
     if count <= 0:
         raise ValueError("count must be positive")
     if not (isinstance(seed, int) and seed >= 0):
         raise ValueError("seed must be a nonnegative integer")
+    _check_lower(L)
     n = L.shape[0]
     n_blocks = (count + _BLOCK - 1) // _BLOCK
+    panels = _panels(n)
 
-    def one(b: int) -> np.ndarray:
-        return L @ _noise_block(seed, b, n)
+    def one(b: int) -> object:
+        noise = _noise_block(seed, b, n)
+        mat = np.empty_like(noise)
+        for lo, hi in panels:
+            np.matmul(L[lo:hi, :hi], noise[:hi], out=mat[lo:hi])
+        mat = mat[:, : min(_BLOCK, count - b * _BLOCK)]
+        return mat if reduce is None else reduce(mat)
 
-    done = 0
     # a chunk is one block per thread: no more blocks are held than run at
     # once; one pool serves every chunk of the call
     chunk = max(threads, 1)
@@ -357,12 +406,10 @@ def sample_blocks(
         for lo in range(0, n_blocks, chunk):
             # no name holds a chunk's list, so it is freed before the next
             # chunk is computed
-            for mat in block_map(
+            for i, out in enumerate(block_map(
                 min(chunk, n_blocks - lo), lambda i, lo=lo: one(lo + i), pool
-            ):
-                take = min(_BLOCK, count - done)
-                yield done, mat[:, :take]
-                done += take
+            )):
+                yield (lo + i) * _BLOCK, out
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +431,7 @@ def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
 
     This is twice the standard fBm covariance: Var chi(t) = 2 t^alpha.
     """
+    _check_nodes(len(t))
     ta = t**alpha
     return ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** alpha
 

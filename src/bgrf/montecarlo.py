@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -54,28 +55,34 @@ def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
+def _block_maxima(mat: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replicate maxima of a block's rows [:n1] (X1) and rows [n1:] (X2)."""
+    return mat[:n1].max(axis=0), mat[n1:].max(axis=0)
+
+
 def _maxima(
-    blocks: Iterable[tuple[int, np.ndarray]], n1: int, reps: int
+    pairs: Iterable[tuple[int, tuple[np.ndarray, np.ndarray]]], reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate maxima of rows [:n1] (X1) and rows [n1:] (X2) over a
-    stream of (start, block) pairs."""
+    """Gather a stream of (start, _block_maxima) pairs into per-replicate
+    maxima of X1 and X2."""
     max1 = np.empty(reps)
     max2 = np.empty(reps)
-    for start, mat in blocks:
-        take = mat.shape[1]
-        max1[start : start + take] = mat[:n1].max(axis=0)
-        max2[start : start + take] = mat[n1:].max(axis=0)
+    for start, (m1, m2) in pairs:
+        max1[start : start + len(m1)] = m1
+        max2[start : start + len(m2)] = m2
     return max1, max2
 
 
 def field_maxima(
     m: BivariateMaternModel, g: GridSpec, reps: int, seed: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate maxima of X1 over the A1 grid and X2 over the A2 grid."""
+    """Per-replicate maxima of X1 over the A1 grid and X2 over the A2 grid,
+    each block reduced on the worker that sampled it."""
     if reps < 1:
         raise ValueError("reps must be positive")
     L = cholesky_factor(build_covariance(m, g))
-    return _maxima(sample_blocks(L, seed, reps, threads), g.n1, reps)
+    blocks = sample_blocks(L, seed, reps, threads, partial(_block_maxima, n1=g.n1))
+    return _maxima(blocks, reps)
 
 
 def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +90,8 @@ def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, reps, _ = dump_header(path)
     if n1 >= nodes:
         raise ValueError("n1 exceeds the stored node count")
-    return _maxima(read_sample_dump(path), n1, reps)
+    blocks = read_sample_dump(path)
+    return _maxima(((start, _block_maxima(mat, n1)) for start, mat in blocks), reps)
 
 
 def estimates_from_maxima(

@@ -57,14 +57,15 @@ def _check_exponent_guard(sups: np.ndarray) -> None:
         )
 
 
-def _set_to_indices(lo: float, hi: float, eta: float, n_steps: int) -> np.ndarray:
+def _set_to_indices(lo: float, hi: float, eta: float, n_steps: int) -> tuple[int, int]:
+    """Grid indices (i_lo, i_hi) of the set's endpoints."""
     i_lo, i_hi = lo / eta, hi / eta
     if abs(i_lo - round(i_lo)) > 1e-9 or abs(i_hi - round(i_hi)) > 1e-9:
         raise ValueError(f"set endpoints ({lo}, {hi}) must be multiples of eta")
     i_lo, i_hi = int(round(i_lo)), int(round(i_hi))
     if not (0 <= i_lo <= i_hi <= n_steps):
         raise ValueError(f"set ({lo}, {hi}) outside the simulated horizon")
-    return np.arange(i_lo, i_hi + 1)
+    return i_lo, i_hi
 
 
 def path_suprema(
@@ -79,6 +80,10 @@ def path_suprema(
     """(reps, len(sets)) matrix of sup_{t in S_k} (chi(t) - t^alpha).
 
     One shared path per replicate; deterministic in (seed, replicate).
+    Block rows hold the path on t[1:]; the rows are cut at every set's
+    endpoints, each segment's maximum is taken once, on the worker that
+    sampled the block, and a set's supremum is the maximum over the
+    segments it spans (and 0, the path at t = 0, when it holds the origin).
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
@@ -86,23 +91,35 @@ def path_suprema(
         raise ValueError("reps must be positive")
     t, L = fbm_cholesky_factor(alpha, horizon, eta)
     n_steps = len(t) - 1
-    idx = [_set_to_indices(lo, hi, eta, n_steps) for lo, hi in sets]
-    drift = t**alpha
+    # set k spans block rows [start, stop): t indices max(i_lo, 1) .. i_hi
+    spans = []
+    for lo, hi in sets:
+        i_lo, i_hi = _set_to_indices(lo, hi, eta, n_steps)
+        spans.append((max(i_lo, 1) - 1, i_hi, i_lo == 0))
+    cuts = sorted({c for start, stop, _ in spans for c in (start, stop)})
+    segments = [
+        (a, b) for a, b in zip(cuts, cuts[1:])
+        if any(start <= a and b <= stop for start, stop, _ in spans)
+    ]
+    members = [
+        [j for j, (a, b) in enumerate(segments) if start <= a and b <= stop]
+        for start, stop, _ in spans
+    ]
+    drift = (t**alpha)[1:, None]
+
+    def suprema(mat: np.ndarray) -> np.ndarray:
+        mat -= drift  # drifted path on t[1:]
+        seg = [mat[a:b].max(axis=0) for a, b in segments]
+        sups = np.zeros((mat.shape[1], len(sets)))  # 0 for the set {0}
+        for k, ((_, _, has_origin), js) in enumerate(zip(spans, members)):
+            if js:
+                top = np.max([seg[j] for j in js], axis=0)
+                sups[:, k] = np.maximum(top, 0.0) if has_origin else top
+        return sups
 
     out = np.empty((reps, len(sets)))
-    for start, mat in sample_blocks(L, seed, reps, threads):
-        take = mat.shape[1]
-        vals = mat - drift[1:, None]  # drifted path on t[1:]
-        for k, ix in enumerate(idx):
-            has_origin = ix[0] == 0
-            rows = ix[ix > 0] - 1
-            if rows.size:
-                seg = vals[rows].max(axis=0)
-                out[start : start + take, k] = (
-                    np.maximum(seg, 0.0) if has_origin else seg
-                )
-            else:
-                out[start : start + take, k] = 0.0  # the set {0}
+    for start, sups in sample_blocks(L, seed, reps, threads, suprema):
+        out[start : start + len(sups)] = sups
     return out
 
 

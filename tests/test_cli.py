@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bgrf import cli
+from bgrf import asymptotics, cli, fields
 from bgrf.cli import main
 from bgrf.pickands import estimate_H_constant
 
@@ -20,6 +20,16 @@ def write_config(tmp_path, name="cfg.json", **sections):
     p = tmp_path / name
     p.write_text(json.dumps(base))
     return str(p)
+
+
+# the touching-2d benchmark config
+TOUCHING_2D = {
+    "model": {"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 2},
+    "domain": {"A1": [[[0, 1], [0, 1]]], "A2": [[[0, 1], [1, 2]]], "split_M": 1},
+    "grid": {"points_per_axis": 20},
+    "estimation": {"reps": 50_000},
+    "verify": {"riemann_T": 4.0},
+}
 
 
 def read_rows(path):
@@ -270,6 +280,40 @@ class TestRiemannCheckCommand:
         for r in rows:
             assert 0.9 < float(r["ratio"]) < 1.05
 
+    def test_budget_checked_for_every_u_first(self, tmp_path, monkeypatch, capsys):
+        # the touching-2d benchmark config: u = 20 and 40 fit the cell
+        # budget, u = 50 does not, so no pair may be tested at all
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cell pairs summed before every u was checked")
+
+        monkeypatch.setattr(asymptotics, "_band_pairs", unreachable)
+        cfg = write_config(tmp_path, **TOUCHING_2D)
+        out = tmp_path / "o"
+        assert main(["riemann-check", "--config", cfg, "--out-dir", str(out),
+                     "--u", "20", "40", "50"]) == 1
+        assert "exceed the budget" in capsys.readouterr().err
+        assert not (out / "riemann-check.csv").exists()
+
+
+class TestNodeBudget:
+    def test_dense_covariance_refused(self, tmp_path, monkeypatch, capsys):
+        # dim_N = 2 on the default unit squares at 100 points per axis:
+        # 2 x 10^4 nodes, a 3.2 GB covariance
+        def unreachable(*args):
+            raise AssertionError("covariance assembled past the node budget")
+
+        monkeypatch.setattr(fields, "_pairwise_dist", unreachable)
+        cfg = write_config(tmp_path, model=TOUCHING_2D["model"])
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "20000 nodes exceed the node budget" in err
+        assert "6.4 GB" in err
+
+    def test_fine_fbm_grid_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, estimation={"eta": 1 / 2048, "alpha": 1.0})
+        assert main(["pickands", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "16384 nodes exceed the node budget" in capsys.readouterr().err
+
 
 class TestPickandsConstantsOncePerAlpha:
     @pytest.mark.parametrize("nu2, estimates", [(0.5, 1), (0.75, 2)])
@@ -336,12 +380,7 @@ class TestVerify:
          "theorem2 needs domain.split_M"),
         # the touching-2d benchmark config: at riemann_T = 4 the u = 50 check
         # needs about 1.14e8 cell pairs, over the 1e8 budget
-        ({"model": {"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 2},
-          "domain": {"A1": [[[0, 1], [0, 1]]], "A2": [[[0, 1], [1, 2]]], "split_M": 1},
-          "grid": {"points_per_axis": 20},
-          "estimation": {"reps": 50_000},
-          "verify": {"riemann_T": 4.0}},
-         "exceed the budget"),
+        (TOUCHING_2D, "exceed the budget"),
     ], ids=["touching-without-split", "cell-budget"])
     def test_fails_before_estimating(
         self, tmp_path, monkeypatch, capsys, sections, message

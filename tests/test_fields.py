@@ -1,6 +1,7 @@
 """Tests for domains, grids, covariance assembly, and samplers."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -257,6 +258,71 @@ class TestCholeskySampling:
 
         assert np.array_equal(stream(1), stream(2))
         assert len(pools) == 1
+
+
+def lower_factor(n, seed=0):
+    """A random n x n lower-triangular factor with a positive diagonal."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.standard_normal((n, n)))
+    L[np.diag_indices(n)] = np.abs(L.diagonal()) + 1.0
+    return L
+
+
+class TestPanelProduct:
+    # _PANEL = 256: one short panel, exactly one and two panels, and a
+    # last panel shorter than the others
+    @pytest.mark.parametrize("n", [100, 256, 512, 600])
+    def test_matches_full_product(self, n):
+        L = lower_factor(n)
+        count = 4096 + 10  # ends on a partial block
+        got = np.hstack([mat for _, mat in sample_blocks(L, 5, count)])
+        want = np.hstack([L @ fields._noise_block(5, b, n) for b in (0, 1)])[:, :count]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (300, 301), (10, 400), (0, 599)],
+                             ids=["in-first-panel", "in-later-panel",
+                                  "right-of-panel", "corner"])
+    def test_rejects_upper_entry(self, i, j):
+        L = lower_factor(600)
+        L[i, j] = 1e-300
+        with pytest.raises(ValueError, match="lower triangular"):
+            next(sample_blocks(L, 0, 10))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            next(sample_blocks(np.zeros((3, 2)), 0, 10))
+
+    @pytest.mark.parametrize("reduce", [None, lambda mat: mat.max(axis=0)],
+                             ids=["blocks", "reduced"])
+    def test_threads_give_identical_bytes(self, reduce):
+        L = lower_factor(600)
+        count = 3 * 4096 + 7
+
+        def digest(threads):
+            h = hashlib.sha256()
+            for start, out in sample_blocks(L, 9, count, threads, reduce):
+                h.update(np.int64(start).tobytes())
+                h.update(np.ascontiguousarray(out).tobytes())
+            return h.hexdigest()
+
+        assert digest(1) == digest(2)
+
+    def test_reduce_runs_on_the_worker(self):
+        L = lower_factor(300)
+        count = 2 * 4096 + 3
+        workers = set()
+
+        def column_sums(mat):
+            workers.add(threading.get_ident())
+            return mat.sum(axis=0)
+
+        reduced = list(sample_blocks(L, 4, count, 2, column_sums))
+        assert threading.get_ident() not in workers
+        plain = list(sample_blocks(L, 4, count))
+        assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 4096, 8192]
+        for (_, got), (_, mat) in zip(reduced, plain):
+            assert np.array_equal(got, mat.sum(axis=0))
 
 
 class TestFbm:

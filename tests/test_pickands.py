@@ -26,9 +26,12 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from bgrf.fields import fbm_cholesky_factor, sample_blocks
 from bgrf.pickands import (
     PickandsEstimate,
     _check_exponent_guard,
+    _mean_exp,
+    _set_to_indices,
     estimate_H_constant,
     estimate_H_joint,
     estimate_H_set,
@@ -158,6 +161,61 @@ class TestEstimateHConstant:
             estimate_H_constant(1.0, [1.0, 2.0], 1 / 16, 1000, 0)
         with pytest.raises(ValueError, match="increasing"):
             estimate_H_constant(1.0, [1.0, 1.0, 2.0], 1 / 16, 1000, 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the reduction path_suprema once ran on the consumer, one fancy-index
+# copy of the drifted block per set, kept as the reference for the segment
+# maxima it now takes on the worker. Both see the same blocks, and max is
+# exact, so the two must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_suprema(alpha, sets, eta, horizon, reps, seed):
+    t, L = fbm_cholesky_factor(alpha, horizon, eta)
+    n_steps = len(t) - 1
+    idx = [np.arange(i_lo, i_hi + 1)
+           for i_lo, i_hi in (_set_to_indices(lo, hi, eta, n_steps) for lo, hi in sets)]
+    drift = t**alpha
+    out = np.empty((reps, len(sets)))
+    for start, mat in sample_blocks(L, seed, reps):
+        take = mat.shape[1]
+        vals = mat - drift[1:, None]  # drifted path on t[1:]
+        for k, ix in enumerate(idx):
+            has_origin = ix[0] == 0
+            rows = ix[ix > 0] - 1
+            if rows.size:
+                seg = vals[rows].max(axis=0)
+                out[start : start + take, k] = (
+                    np.maximum(seg, 0.0) if has_origin else seg
+                )
+            else:
+                out[start : start + take, k] = 0.0  # the set {0}
+    return out
+
+
+class TestSupremaOracle:
+    # eta = 1/128 puts 128 to 640 nodes on the path, one to three row
+    # panels of the block product; 4,100 reps end on a partial block
+    @pytest.mark.parametrize("sets, horizon", [
+        ([(0.0, 1.0), (0.0, 2.0), (0.0, 4.0)], 4.0),
+        ([(0.5, 1.0), (1.0, 2.0)], 2.0),
+        ([(0.0, 0.0), (0.0, 1.0)], 1.0),
+        ([(0.0, 1.0), (4.0, 5.0), (0.25, 4.5)], 5.0),
+        ([(1.0, 1.0), (0.0, 0.0)], 2.0),
+    ], ids=["prefix", "joint", "origin-only", "gap-and-overlap", "points"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bit_identical(self, sets, horizon, threads):
+        args = (1.0, sets, 1 / 128, horizon, 4100, 17)
+        got = path_suprema(*args, threads=threads)
+        want = reference_suprema(*args)
+        assert np.array_equal(got, want)
+
+    def test_joint_estimate(self):
+        S, T = (0.5, 1.0), (1.0, 2.0)
+        est = estimate_H_joint(1.3, S, T, 1 / 128, 4100, 19)
+        sups = reference_suprema(1.3, [S, T], 1 / 128, 2.0, 4100, 19)
+        value, se = _mean_exp(np.minimum(sups[:, 0], sups[:, 1]))
+        assert (est.value, est.std_error) == (value, se)
 
 
 class TestGuards:
