@@ -51,25 +51,6 @@ class CellBudgetError(RuntimeError):
 # Psi and the tail asymptotic
 # ---------------------------------------------------------------------------
 
-def log_psi(u: float, rho: float) -> float:
-    if not (u > 0):
-        raise ValueError(f"u must be > 0, got {u}")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    return (
-        2.0 * math.log1p(rho)
-        - math.log(2.0 * math.pi)
-        - 2.0 * math.log(u)
-        - 0.5 * (math.log1p(rho) + math.log1p(-rho))
-        - u * u / (1.0 + rho)
-    )
-
-
-def psi(u: float, rho: float) -> float:
-    """Bivariate normal joint tail factor Psi(u, rho)."""
-    return math.exp(log_psi(u, rho))
-
-
 # the u-free part of log Psi (everything except -2 log u - u^2/(1+rho))
 def _log_psi_constant(rho: float) -> float:
     return (
@@ -77,6 +58,19 @@ def _log_psi_constant(rho: float) -> float:
         - math.log(2.0 * math.pi)
         - 0.5 * (math.log1p(rho) + math.log1p(-rho))
     )
+
+
+def log_psi(u: float, rho: float) -> float:
+    if not (u > 0):
+        raise ValueError(f"u must be > 0, got {u}")
+    if not (0.0 <= rho < 1.0):
+        raise ValueError(f"rho must be in [0, 1), got {rho}")
+    return _log_psi_constant(rho) - 2.0 * math.log(u) - u * u / (1.0 + rho)
+
+
+def psi(u: float, rho: float) -> float:
+    """Bivariate normal joint tail factor Psi(u, rho)."""
+    return math.exp(log_psi(u, rho))
 
 
 @dataclass(frozen=True)
@@ -87,27 +81,22 @@ class AsymptoticResult:
     u_power: float
     constant: float
 
-    @classmethod
-    def from_parts(cls, log_constant: float, u_power: float, rho: float, u: float):
-        exp_rate = -1.0 / (1.0 + rho)
-        log_value = log_constant + u_power * math.log(u) + exp_rate * u * u
-        value = math.exp(log_value) if log_value > -745.0 else 0.0
-        return cls(
-            value=value,
-            log_value=log_value,
-            exp_rate=exp_rate,
-            u_power=u_power,
-            constant=math.exp(log_constant),
-        )
 
+def _kernel_limit(e: LocalExpansion, M: int, mes: float) -> tuple[float, float]:
+    """(log K, p): the double-sum kernel over cells of side 1 (T = 1)
+    grows as K u^p, with
 
-def _check_theorem_inputs(mes: float, H1: float, H2: float, u: float):
-    if not (mes > 0):
-        raise ValueError(f"measure must be > 0, got {mes}")
-    if not (H1 > 0 and H2 > 0):
-        raise ValueError("Pickands constants must be > 0")
-    if not (u > 0):
-        raise ValueError(f"u must be > 0, got {u}")
+        K = (2 pi)^(M/2) (-r''(0))^(M/2 - N) (1+rho)^(2N - M) mes_M,
+        p = M + N(2/a1 + 2/a2 - 2).
+    """
+    N = e.dim_N
+    log_k = (
+        0.5 * M * math.log(2.0 * math.pi)
+        + (0.5 * M - N) * math.log(-e.r2_zero)
+        + (2 * N - M) * math.log1p(e.rho)
+        + math.log(mes)
+    )
+    return log_k, M + N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 2.0)
 
 
 def tail_asymptotic(
@@ -115,31 +104,41 @@ def tail_asymptotic(
 ) -> AsymptoticResult:
     """Joint excursion asymptotics for domains sharing their first M
     coordinates and touching in the other N - M (Theorem 2); M = N with
-    mes_N(A1 and A2) > 0 is the overlapping case (Theorem 1):
+    mes_N(A1 and A2) > 0 is the overlapping case (Theorem 1): the kernel
+    limit K u^p of _kernel_limit times
 
-        (2 pi)^(M/2) (-r''(0))^(-(2N-M)/2) c1^(N/a1) c2^(N/a2) H1 H2 mes_M
-        * (1+rho)^(2N - M - 2N/a1 - 2N/a2) u^(M + N(2/a1 + 2/a2 - 2))
-        * Psi(u, rho)
+        H1 H2 c1^(N/a1) c2^(N/a2) (1+rho)^(-2N/a1 - 2N/a2) Psi(u, rho).
     """
     N = e.dim_N
     if not (isinstance(M, int) and 0 <= M <= N):
         raise ValueError(f"M must be an integer in [0, N], got {M}")
     if M == 0 and mes_M != 1.0:
         raise ValueError("mes_0 is identically 1 by convention")
-    _check_theorem_inputs(mes_M, H1, H2, u)
-    power = M + N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 2.0)
-    log_pre = (
-        0.5 * M * math.log(2.0 * math.pi)
-        - 0.5 * (2 * N - M) * math.log(-e.r2_zero)
-        + (N / e.alpha1) * math.log(e.c1)
-        + (N / e.alpha2) * math.log(e.c2)
-        + math.log(mes_M)
+    if not (mes_M > 0):
+        raise ValueError(f"measure must be > 0, got {mes_M}")
+    if not (H1 > 0 and H2 > 0):
+        raise ValueError("Pickands constants must be > 0")
+    if not (u > 0):
+        raise ValueError(f"u must be > 0, got {u}")
+    log_k, power = _kernel_limit(e, M, mes_M)
+    log_constant = (
+        log_k
         + math.log(H1)
         + math.log(H2)
-        + (2 * N - M - 2.0 * N / e.alpha1 - 2.0 * N / e.alpha2) * math.log1p(e.rho)
+        + (N / e.alpha1) * math.log(e.c1)
+        + (N / e.alpha2) * math.log(e.c2)
+        - (2.0 * N / e.alpha1 + 2.0 * N / e.alpha2) * math.log1p(e.rho)
+        + _log_psi_constant(e.rho)
     )
-    return AsymptoticResult.from_parts(
-        log_pre + _log_psi_constant(e.rho), power - 2.0, e.rho, u
+    exp_rate = -1.0 / (1.0 + e.rho)
+    u_power = power - 2.0
+    log_value = log_constant + u_power * math.log(u) + exp_rate * u * u
+    return AsymptoticResult(
+        value=math.exp(log_value) if log_value > -745.0 else 0.0,
+        log_value=log_value,
+        exp_rate=exp_rate,
+        u_power=u_power,
+        constant=math.exp(log_constant),
     )
 
 
@@ -157,17 +156,20 @@ def delta_lower_bound(e: LocalExpansion) -> float:
     return math.sqrt(3.0 * (1.0 + e.rho) ** 2 / (-e.r2_zero) * max(inner, 0.0))
 
 
-def default_delta_constant(
-    e: LocalExpansion, multiplier: float = 1.5, floor: float = 3.0
-) -> float:
-    """Default C: multiplier times the lower bound, floored.
+_DELTA_MULTIPLIER = 1.5
+_DELTA_FLOOR = 3.0
+
+
+def default_delta_constant(e: LocalExpansion) -> float:
+    """Default C: _DELTA_MULTIPLIER times the lower bound, floored at
+    _DELTA_FLOOR.
 
     The floor matters because the lower bound degenerates to 0 for
     configurations like alpha1 = alpha2 = 1, where any positive C is
     admissible asymptotically but a desk-scale check needs the band wide
     enough to capture the near-diagonal Gaussian mass.
     """
-    return max(multiplier * delta_lower_bound(e), floor)
+    return max(_DELTA_MULTIPLIER * delta_lower_bound(e), _DELTA_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +319,6 @@ def _band_pairs(
             yield ks, ls
 
 
-def _limit_value(e: LocalExpansion, M: int, mes: float, T: float, u: float) -> float:
-    N = e.dim_N
-    return (
-        (2.0 * math.pi) ** (M / 2.0)
-        * (-e.r2_zero) ** (M / 2.0 - N)
-        * (1.0 + e.rho) ** (2.0 * N - M)
-        * T ** (-2.0 * N)
-        * mes
-        * u ** (M + N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 2.0))
-    )
-
-
 def riemann_cells(
     e: LocalExpansion, d: DomainPair, T_scale: float, C_delta: float, u: float
 ) -> tuple[float, float, float]:
@@ -444,7 +434,8 @@ def riemann_sum_check(
         h_sum = math.fsum(chain.from_iterable(kernel_values()))
         n_pairs = sum(sizes)
 
-    limit = _limit_value(e, M, mes, T_scale, u)
+    log_k, power = _kernel_limit(e, M, mes)
+    limit = math.exp(log_k + power * math.log(u)) * T_scale ** (-2.0 * d.dim_N)
     return RiemannCheck(
         u=u,
         h_sum=h_sum,

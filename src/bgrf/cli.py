@@ -108,6 +108,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "model" not in raw:
         raise ConfigError("config needs a 'model' section")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"section '{name}' must be a JSON object")
     model = dict(raw["model"])
     unknown = set(model) - _MODEL_KEYS
     if unknown:

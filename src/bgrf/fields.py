@@ -427,22 +427,16 @@ def fbm_grid(horizon_T: float, eta: float) -> np.ndarray:
 
 
 def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
-    """Cov(chi(s), chi(t)) = |s|^a + |t|^a - |t-s|^a on positive nodes.
+    """Cov(chi(s), chi(t)) = |s|^a + |t|^a - |t-s|^a for 0 < a < 2, on any
+    nodes (one- or two-sided).
 
-    This is twice the standard fBm covariance: Var chi(t) = 2 t^alpha.
+    This is twice the standard fBm covariance: Var chi(t) = 2 |t|^alpha.
     """
-    _check_nodes(len(t))
-    ta = t**alpha
-    return ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** alpha
-
-
-def fbm_cholesky_factor(alpha: float, horizon_T: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(grid incl. 0, lower factor of the covariance on grid[1:])."""
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    t = fbm_grid(horizon_T, eta)
-    L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-    return t, L
+    _check_nodes(len(t))
+    ta = np.abs(t) ** alpha
+    return ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** alpha
 
 
 # ---------------------------------------------------------------------------

@@ -140,18 +140,6 @@ def validity_bound_equal_scale(nu1: float, nu2: float, nu12: float, N: int) -> f
     )
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _log_infimand(t, nu1, nu2, nu12, a1, a2, a12, N):
-    t2 = np.asarray(t, dtype=float) ** 2
-    return (
-        (2.0 * nu12 + N) * np.log(a12 * a12 + t2)
-        - (nu1 + N / 2.0) * np.log(a1 * a1 + t2)
-        - (nu2 + N / 2.0) * np.log(a2 * a2 + t2)
-    )
-
-
 def validity_bound(
     nu1: float, nu2: float, nu12: float,
     a1: float, a2: float, a12: float, N: int,
@@ -160,43 +148,39 @@ def validity_bound(
     inf_{t >= 0} (a12^2 + t^2)^(2 nu12 + N)
                  / ((a1^2 + t^2)^(nu1 + N/2) (a2^2 + t^2)^(nu2 + N/2)).
 
-    The infimum is found on the compactified variable t = tan(pi theta / 2),
-    theta in [0, 1): a 1024-point scan guards against local minima, then
-    golden-section search refines the bracketed minimum.
+    With x = t^2 the log infimand is g(x) = A log(p+x) - B log(q+x)
+    - C log(r+x), and g'(x) = 0 exactly at the roots of the quadratic
+    (A-B-C) x^2 + (A(q+r) - Br - Cq - (B+C)p) x + Aqr - (Br+Cq)p, so the
+    infimum is the least of g(0), g at the positive roots and, when
+    A = B + C, the limit 0 at infinity.
     """
     for v in (nu1, nu2, nu12, a1, a2, a12):
         if not (v > 0):
             raise ValueError("validity_bound parameters must be > 0")
 
-    tail_exponent = 2.0 * nu12 - nu1 - nu2
+    tail_exponent = 2.0 * nu12 - nu1 - nu2  # A - B - C
     if tail_exponent < 0.0:
         return 0.0  # infimand -> 0 as t -> infinity
 
-    def g(theta):
-        return _log_infimand(
-            np.tan(0.5 * math.pi * np.asarray(theta)), nu1, nu2, nu12, a1, a2, a12, N
-        )
+    A, B, C = 2.0 * nu12 + N, nu1 + N / 2.0, nu2 + N / 2.0
+    p, q, r = a12 * a12, a1 * a1, a2 * a2
 
-    thetas = np.linspace(0.0, 1.0, 1025)[:-1]
-    vals = g(thetas)
-    i = int(np.argmin(vals))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, len(thetas) - 1)] if i + 1 < len(thetas) else 1.0 - 1e-9
+    def g(x):
+        return A * math.log(p + x) - B * math.log(q + x) - C * math.log(r + x)
 
-    # golden-section refinement of the bracket
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    gc, gd = float(g(c)), float(g(d))
-    while hi - lo > 1e-13:
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - _GOLDEN * (hi - lo)
-            gc = float(g(c))
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _GOLDEN * (hi - lo)
-            gd = float(g(d))
-    log_min = min(float(vals[i]), gc, gd)
+    b = A * (q + r) - B * r - C * q - (B + C) * p
+    c = A * q * r - (B * r + C * q) * p
+    disc = b * b - 4.0 * tail_exponent * c
+    roots = []
+    if disc >= 0.0:
+        # the roots of a x^2 + b x + c, a = tail_exponent, as k / a and
+        # c / k: neither subtracts near-equal terms
+        k = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if k != 0.0:
+            roots.append(c / k)
+            if tail_exponent != 0.0:
+                roots.append(k / tail_exponent)
+    log_min = min(g(x) for x in [0.0, *roots] if x >= 0.0)
     if tail_exponent == 0.0:
         log_min = min(log_min, 0.0)  # limit value at t = infinity
 

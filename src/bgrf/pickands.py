@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import fbm_cholesky_factor, sample_blocks
+from .fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
 
 _EXP_GUARD = 700.0  # exp overflows just above 709; abort well before
 
@@ -85,11 +85,10 @@ def path_suprema(
     sampled the block, and a set's supremum is the maximum over the
     segments it spans (and 0, the path at t = 0, when it holds the origin).
     """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if reps < 1:
         raise ValueError("reps must be positive")
-    t, L = fbm_cholesky_factor(alpha, horizon, eta)
+    t = fbm_grid(horizon, eta)
+    L = cholesky_factor(fbm_covariance(alpha, t[1:]))
     n_steps = len(t) - 1
     # set k spans block rows [start, stop): t indices max(i_lo, 1) .. i_hi
     spans = []

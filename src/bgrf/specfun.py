@@ -11,10 +11,11 @@ representation
     M(h | nu, a) = 2 Gamma(nu + 1/2) / (sqrt(pi) Gamma(nu))
                    * int_0^inf cos(a h r) / (1 + r^2)^(nu + 1/2) dr,
 
-and the second derivative M''(0 | nu, a) obtained by differentiating that
-representation twice under the integral sign (valid for nu > 1).
+and the second derivative M''(0 | nu, a) = -a^2 / (2 (nu - 1)) for nu > 1,
+the Beta integral that differentiating the representation twice under the
+integral sign gives.
 
-The Bessel evaluation is delegated to scipy; the quadrature routes are
+The Bessel evaluation is delegated to scipy; the quadrature route is
 implemented here so that matern() and matern_cosine_integral() remain two
 genuinely independent ways of computing the same quantity.
 """
@@ -202,12 +203,12 @@ def matern_cosine_integral(h: float, p: MaternParams) -> float:
 
 
 def matern_d2_at_zero(p: MaternParams) -> float:
-    """M''(0 | nu, a), by quadrature of the twice-differentiated cosine
-    representation:
+    """M''(0 | nu, a) = -a^2 / (2 (nu - 1)).
 
-        M''(0) = -a^2 * 2 Gamma(nu+1/2) / (sqrt(pi) Gamma(nu))
-                 * int_0^inf r^2 / (1 + r^2)^(nu + 1/2) dr
-
+    Differentiating the cosine representation twice gives
+    -a^2 * 2 Gamma(nu+1/2) / (sqrt(pi) Gamma(nu)) times the Beta integral
+    int_0^inf r^2 / (1 + r^2)^(nu + 1/2) dr
+        = sqrt(pi) Gamma(nu - 1) / (4 Gamma(nu + 1/2)).
     Requires nu > 1 (the integral diverges otherwise). Always negative.
     """
     if not (p.nu > 1):
@@ -215,8 +216,4 @@ def matern_d2_at_zero(p: MaternParams) -> float:
             f"matern_d2_at_zero requires nu > 1 (second derivative does not "
             f"exist for nu <= 1), got nu={p.nu}"
         )
-    s = p.nu + 0.5
-    norm = 2.0 * math.exp(math.lgamma(s) - math.lgamma(p.nu)) / math.sqrt(math.pi)
-    head = _gl_panel(lambda r: r * r * (1.0 + r * r) ** (-s), 0.0, 1.0, 64)
-    tail = _tail_integral(2.0 * p.nu - 3.0, s)
-    return -p.a * p.a * norm * (head + tail)
+    return -p.a * p.a / (2.0 * (p.nu - 1.0))

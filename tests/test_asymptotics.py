@@ -11,6 +11,7 @@ alpha1=alpha2=1, mes=1, rho=0.5, r''(0)=-0.25, c=H=1, u=3:
 """
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -465,3 +466,22 @@ class TestRiemannOracle:
         # 1-D, 10 x 10 in 2-D), so chunk ends fall inside windows
         monkeypatch.setattr(asymptotics, "_CHUNK_PAIRS", 16)
         assert_matches_reference(oracle_case(name, 0.75), cells)
+
+
+class TestSharedKernelLimit:
+    # the theorem is the Riemann limit (T = 1) times the Pickands constants,
+    # the scaling and Psi
+    @pytest.mark.parametrize("name", ["1d-overlap", "1d-split", "2d-overlap", "2d-split"])
+    def test_theorem_is_kernel_limit_times_constants(self, name):
+        e, d, cross_r, T, C, u = oracle_case(name, 0.75)
+        e = replace(e, c1=1.3)  # c1 is 1 at nu1 = 1/2; the kernel ignores it
+        M, mes = d.shared_part()
+        N, H1, H2 = e.dim_N, 0.9, 1.3
+        thm = tail_asymptotic(e, M, mes, H1, H2, u)
+        rest = (
+            psi(u, e.rho) * H1 * H2
+            * e.c1 ** (N / e.alpha1) * e.c2 ** (N / e.alpha2)
+            * (1.0 + e.rho) ** (-2.0 * N / e.alpha1 - 2.0 * N / e.alpha2)
+        )
+        limit = riemann_sum_check(e, d, cross_r, T, C, u).limit_value * T ** (2 * N)
+        assert thm.value / rest == pytest.approx(limit, rel=1e-12, abs=0)

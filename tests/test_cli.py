@@ -69,6 +69,14 @@ class TestValidate:
         )
         assert main(["validate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("section", ["model", "grid", "estimation"])
+    @pytest.mark.parametrize("value", [3, [], None])
+    def test_non_object_section_exits_two(self, tmp_path, capsys, section, value):
+        cfg = write_config(tmp_path, **{section: value})
+        assert main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: section '{section}' must be a JSON object\n"
+
 
 class TestMaternEval:
     def test_schema_and_agreement(self, tmp_path):

@@ -15,7 +15,6 @@ from bgrf.fields import (
     build_covariance,
     cholesky_factor,
     dump_header,
-    fbm_cholesky_factor,
     fbm_covariance,
     fbm_grid,
     read_sample_dump,
@@ -333,8 +332,8 @@ class TestFbm:
 
     def test_variance_is_twice_t_alpha(self):
         alpha, T, eta, n = 0.8, 2.0, 1 / 4, 100_000
-        t, L = fbm_cholesky_factor(alpha, T, eta)
-        assert np.array_equal(t, fbm_grid(T, eta))
+        t = fbm_grid(T, eta)
+        L = cholesky_factor(fbm_covariance(alpha, t[1:]))
         paths = draw(L, seed=2, count=n)  # chi on t[1:]
         want = 2.0 * t[1:] ** alpha
         got = paths.var(axis=0, ddof=1)
@@ -348,14 +347,28 @@ class TestFbm:
         want = 2.0 * np.minimum(t[:, None], t[None, :])
         assert np.max(np.abs(cov - want)) < 1e-12
         n = 100_000
-        _, L = fbm_cholesky_factor(1.0, 2.0, 0.5)
+        L = cholesky_factor(cov[1:, 1:])
         emp = np.cov(draw(L, seed=4, count=n).T)
         se = np.sqrt((np.outer(np.diag(want[1:, 1:]), np.diag(want[1:, 1:])) + want[1:, 1:] ** 2) / n)
         assert np.all(np.abs(emp - want[1:, 1:]) < 4 * se)
 
     def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            fbm_cholesky_factor(2.0, 1.0, 0.25)
+        for alpha in (0.0, 2.0):
+            with pytest.raises(ValueError, match="alpha"):
+                fbm_covariance(alpha, fbm_grid(1.0, 0.25)[1:])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_two_sided_grid(self, alpha):
+        # t = k/16, |k| <= 64, without the origin (its row is all zeros)
+        k = np.arange(-64, 65)
+        t = k[k != 0] / 16.0
+        cov = fbm_covariance(alpha, t)
+        assert np.all(np.isfinite(cov))
+        s_, t_ = t[:, None], t[None, :]
+        want = np.abs(s_) ** alpha + np.abs(t_) ** alpha - np.abs(t_ - s_) ** alpha
+        assert np.array_equal(cov, want)
+        L = cholesky_factor(cov)
+        assert np.allclose(L @ L.T, cov, rtol=0, atol=1e-9 * np.abs(cov).max())
 
 
 class TestDump:

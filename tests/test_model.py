@@ -5,6 +5,11 @@ Gamma(1)^2/Gamma(0.5)^2 * Gamma(1.5)^2/Gamma(2)^2 = (1/pi)(pi/4) = 1/4;
 the general bound for a12 = 2 has infimand (4+t^2)^4/(1+t^2)^2 minimised
 at t = sqrt(2) giving 144, so the bound is (1/4)(1/64)(144) = 9/16.
 c(0.25) = 0.955977594972250 was computed with mpmath at 30 digits.
+
+reference_validity_bound is the numerical search validity_bound once used
+(a 1,024-point scan of the compactified variable, then golden-section
+refinement); it is kept as an independent oracle for the stationary-point
+solution that replaced it.
 """
 
 import math
@@ -24,6 +29,56 @@ from bgrf.model import (
     validity_bound,
     validity_bound_equal_scale,
 )
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_validity_bound(nu1, nu2, nu12, a1, a2, a12, N):
+    tail_exponent = 2.0 * nu12 - nu1 - nu2
+    if tail_exponent < 0.0:
+        return 0.0
+
+    def g(theta):
+        t2 = np.tan(0.5 * math.pi * np.asarray(theta)) ** 2
+        return (
+            (2.0 * nu12 + N) * np.log(a12 * a12 + t2)
+            - (nu1 + N / 2.0) * np.log(a1 * a1 + t2)
+            - (nu2 + N / 2.0) * np.log(a2 * a2 + t2)
+        )
+
+    thetas = np.linspace(0.0, 1.0, 1025)[:-1]
+    vals = g(thetas)
+    i = int(np.argmin(vals))
+    lo = thetas[max(i - 1, 0)]
+    hi = thetas[min(i + 1, len(thetas) - 1)] if i + 1 < len(thetas) else 1.0 - 1e-9
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    gc, gd = float(g(c)), float(g(d))
+    while hi - lo > 1e-13:
+        if gc < gd:
+            hi, d, gd = d, c, gc
+            c = hi - _GOLDEN * (hi - lo)
+            gc = float(g(c))
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + _GOLDEN * (hi - lo)
+            gd = float(g(d))
+    log_min = min(float(vals[i]), gc, gd)
+    if tail_exponent == 0.0:
+        log_min = min(log_min, 0.0)
+    log_gamma = (
+        math.lgamma(nu1 + N / 2.0)
+        + math.lgamma(nu2 + N / 2.0)
+        - math.lgamma(nu1)
+        - math.lgamma(nu2)
+        + 2.0 * math.lgamma(nu12)
+        - 2.0 * math.lgamma(nu12 + N / 2.0)
+    )
+    log_scale = (
+        2.0 * nu1 * math.log(a1) + 2.0 * nu2 * math.log(a2) - 4.0 * nu12 * math.log(a12)
+    )
+    return math.exp(log_gamma + log_scale + log_min)
 
 
 def standard_model(**kw):
@@ -76,6 +131,37 @@ class TestValidityBound:
     def test_degenerate_tail_infimum(self):
         # 2 nu12 < nu1 + nu2 pushes the infimum to zero at t = infinity
         assert validity_bound(0.9, 0.9, 0.5, 1, 1, 1, 1) == 0.0
+
+    def test_matches_search_on_random_sweep(self):
+        rng = np.random.default_rng(20100901)
+        positive = 0
+        for _ in range(2400):
+            nu1, nu2 = rng.uniform(0.05, 3.0, 2)
+            nu12 = rng.uniform(0.05, 4.0)
+            a1, a2, a12 = np.exp(rng.uniform(-2.0, 2.0, 3))
+            N = int(rng.integers(1, 4))
+            args = (nu1, nu2, nu12, a1, a2, a12, N)
+            got, want = validity_bound(*args), reference_validity_bound(*args)
+            if want == 0.0:
+                assert got == 0.0, args
+            else:
+                positive += 1
+                assert abs(got - want) <= 1e-12 * want, args
+        assert positive >= 1000
+
+    @pytest.mark.parametrize("scales", [
+        (1.0, 1.0, 1.0),    # infimand constant in t
+        (1.0, 1.0, 2.0),    # infimand falls to its limit at t = infinity
+        (1.0, 1.0, 0.5),    # infimum at t = 0
+        (0.3, 2.5, 1.0),    # interior stationary point
+    ])
+    def test_boundary_tail_exponent(self, scales):
+        # 2 nu12 = nu1 + nu2 exactly: the infimand tends to 1 at infinity
+        nu1, nu2, nu12 = 0.5, 0.7, 0.6
+        assert 2.0 * nu12 - nu1 - nu2 == 0.0
+        args = (nu1, nu2, nu12, *scales, 1)
+        want = reference_validity_bound(*args)
+        assert abs(validity_bound(*args) - want) <= 1e-12 * want
 
 
 class TestLocalExpansion:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from bgrf.fields import fbm_cholesky_factor, sample_blocks
+from bgrf.fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
 from bgrf.pickands import (
     PickandsEstimate,
     _check_exponent_guard,
@@ -171,7 +171,8 @@ class TestEstimateHConstant:
 # ---------------------------------------------------------------------------
 
 def reference_suprema(alpha, sets, eta, horizon, reps, seed):
-    t, L = fbm_cholesky_factor(alpha, horizon, eta)
+    t = fbm_grid(horizon, eta)
+    L = cholesky_factor(fbm_covariance(alpha, t[1:]))
     n_steps = len(t) - 1
     idx = [np.arange(i_lo, i_hi + 1)
            for i_lo, i_hi in (_set_to_indices(lo, hi, eta, n_steps) for lo, hi in sets)]
