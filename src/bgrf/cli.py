@@ -216,9 +216,12 @@ class Writer:
 def _out_dir(cfg: dict, args) -> str:
     """--out-dir, else output.directory, else $BGRF_OUT_DIR, else
     ./bgrf-out; created when missing."""
+    directory = cfg["output"]["directory"]
+    if directory is not None and not isinstance(directory, str):
+        raise ConfigError(f"output.directory must be a string, got {directory!r}")
     out_dir = (
         args.out_dir
-        or cfg["output"]["directory"]
+        or directory
         or os.environ.get("BGRF_OUT_DIR")
         or "bgrf-out"
     )
@@ -226,22 +229,50 @@ def _out_dir(cfg: dict, args) -> str:
     return out_dir
 
 
-def _thresholds(given, default) -> list[float]:
-    """The --u values when given, else the config's list, as floats."""
-    return [float(u) for u in (given or default)]
+def _is_number(value, kind: type = float) -> bool:
+    """True for a JSON number, or a JSON integer when kind is int."""
+    return not isinstance(value, bool) and isinstance(
+        value, int if kind is int else (int, float)
+    )
+
+
+def _number(cfg: dict, path: str, kind: type = float):
+    """The config value at "section.key" as kind, float or int; a config
+    error unless it is a JSON number (an integer for int)."""
+    section, key = path.split(".")
+    value = cfg[section][key]
+    if not _is_number(value, kind):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(cfg: dict, path: str) -> list[float]:
+    """The config list at "section.key" as floats; a config error unless it
+    is a JSON list of numbers."""
+    section, key = path.split(".")
+    values = cfg[section][key]
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise ConfigError(f"{path} must be a list of numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
+def _thresholds(given, cfg: dict, path: str) -> list[float]:
+    """The --u values when given, else the config's list at path."""
+    return given or _numbers(cfg, path)
 
 
 def _seed(cfg: dict, args) -> int:
-    return args.seed if args.seed is not None else cfg["estimation"]["seed"]
+    return args.seed if args.seed is not None else _number(cfg, "estimation.seed", int)
 
 
 def _reps(cfg: dict, args) -> int:
-    return args.reps if args.reps is not None else cfg["estimation"]["reps"]
+    return args.reps if args.reps is not None else _number(cfg, "estimation.reps", int)
 
 
 def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
     if cfg["estimation"]["alpha"] is not None:
-        return [float(cfg["estimation"]["alpha"])]
+        return [_number(cfg, "estimation.alpha")]
     seen = []
     for a in (2.0 * m.nu1, 2.0 * m.nu2):
         if a not in seen:
@@ -251,9 +282,8 @@ def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
 
 def _estimate_H(cfg, args, alpha: float):
     """Pickands constant estimate at the config's T_list and eta."""
-    est = cfg["estimation"]
     return estimate_H_constant(
-        alpha, [float(t) for t in est["T_list"]], float(est["eta"]),
+        alpha, _numbers(cfg, "estimation.T_list"), _number(cfg, "estimation.eta"),
         _reps(cfg, args), _seed(cfg, args), args.threads,
     )
 
@@ -265,7 +295,7 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
     H, by_alpha = {}, {}
     for label, alpha in (("H1", 2.0 * m.nu1), ("H2", 2.0 * m.nu2)):
         if est[label] is not None:
-            H[label] = float(est[label])
+            H[label] = _number(cfg, f"estimation.{label}")
             continue
         if alpha not in by_alpha:
             by_alpha[alpha] = _estimate_H(cfg, args, alpha).value
@@ -295,11 +325,10 @@ def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T) -> list:
     config's verify section, C then to default_delta_constant. Every u is
     checked against the preconditions and the cell budget before any sum."""
     e = local_expansion(m)
-    ver = cfg["verify"]
-    C = C if C is not None else ver["riemann_C"]
     if C is None:
-        C = default_delta_constant(e)
-    T = T if T is not None else ver["riemann_T"]
+        C = (default_delta_constant(e) if cfg["verify"]["riemann_C"] is None
+             else _number(cfg, "verify.riemann_C"))
+    T = T if T is not None else _number(cfg, "verify.riemann_T")
     for u in us:
         riemann_cells(e, d, T, C, u)
     return [
@@ -349,7 +378,7 @@ def cmd_expansion(cfg, args) -> int:
 
 def cmd_simulate(cfg, args) -> int:
     m = build_model(cfg)
-    g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
+    g = GridSpec(build_domain(cfg, m), _number(cfg, "grid.points_per_axis", int))
     reps, seed = _reps(cfg, args), _seed(cfg, args)
     L = cholesky_factor(build_covariance(m, g))
     dump = os.path.join(_out_dir(cfg, args), "samples.bgrf")
@@ -389,10 +418,11 @@ def cmd_theorem(cfg, args, which: str) -> int:
         raise ValueError("theorem2 needs domain.split_M")
     else:
         M, mes = d.split_M, d.mes(d.split_M)
+    us = _thresholds(args.u, cfg, "thresholds.u")
     H1, H2 = _pickands_constants(cfg, m, args)
     w = Writer(cfg, args, which,
                ["u", "value", "log_value", "exp_rate", "u_power", "constant"])
-    for u in _thresholds(args.u, cfg["thresholds"]["u"]):
+    for u in us:
         r = tail_asymptotic(e, M, mes, H1, H2, u)
         w.add(u, r.value, r.log_value, r.exp_rate, r.u_power, r.constant)
     w.flush()
@@ -401,7 +431,7 @@ def cmd_theorem(cfg, args, which: str) -> int:
 
 def cmd_riemann_check(cfg, args) -> int:
     m = build_model(cfg)
-    us = _thresholds(args.u, cfg["verify"]["riemann_u"])
+    us = _thresholds(args.u, cfg, "verify.riemann_u")
     modes = ("intersect", "subset") if args.both_cells else ("intersect",)
     w = Writer(cfg, args, "riemann-check",
                ["u", "h_sum", "limit_value", "ratio", "n_pairs", "regime", "cells", "delta"])
@@ -414,8 +444,8 @@ def cmd_riemann_check(cfg, args) -> int:
 
 def cmd_mc_excursion(cfg, args) -> int:
     m = build_model(cfg)
-    g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
-    us = _thresholds(args.u, cfg["thresholds"]["u"])
+    g = GridSpec(build_domain(cfg, m), _number(cfg, "grid.points_per_axis", int))
+    us = _thresholds(args.u, cfg, "thresholds.u")
     ests = _excursions(cfg, args, m, g, us, args.samples)
     w = Writer(cfg, args, "mc-excursion",
                ["u", "p_hat", "ci_low", "ci_high", "hits", "reps"])
@@ -434,8 +464,9 @@ def cmd_verify(cfg, args) -> int:
     m = build_model(cfg)
     d = build_domain(cfg, m)
     e = local_expansion(m)
-    g = GridSpec(d, cfg["grid"]["points_per_axis"])
-    ver = cfg["verify"]
+    g = GridSpec(d, _number(cfg, "grid.points_per_axis", int))
+    rate_tol = _number(cfg, "verify.rate_tol")
+    band = _number(cfg, "verify.riemann_band")
     reps = _reps(cfg, args)
     if reps < 1000:
         print(f"verify FAILED: reps = {reps} below the Monte Carlo floor of 1000")
@@ -443,10 +474,10 @@ def cmd_verify(cfg, args) -> int:
     M, mes = d.shared_part()
     # the Riemann checks run before any estimation: the cell budget can
     # fail them
-    riemann = _riemann_checks(cfg, m, d, _thresholds(None, ver["riemann_u"]),
+    riemann = _riemann_checks(cfg, m, d, _thresholds(None, cfg, "verify.riemann_u"),
                               ("intersect",), None, None)
+    us = _thresholds(args.u, cfg, "thresholds.u")
     H1, H2 = _pickands_constants(cfg, m, args)
-    us = _thresholds(args.u, cfg["thresholds"]["u"])
     ests = _excursions(cfg, args, m, g, us, None)
 
     # p_hat is a maximum over grid nodes; at level u field i's node step in
@@ -480,10 +511,10 @@ def cmd_verify(cfg, args) -> int:
     target = -1.0 / (1.0 + e.rho)
     try:
         fit = rate_fit([(est.u, est) for est in ests])
-        rate_ok = abs(fit.slope - target) <= ver["rate_tol"] * abs(target)
+        rate_ok = abs(fit.slope - target) <= rate_tol * abs(target)
         print(
             f"rate: slope = {fit.slope:.4f} (se {fit.slope_se:.4f}), "
-            f"target {target:.4f}, tol {ver['rate_tol']:.0%}: "
+            f"target {target:.4f}, tol {rate_tol:.0%}: "
             + ("PASS" if rate_ok else "FAIL")
         )
         if not rate_ok:
@@ -492,7 +523,6 @@ def cmd_verify(cfg, args) -> int:
         print(f"rate: FAIL ({exc})")
         failures.append("rate")
 
-    band = ver["riemann_band"]
     for chk in riemann:
         ok = abs(chk.ratio - 1.0) <= band
         print(
@@ -516,7 +546,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override estimation.seed")
     p.add_argument("--reps", type=int, default=None, help="override estimation.reps")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (never changes outputs)")
+                   help="worker threads, at most the CPU count; while they run, "
+                   "BLAS uses one thread (never changes outputs)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out-dir", default=None,
                    help="output directory (default $BGRF_OUT_DIR or ./bgrf-out)")
@@ -564,6 +595,8 @@ def main(argv=None) -> int:
         help="reuse a binary sample dump instead of sampling")
 
     args = ap.parse_args(argv)
+    if args.threads < 1:
+        parsers[args.command].error(f"--threads must be at least 1, got {args.threads}")
 
     try:
         cfg = load_config(args.config)

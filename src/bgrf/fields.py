@@ -19,12 +19,21 @@ array: sample_blocks draws them, write_sample_dump stores them and
 read_sample_dump yields them back, one block at a time. Given a
 reduction, sample_blocks yields (start, reduce(block)) instead, reduced on
 the worker thread that drew the block.
+
+While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
+pool's workers own the cores; every panel product has an inner dimension
+that OpenBLAS splits alike at one thread and at several, so the bytes of a
+block do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import struct
+import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -356,6 +365,88 @@ def _panels(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _PANEL, n)) for a in range(0, n, _PANEL)]
 
 
+def _panel_product(L: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+    """out = L @ noise for lower-triangular L, one row panel at a time,
+    L[a:b, :b] @ noise[:b].
+
+    OpenBLAS splits an inner dimension K > 384 differently at one thread
+    than at several, which moves the last bits, but K below 256 and K a
+    multiple of 256 come out the same. A full panel's K is a multiple of
+    256; a short last panel [a, n) is taken as K = a plus K = n - a, the
+    second product landing in the rows of the panel above, which are
+    written after it.
+    """
+    n = L.shape[0]
+    panels = _panels(n)
+    a, b = panels[-1]
+    if 0 < a and b - a < _PANEL:
+        np.matmul(L[a:b, :a], noise[:a], out=out[a:b])
+        scratch = out[2 * a - b:a]
+        np.matmul(L[a:b, a:b], noise[a:b], out=scratch)
+        out[a:b] += scratch
+        panels.pop()
+    for a, b in panels:
+        np.matmul(L[a:b, :b], noise[:b], out=out[a:b])
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy loaded from
+    numpy.libs beside its package, or None where there is none.
+
+    numpy's wheels export the scipy_openblas ...64_ names, a plain OpenBLAS
+    the openblas_ ones. openblas_set_num_threads_local is not used: in these
+    builds it sets the count of the whole process, not of the caller.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager that holds OpenBLAS at one thread while a worker pool
+    runs, so the pool's threads do not each start BLAS threads of their own
+    on the same cores. The count belongs to the process, so overlapping
+    pools share one count of live pools: the first saves the BLAS count and
+    sets 1, the last restores it. Without an OpenBLAS it does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pools = 0
+        self._saved = 0
+
+    def __enter__(self):
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                if self._pools == 0:
+                    self._saved = blas[0]()
+                    blas[1](1)
+                self._pools += 1
+
+    def __exit__(self, *exc_info):
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                self._pools -= 1
+                if self._pools == 0:
+                    blas[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _check_lower(L: np.ndarray) -> None:
     """Raise unless L is square and lower triangular: the panel product
     skips every entry right of a panel's last column."""
@@ -381,6 +472,10 @@ def sample_blocks(
     triangle. With reduce given, each block is replaced by reduce(samples)
     on the worker that computed it, so the consumer receives only what
     the reduction keeps; reduce may overwrite samples.
+
+    threads is capped at os.cpu_count(), since each worker holds up to two
+    blocks. With more than one, OpenBLAS runs one thread until the
+    generator finishes, is closed or raises.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -389,20 +484,24 @@ def sample_blocks(
     _check_lower(L)
     n = L.shape[0]
     n_blocks = (count + _BLOCK - 1) // _BLOCK
-    panels = _panels(n)
+    threads = min(threads, os.cpu_count() or 1)
 
     def one(b: int) -> object:
         noise = _noise_block(seed, b, n)
         mat = np.empty_like(noise)
-        for lo, hi in panels:
-            np.matmul(L[lo:hi, :hi], noise[:hi], out=mat[lo:hi])
+        _panel_product(L, noise, mat)
         mat = mat[:, : min(_BLOCK, count - b * _BLOCK)]
         return mat if reduce is None else reduce(mat)
 
     # a chunk is one block per thread: no more blocks are held than run at
     # once; one pool serves every chunk of the call
     chunk = max(threads, 1)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    parallel = threads > 1
+    # the pin is entered first, so the BLAS count comes back only after the
+    # pool's workers have joined
+    with (_one_blas_thread if parallel else nullcontext()), (
+        ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext()
+    ) as pool:
         for lo in range(0, n_blocks, chunk):
             # no name holds a chunk's list, so it is freed before the next
             # chunk is computed

@@ -77,6 +77,39 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err == f"config error: section '{section}' must be a JSON object\n"
 
+    @pytest.mark.parametrize("command, section, values, message", [
+        ("mc-excursion", "thresholds", {"u": 3}, "thresholds.u must be a list of numbers"),
+        ("mc-excursion", "thresholds", {"u": [2.0, "3"]}, "thresholds.u must be a list"),
+        ("pickands", "estimation", {"T_list": 4}, "estimation.T_list must be a list"),
+        ("pickands", "estimation", {"reps": "x"}, "estimation.reps must be an integer"),
+        ("pickands", "estimation", {"reps": 4000.0}, "estimation.reps must be an integer"),
+        ("pickands", "estimation", {"eta": "1/64"}, "estimation.eta must be a number"),
+        ("pickands", "estimation", {"seed": True}, "estimation.seed must be an integer"),
+        ("theorem1", "estimation", {"H1": "1"}, "estimation.H1 must be a number"),
+        ("riemann-check", "verify", {"riemann_T": [1]}, "verify.riemann_T must be a number"),
+        ("verify", "verify", {"rate_tol": "10%"}, "verify.rate_tol must be a number"),
+        ("simulate", "grid", {"points_per_axis": "10"},
+         "grid.points_per_axis must be an integer"),
+        ("expansion", "output", {"directory": 3}, "output.directory must be a string"),
+    ], ids=["u-scalar", "u-string", "T_list-scalar", "reps-string", "reps-float",
+            "eta-string", "seed-bool", "H1-string", "riemann_T-list", "rate_tol-string",
+            "points-string", "directory-int"])
+    def test_wrong_value_type_exits_two(self, tmp_path, capsys, command, section,
+                                        values, message):
+        cfg = write_config(tmp_path, **{section: values})
+        code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["pickands", "--config", cfg, "--threads", threads])
+        assert exit_.value.code == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
 
 class TestMaternEval:
     def test_schema_and_agreement(self, tmp_path):

@@ -1,7 +1,11 @@
 """Tests for domains, grids, covariance assembly, and samplers."""
 
+import glob
 import hashlib
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -258,6 +262,26 @@ class TestCholeskySampling:
         assert np.array_equal(stream(1), stream(2))
         assert len(pools) == 1
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # --threads 64 must not start 64 workers each holding two blocks
+        workers = []
+
+        class CountingPool(fields.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
+        count = 4 * 4096 + 1
+        capped = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
+        assert workers == [2]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        single = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
+        assert workers == [2]  # one CPU: no pool at all
+        assert np.array_equal(capped, single)
+
 
 def lower_factor(n, seed=0):
     """A random n x n lower-triangular factor with a positive diagonal."""
@@ -307,6 +331,20 @@ class TestPanelProduct:
 
         assert digest(1) == digest(2)
 
+    # a last panel shorter than 256 rows, with an inner dimension past 384
+    # (385, 600, 700, 1100) or not (300)
+    @pytest.mark.parametrize("n", [300, 385, 600, 700, 1100])
+    def test_blas_threads_give_identical_bytes(self, blas, n):
+        get, set_ = blas
+        L = lower_factor(n)
+
+        def block(blas_threads):
+            set_(blas_threads)
+            (_, mat), = sample_blocks(L, 3, 4096)
+            return mat.tobytes()
+
+        assert block(1) == block(2)
+
     def test_reduce_runs_on_the_worker(self):
         L = lower_factor(300)
         count = 2 * 4096 + 3
@@ -322,6 +360,130 @@ class TestPanelProduct:
         assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 4096, 8192]
         for (_, got), (_, mat) in zip(reduced, plain):
             assert np.array_equal(got, mat.sum(axis=0))
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """numpy's OpenBLAS (get, set) thread count, set to 2 for the test and
+    restored after it; two CPUs, so a two-thread call runs a pool."""
+    handle = fields._openblas()
+    if handle is None:
+        pytest.skip("numpy loaded no OpenBLAS")  # test_handle_found guards this
+    get, set_ = handle
+    old = get()
+    set_(2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    yield handle
+    set_(old)
+
+
+class FakeBlas:
+    """A stand-in (get, set) pair that records every count set. Like a
+    ctypes call, each lets other threads run."""
+
+    def __init__(self, count=2):
+        self.count, self.sets = count, []
+
+    def get(self):
+        time.sleep(0)
+        return self.count
+
+    def set(self, count):
+        time.sleep(0)
+        self.sets.append(count)
+        self.count = count
+
+
+class TestBlasPin:
+    def L(self):
+        return lower_factor(300)
+
+    def test_handle_found(self):
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        if not glob.glob(os.path.join(libs, "*openblas*")):
+            pytest.skip("numpy.libs holds no OpenBLAS")
+        handle = fields._openblas()
+        assert handle is not None
+        assert handle[0]() >= 1
+
+    def test_one_blas_thread_inside_reduce(self, blas):
+        get, _ = blas
+        seen = []
+
+        def record(mat):
+            seen.append(get())
+            return mat[0]
+
+        list(sample_blocks(self.L(), 1, 3 * 4096, 2, record))
+        assert seen == [1, 1, 1]
+        assert get() == 2
+
+    def test_restored_after_close(self, blas):
+        get, _ = blas
+        gen = sample_blocks(self.L(), 1, 5 * 4096, 2)
+        next(gen)
+        assert get() == 1
+        gen.close()
+        assert get() == 2
+
+    def test_restored_after_reduce_raises(self, blas):
+        get, _ = blas
+
+        def fail(mat):
+            raise RuntimeError("reduce failed")
+
+        with pytest.raises(RuntimeError, match="reduce failed"):
+            list(sample_blocks(self.L(), 1, 3 * 4096, 2, fail))
+        assert get() == 2
+
+    def test_single_thread_leaves_count_alone(self, monkeypatch):
+        fake = FakeBlas()
+        monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
+        list(sample_blocks(self.L(), 1, 2 * 4096, 1))
+        assert fake.sets == []
+
+    def test_overlapping_pools(self, monkeypatch):
+        fake = FakeBlas(count=4)
+        monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        first = sample_blocks(self.L(), 1, 5 * 4096, 2)
+        second = sample_blocks(self.L(), 2, 5 * 4096, 2)
+        next(first)
+        next(second)
+        assert fake.sets == [1]
+        first.close()
+        assert fake.count == 1  # second still runs
+        next(second)
+        second.close()
+        assert fake.sets == [1, 4]
+
+    def test_concurrent_pools_stress(self, monkeypatch):
+        # four consumers, each running two-worker pools, on two CPUs: a lost
+        # update to the live-pool count would restore the BLAS count while a
+        # pool still runs
+        fake = FakeBlas(count=4)
+        monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        L = lower_factor(8)
+        seen = []
+
+        def consume(seed):
+            for _ in range(50):
+                list(sample_blocks(L, seed, 2 * 4096, 2, lambda mat: seen.append(fake.count)))
+
+        consumers = [threading.Thread(target=consume, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in consumers:
+                t.start()
+            for t in consumers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in consumers)
+        assert len(seen) == 4 * 50 * 2 and set(seen) == {1}
+        assert fake.count == 4
 
 
 class TestFbm:
