@@ -258,8 +258,12 @@ def _numbers(cfg: dict, path: str) -> list[float]:
 
 
 def _thresholds(given, cfg: dict, path: str) -> list[float]:
-    """The --u values when given, else the config's list at path."""
-    return given or _numbers(cfg, path)
+    """The --u values when given, else the config's list at path; a config
+    error when that list is empty, which would check nothing."""
+    us = given or _numbers(cfg, path)
+    if not us:
+        raise ConfigError(f"{path} must not be empty")
+    return us
 
 
 def _seed(cfg: dict, args) -> int:

@@ -14,6 +14,12 @@ call all sets share a single path per replicate (common random numbers),
 which makes H_a(T) pathwise nondecreasing in T and makes the identity
 exp(X) + exp(Y) - exp(max(X,Y)) = exp(min(X,Y)) hold replicate by
 replicate up to roundoff.
+
+chi and -chi have the same law, and L(-Z) = -(LZ), so one noise column
+gives two replicates: the path and its mirror (antithetic variates,
+Glasserman 2004, sec. 4.2). reps counts paths, so a call draws
+ceil(reps / 2) noise columns; the standard error is taken over the
+(path, mirror) pairs, which are independent of one another.
 """
 
 from __future__ import annotations
@@ -80,10 +86,14 @@ def path_suprema(
     """(reps, len(sets)) matrix of sup_{t in S_k} (chi(t) - t^alpha).
 
     One shared path per replicate; deterministic in (seed, replicate).
-    Block rows hold the path on t[1:]; the rows are cut at every set's
-    endpoints, each segment's maximum is taken once, on the worker that
-    sampled the block, and a set's supremum is the maximum over the
-    segments it spans (and 0, the path at t = 0, when it holds the origin).
+    Noise column j gives replicate 2j, the path X, and replicate 2j + 1,
+    its mirror -X; for odd reps the last mirror is dropped. Block rows
+    hold the path on t[1:]; the rows are cut at every set's endpoints,
+    each segment's supremum is taken once per path, on the worker that
+    sampled the block (for the mirror as -min(X + d), since
+    sup(-X - d) = -min(X + d)), and a set's supremum is the maximum over
+    the segments it spans (and 0, the path at t = 0, when it holds the
+    origin).
     """
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -105,30 +115,42 @@ def path_suprema(
         for start, stop, _ in spans
     ]
     drift = (t**alpha)[1:, None]
+    drift2 = 2.0 * drift
 
-    def suprema(mat: np.ndarray) -> np.ndarray:
-        mat -= drift  # drifted path on t[1:]
-        seg = [mat[a:b].max(axis=0) for a, b in segments]
-        sups = np.zeros((mat.shape[1], len(sets)))  # 0 for the set {0}
+    def set_suprema(seg: list[np.ndarray], rows: np.ndarray) -> None:
+        # rows[:, k] = maximum of the segment suprema set k spans
         for k, ((_, _, has_origin), js) in enumerate(zip(spans, members)):
             if js:
                 top = np.max([seg[j] for j in js], axis=0)
-                sups[:, k] = np.maximum(top, 0.0) if has_origin else top
+                rows[:, k] = np.maximum(top, 0.0) if has_origin else top
+
+    def suprema(mat: np.ndarray) -> np.ndarray:
+        # column j gives the path X (row 2j) and its mirror -X (row 2j+1)
+        sups = np.zeros((2 * mat.shape[1], len(sets)))  # 0 for the set {0}
+        mat -= drift  # X - d on t[1:]
+        set_suprema([mat[a:b].max(axis=0) for a, b in segments], sups[0::2])
+        mat += drift2  # X + d: sup(-X - d) = -min(X + d)
+        set_suprema([-mat[a:b].min(axis=0) for a, b in segments], sups[1::2])
         return sups
 
-    out = np.empty((reps, len(sets)))
-    for start, sups in sample_blocks(L, seed, reps, threads, suprema):
-        out[start : start + len(sups)] = sups
-    return out
+    columns = (reps + 1) // 2
+    out = np.empty((2 * columns, len(sets)))
+    for start, sups in sample_blocks(L, seed, columns, threads, suprema):
+        out[2 * start : 2 * start + len(sups)] = sups
+    return out[:reps]
 
 
 def _mean_exp(sups: np.ndarray) -> tuple[float, float]:
+    """Mean of exp over all values, and its standard error over the
+    complete (path, mirror) pairs: std(pair means) * sqrt(2 / n), 0 with
+    fewer than two pairs."""
     _check_exponent_guard(sups)
     x = np.exp(sups)
     n = x.shape[0]
     mean = float(np.mean(x))
-    if n > 1:
-        se = float(np.std(x, ddof=1)) / math.sqrt(n)
+    pairs = x[: n - n % 2].reshape(-1, 2).mean(axis=1)
+    if len(pairs) > 1:
+        se = float(np.std(pairs, ddof=1)) * math.sqrt(2.0 / n)
     else:
         se = 0.0
     return mean, se

@@ -102,6 +102,23 @@ class TestValidate:
         assert code == 2
         assert err.startswith(f"config error: {message}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, section, values, path", [
+        ("verify", "verify", {"riemann_u": []}, "verify.riemann_u"),
+        ("mc-excursion", "thresholds", {"u": []}, "thresholds.u"),
+        ("theorem1", "thresholds", {"u": []}, "thresholds.u"),
+        ("riemann-check", "verify", {"riemann_u": []}, "verify.riemann_u"),
+    ], ids=["verify", "mc-excursion", "theorem1", "riemann-check"])
+    def test_empty_thresholds_exit_two(self, tmp_path, capsys, command, section,
+                                       values, path):
+        cfg = write_config(tmp_path, **{section: values})
+        out = tmp_path / "o"
+        code = main([command, "--config", cfg, "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"config error: {path} must not be empty\n"
+        assert "PASSED" not in captured.out
+        assert not (out / f"{command}.csv").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
         cfg = write_config(tmp_path)

@@ -166,8 +166,10 @@ class TestEstimateHConstant:
 # ---------------------------------------------------------------------------
 # Oracle: the reduction path_suprema once ran on the consumer, one fancy-index
 # copy of the drifted block per set, kept as the reference for the segment
-# maxima it now takes on the worker. Both see the same blocks, and max is
-# exact, so the two must agree bit for bit.
+# extremes it now takes on the worker. Column j of a block gives replicate 2j,
+# the path X, and replicate 2j + 1, its mirror -X, whose supremum is taken as
+# -min((X - d) + 2d), the same arithmetic as path_suprema. Both see the same
+# blocks, and max and min are exact, so the two must agree bit for bit.
 # ---------------------------------------------------------------------------
 
 def reference_suprema(alpha, sets, eta, horizon, reps, seed):
@@ -177,26 +179,29 @@ def reference_suprema(alpha, sets, eta, horizon, reps, seed):
     idx = [np.arange(i_lo, i_hi + 1)
            for i_lo, i_hi in (_set_to_indices(lo, hi, eta, n_steps) for lo, hi in sets)]
     drift = t**alpha
-    out = np.empty((reps, len(sets)))
-    for start, mat in sample_blocks(L, seed, reps):
-        take = mat.shape[1]
+    columns = (reps + 1) // 2
+    out = np.empty((2 * columns, len(sets)))
+    for start, mat in sample_blocks(L, seed, columns):
+        stop = 2 * (start + mat.shape[1])
         vals = mat - drift[1:, None]  # drifted path on t[1:]
+        shifted = vals + 2.0 * drift[1:, None]  # X + d, for the mirror
         for k, ix in enumerate(idx):
             has_origin = ix[0] == 0
             rows = ix[ix > 0] - 1
             if rows.size:
-                seg = vals[rows].max(axis=0)
-                out[start : start + take, k] = (
-                    np.maximum(seg, 0.0) if has_origin else seg
-                )
+                segs = (vals[rows].max(axis=0), -shifted[rows].min(axis=0))
+                if has_origin:
+                    segs = tuple(np.maximum(seg, 0.0) for seg in segs)
             else:
-                out[start : start + take, k] = 0.0  # the set {0}
-    return out
+                segs = (0.0, 0.0)  # the set {0}
+            out[2 * start : stop : 2, k], out[2 * start + 1 : stop : 2, k] = segs
+    return out[:reps]
 
 
 class TestSupremaOracle:
     # eta = 1/128 puts 128 to 640 nodes on the path, one to three row
-    # panels of the block product; 4,100 reps end on a partial block
+    # panels of the block product; 4,100 reps are 2,050 noise columns, a
+    # partial block
     @pytest.mark.parametrize("sets, horizon", [
         ([(0.0, 1.0), (0.0, 2.0), (0.0, 4.0)], 4.0),
         ([(0.5, 1.0), (1.0, 2.0)], 2.0),
@@ -217,6 +222,63 @@ class TestSupremaOracle:
         sups = reference_suprema(1.3, [S, T], 1 / 128, 2.0, 4100, 19)
         value, se = _mean_exp(np.minimum(sups[:, 0], sups[:, 1]))
         assert (est.value, est.std_error) == (value, se)
+
+
+class TestMirrorPairs:
+    SETS = [(0.0, 1.0), (0.5, 2.0), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bit_identical_across_blocks(self, threads):
+        # 8,195 reps are 4,098 noise columns: a full block, then a partial
+        # one whose last mirror is dropped
+        args = (1.0, self.SETS, 1 / 64, 2.0, 8195, 23)
+        got = path_suprema(*args, threads=threads)
+        assert got.shape == (8195, 3)
+        assert np.array_equal(got, reference_suprema(*args))
+
+    def test_odd_reps_are_a_prefix(self):
+        args = (1.0, self.SETS, 1 / 64, 2.0)
+        odd = path_suprema(*args, 4101, 31)
+        even = path_suprema(*args, 4102, 31)
+        assert np.array_equal(odd, even[:4101])
+
+    def test_mirror_is_the_negated_path(self):
+        alpha, eta, horizon, reps = 1.4, 1 / 64, 2.0, 601
+        t = fbm_grid(horizon, eta)
+        L = cholesky_factor(fbm_covariance(alpha, t[1:]))
+        ((_, X),) = sample_blocks(L, 37, (reps + 1) // 2)
+        mirror = -X - (t**alpha)[1:, None]  # -X - d, built directly
+        want = np.stack([
+            np.maximum(mirror[:64].max(axis=0), 0.0),  # [0, 1]: holds the origin
+            mirror[31:128].max(axis=0),  # [0.5, 2]: t indices 32..128
+            np.zeros(X.shape[1]),  # {0}
+        ], axis=1)
+        got = path_suprema(alpha, self.SETS, eta, horizon, reps, 37)
+        assert np.allclose(got[1::2], want[:reps // 2], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_mean_exp_over_pairs(self, n):
+        x = np.array([1.5, 0.9, 2.2, 1.1, 0.7, 3.0, 1.3, 0.8])[:n]
+        mean, se = _mean_exp(np.log(x))
+        pair_means = [(x[2 * i] + x[2 * i + 1]) / 2 for i in range(n // 2)]
+        m = sum(pair_means) / len(pair_means)
+        var = sum((p - m) ** 2 for p in pair_means) / (len(pair_means) - 1)
+        assert math.isclose(mean, sum(x) / n, rel_tol=1e-14)
+        assert math.isclose(se, math.sqrt(var) * math.sqrt(2 / n), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mean_exp_fewer_than_two_pairs(self, n):
+        x = np.array([1.5, 0.9, 2.2])[:n]
+        mean, se = _mean_exp(np.log(x))
+        assert math.isclose(mean, sum(x) / n, rel_tol=1e-14)
+        assert se == 0.0
+
+    def test_spitzer_oracle_odd_reps(self):
+        T, eta, reps = 2.0, 1 / 32, 40_001
+        est = estimate_H_set(1.0, T, eta, reps=reps, seed=303)
+        want = spitzer_expectation(int(T / eta), 2 * eta)
+        assert est.replicates == reps
+        assert abs(est.value - want) <= 4 * est.std_error
 
 
 class TestGuards:
