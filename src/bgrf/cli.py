@@ -49,7 +49,7 @@ from .montecarlo import (
     maxima_from_dump,
     rate_fit,
 )
-from .pickands import estimate_H_constant
+from .pickands import discrete_pickands_h1, estimate_H_constant
 from .specfun import MaternParams, matern, matern_cosine_integral
 
 
@@ -293,17 +293,31 @@ def _estimate_H(cfg, args, alpha: float):
 
 
 def _pickands_constants(cfg, m, args) -> tuple[float, float]:
-    """User-supplied H values, or constant estimates at the config's
-    estimation settings (one estimate per distinct alpha)."""
+    """Each field's Pickands constant: the config's H1/H2 when given, else
+    exactly 1 at alpha = 1, else an estimate at the config's estimation
+    settings (one per distinct alpha). One stderr line per field says
+    which. At dim_N >= 2 both must be given: the tail formula needs the
+    N-parameter constant, which is not the 1-D one estimated here."""
     est = cfg["estimation"]
+    if m.dim_N > 1 and (est["H1"] is None or est["H2"] is None):
+        raise ValueError(
+            f"dim_N = {m.dim_N} needs the N-parameter Pickands constants, "
+            "which are not the 1-D constants bgrf computes; give "
+            "estimation.H1 and estimation.H2"
+        )
     H, by_alpha = {}, {}
     for label, alpha in (("H1", 2.0 * m.nu1), ("H2", 2.0 * m.nu2)):
         if est[label] is not None:
-            H[label] = _number(cfg, f"estimation.{label}")
-            continue
-        if alpha not in by_alpha:
-            by_alpha[alpha] = _estimate_H(cfg, args, alpha).value
-        H[label] = by_alpha[alpha]
+            H[label], source = _number(cfg, f"estimation.{label}"), "given"
+        elif alpha == 1.0:
+            H[label], source = 1.0, "exact: alpha = 1, N = 1"
+        else:
+            if alpha not in by_alpha:
+                by_alpha[alpha] = _estimate_H(cfg, args, alpha)
+            r = by_alpha[alpha]
+            H[label] = r.value
+            source = f"estimated, se {r.std_error:.3g}, T = {r.horizon_T:g}, eta = {r.eta:g}"
+        print(f"{label} = {H[label]:.6g} ({source})", file=sys.stderr)
     return H["H1"], H["H2"]
 
 
@@ -491,25 +505,39 @@ def cmd_verify(cfg, args) -> int:
         f"grid: node steps Delta = ({steps[0]:.6g}, {steps[1]:.6g}), "
         "delta_i(u) = Delta_i c_i^(1/alpha_i) (u/(1+rho))^(2/alpha_i)"
     )
-    for u in us:
-        delta1, delta2 = (
-            step * c ** (1.0 / a) * (u / (1.0 + e.rho)) ** (2.0 / a)
-            for step, c, a in zip(steps, (e.c1, e.c2), (e.alpha1, e.alpha2))
-        )
+    deltas = [
+        tuple(step * c ** (1.0 / a) * (u / (1.0 + e.rho)) ** (2.0 / a)
+              for step, c, a in zip(steps, (e.c1, e.c2), (e.alpha1, e.alpha2)))
+        for u in us
+    ]
+    for u, (delta1, delta2) in zip(us, deltas):
         print(f"grid u={u:g}: delta1 = {delta1:.6g}, delta2 = {delta2:.6g}")
-    print(
-        "ratio divides this grid estimate by a theorem evaluated with the "
-        "continuous-time H1, H2, so it carries each field's grid factor "
-        "H^delta_i(u) / H < 1"
-    )
 
+    def theorem(H1, H2, est):
+        # the theorem at est.u, and p_hat's ratio to it
+        value = tail_asymptotic(e, M, mes, H1, H2, est.u).value
+        return value, (est.p_hat / value if value > 0 else math.nan)
+
+    # grid_ratio evaluates the theorem with the grid constants H^delta_i(u),
+    # which have a closed form only at alpha = 1 on a 1-D grid
+    closed = e.alpha1 == e.alpha2 == 1.0 and e.dim_N == 1
     w = Writer(cfg, args, "verify",
-               ["u", "p_hat", "hits", "theorem_value", "ratio"])
+               ["u", "p_hat", "hits", "theorem_value", "ratio", "grid_ratio"])
     w.meta["samples"] = "shared-across-u"
-    for est in ests:
-        th = tail_asymptotic(e, M, mes, H1, H2, est.u)
-        ratio = est.p_hat / th.value if th.value > 0 else math.nan
-        w.add(est.u, est.p_hat, est.hits, th.value, ratio)
+    for est, (delta1, delta2) in zip(ests, deltas):
+        value, ratio = theorem(H1, H2, est)
+        grid_ratio = math.nan
+        if closed and delta1 > 0 and delta2 > 0:
+            _, grid_ratio = theorem(discrete_pickands_h1(delta1),
+                                    discrete_pickands_h1(delta2), est)
+        w.add(est.u, est.p_hat, est.hits, value, ratio, grid_ratio)
+    if any(math.isnan(row[-1]) for row in w.rows):
+        print(
+            "ratio divides this grid estimate by a theorem evaluated with the "
+            "continuous-time H1, H2, so it carries each field's grid factor "
+            "H^delta_i(u) / H < 1; grid_ratio is nan where H^delta_i(u) has "
+            "no closed form (alpha_i != 1 or dim_N > 1)"
+        )
 
     failures = []
     target = -1.0 / (1.0 + e.rho)

@@ -20,6 +20,11 @@ gives two replicates: the path and its mirror (antithetic variates,
 Glasserman 2004, sec. 4.2). reps counts paths, so a call draws
 ceil(reps / 2) noise columns; the standard error is taken over the
 (path, mirror) pairs, which are independent of one another.
+
+At alpha = 1 the constant is known exactly, H_1 = 1, and so is its grid
+version: on delta Z the drifted path is a Gaussian random walk, and
+Spitzer's identity gives the discrete-time constant H_1^delta in closed
+form (discrete_pickands_h1).
 """
 
 from __future__ import annotations
@@ -51,6 +56,22 @@ class PickandsEstimate:
             raise ValueError("estimate must be positive")
         if not (self.std_error >= 0):
             raise ValueError("standard error must be nonnegative")
+
+
+def discrete_pickands_h1(delta: float) -> float:
+    """H_1^delta, the alpha = 1 Pickands constant of the grid delta Z
+    (Piterbarg, Extremes 7, 2004):
+
+        H_1^delta = delta^-1 exp(-sum_{k>=1} erfc(sqrt(k delta) / 2) / k),
+
+    with erfc(sqrt(k delta) / 2) = 2 Phibar(sqrt(k delta / 2)). It tends to
+    H_1 = 1 as delta -> 0.
+    """
+    if not (delta > 0):
+        raise ValueError(f"delta must be positive, got {delta}")
+    k = np.arange(1, math.ceil(200.0 / delta) + 1)  # terms beyond are < 1e-20
+    x = (np.sqrt(k * delta) / 2.0).tolist()
+    return math.exp(-np.sum(np.array(list(map(math.erfc, x))) / k)) / delta
 
 
 def _check_exponent_guard(sups: np.ndarray) -> None:

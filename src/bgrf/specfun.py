@@ -17,7 +17,10 @@ integral sign gives.
 
 The Bessel evaluation is delegated to scipy; the quadrature route is
 implemented here so that matern() and matern_cosine_integral() remain two
-genuinely independent ways of computing the same quantity.
+genuinely independent ways of computing the same quantity. bessel_k and
+matern import scipy.special when called, not with the module: loading it
+takes about half a second, and commands that never evaluate a Matern
+never pay for it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 
 class QuadratureError(RuntimeError):
@@ -66,7 +68,9 @@ def bessel_k(nu: float, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError("bessel_k requires x > 0")
-    out = _sp.kv(nu, arr)
+    from scipy.special import kv
+
+    out = kv(nu, arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -75,6 +79,10 @@ def matern(h, p: MaternParams):
 
     Exactly 1 at h = 0; strictly decreasing and positive for h > 0.
     """
+    # before any work array: loading scipy among them left the heap
+    # fragmented, 4 MB more peak RSS in `bgrf simulate` at 800 nodes
+    from scipy.special import kv
+
     arr = np.asarray(h, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("matern requires finite h >= 0")
@@ -91,7 +99,7 @@ def matern(h, p: MaternParams):
             log_pref = (
                 (1.0 - p.nu) * math.log(2.0) - math.lgamma(p.nu) + p.nu * np.log(xl)
             )
-            vals = np.exp(log_pref) * _sp.kv(p.nu, xl)
+            vals = np.exp(log_pref) * kv(p.nu, xl)
             # clamp: near-zero lags can exceed 1 by a few ulps of roundoff
             sub = out[pos]
             sub[live] = np.minimum(vals, 1.0)

@@ -49,7 +49,7 @@ from bgrf.model import (
     validity_bound_equal_scale,
 )
 from bgrf.montecarlo import estimates_from_maxima, field_maxima, rate_fit
-from bgrf.pickands import estimate_H_constant, path_suprema
+from bgrf.pickands import discrete_pickands_h1, estimate_H_constant, path_suprema
 from bgrf.specfun import (
     MaternParams,
     bessel_k,
@@ -57,8 +57,6 @@ from bgrf.specfun import (
     matern_cosine_integral,
     matern_d2_at_zero,
 )
-
-from test_pickands import discrete_pickands_h1
 
 SEED = 1234
 

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bgrf import asymptotics, cli, fields
 from bgrf.cli import main
-from bgrf.pickands import estimate_H_constant
+from bgrf.pickands import discrete_pickands_h1, estimate_H_constant
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, name="cfg.json", **sections):
@@ -374,7 +378,8 @@ class TestNodeBudget:
 
 
 class TestPickandsConstantsOncePerAlpha:
-    @pytest.mark.parametrize("nu2, estimates", [(0.5, 1), (0.75, 2)])
+    # nu1 = 0.6: alpha = 1 has an exact constant and is never estimated
+    @pytest.mark.parametrize("nu2, estimates", [(0.6, 1), (0.75, 2)])
     @pytest.mark.parametrize("command", ["verify", "theorem1"])
     def test_estimate_calls(self, tmp_path, monkeypatch, command, nu2, estimates):
         calls = []
@@ -386,7 +391,7 @@ class TestPickandsConstantsOncePerAlpha:
         monkeypatch.setattr(cli, "estimate_H_constant", counting)
         cfg = write_config(
             tmp_path,
-            model={"nu1": 0.5, "nu2": nu2, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            model={"nu1": 0.6, "nu2": nu2, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
             grid={"points_per_axis": 5},
             estimation={"reps": 1000, "seed": 3, "eta": 0.125, "T_list": [1, 2, 4]},
             verify={"riemann_u": [25.0]},
@@ -394,7 +399,100 @@ class TestPickandsConstantsOncePerAlpha:
         main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert (tmp_path / "o" / f"{command}.csv").exists()  # the run got through
         assert len(calls) == estimates
-        assert sorted(calls) == sorted({1.0, 2.0 * nu2})
+        assert sorted(calls) == sorted({2.0 * 0.6, 2.0 * nu2})
+
+
+class TestPickandsConstantSources:
+    # overlapping unit intervals; theorem2 gets touching ones
+    TOUCHING = {"domain": {"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": 0}}
+
+    def cfg(self, tmp_path, command, name="cfg.json", **estimation):
+        return write_config(
+            tmp_path,
+            name=name,
+            grid={"points_per_axis": 5},
+            estimation={"reps": 1000, "seed": 3, **estimation},
+            thresholds={"u": [2.0, 3.0]},
+            verify={"riemann_u": [25.0]},
+            **(self.TOUCHING if command == "theorem2" else {}),
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "theorem1", "theorem2"])
+    def test_alpha_one_is_exact(self, tmp_path, monkeypatch, capsys, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("H estimated at alpha = 1, N = 1")
+
+        monkeypatch.setattr(cli, "estimate_H_constant", unreachable)
+        out = tmp_path / "o"
+        main([command, "--config", self.cfg(tmp_path, command), "--out-dir", str(out)])
+        assert (out / f"{command}.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "H1 = 1 (exact: alpha = 1, N = 1)\nH2 = 1 (exact: alpha = 1, N = 1)\n"
+        )
+        assert "exact" not in captured.out
+
+    @pytest.mark.parametrize("command", ["theorem1", "theorem2"])
+    def test_exact_rows_equal_given_rows(self, tmp_path, command):
+        bodies = []
+        for name, given in (("exact", {}), ("given", {"H1": 1.0, "H2": 1.0})):
+            cfg = self.cfg(tmp_path, command, f"{name}.json", **given)
+            out = tmp_path / name
+            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 0
+            lines = (out / f"{command}.csv").read_text().splitlines()
+            assert lines[0].startswith("# config_sha256=")
+            bodies.append(lines[1:])
+        assert bodies[0] == bodies[1]
+
+    def test_estimated_and_given_lines(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.75, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            estimation={"reps": 1000, "seed": 3, "eta": 0.125, "T_list": [1, 2, 4],
+                        "H2": 0.5},
+            thresholds={"u": [2.0]},
+        )
+        out = tmp_path / "o"
+        assert main(["theorem1", "--config", cfg, "--out-dir", str(out)]) == 0
+        h1, h2 = capsys.readouterr().err.splitlines()
+        assert h1.startswith("H1 = ") and h1.endswith(", T = 4, eta = 0.125)")
+        assert " (estimated, se " in h1
+        assert h2 == "H2 = 0.5 (given)"
+
+
+class TestNParameterConstants:
+    @pytest.mark.parametrize("given", [{}, {"H1": 1.0}], ids=["none", "H1-only"])
+    def test_theorem2_refuses_one_dim_constants(self, tmp_path, capsys, given):
+        estimation = {**TOUCHING_2D["estimation"], **given}
+        cfg = write_config(tmp_path, **{**TOUCHING_2D, "estimation": estimation})
+        out = tmp_path / "o"
+        assert main(["theorem2", "--config", cfg, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dim_N = 2 needs the N-parameter Pickands constants")
+        assert "give estimation.H1 and estimation.H2" in err
+        assert not (out / "theorem2.csv").exists()
+
+    def test_verify_refuses_after_the_riemann_checks(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimation ran at dim_N = 2 with no H given")
+
+        checked, riemann_cells = [], cli.riemann_cells
+
+        def counting(*args, **kwargs):
+            checked.append(args)
+            return riemann_cells(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "riemann_cells", counting)
+        monkeypatch.setattr(cli, "estimate_H_constant", unreachable)
+        monkeypatch.setattr(cli, "field_maxima", unreachable)
+        # u = 20 is within the cell budget at riemann_T = 4
+        cfg = write_config(tmp_path, **{
+            **TOUCHING_2D, "verify": {"riemann_T": 4.0, "riemann_u": [20.0]}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert len(checked) == 1
+        assert "needs the N-parameter Pickands constants" in capsys.readouterr().err
+        assert not (out / "verify.csv").exists()
 
 
 class TestVerify:
@@ -414,14 +512,34 @@ class TestVerify:
         assert code == 0
         # grid step in the local Pickands scale, per u and field:
         # delta(u) = (1/29) c^(1/alpha) (u/(1+rho))^(2/alpha) with c = alpha = 1
-        printed = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("grid u=")
-        ]
+        stdout = capsys.readouterr().out
+        printed = [line for line in stdout.splitlines() if line.startswith("grid u=")]
         assert len(printed) == 4
-        for line, u in zip(printed, [1.6, 2.0, 2.4, 2.8]):
+        for line, u, row in zip(printed, [1.6, 2.0, 2.4, 2.8], rows):
             want = (u / 1.5) ** 2 / 29
             assert line == f"grid u={u:g}: delta1 = {want:.6g}, delta2 = {want:.6g}"
+            # the theorem is linear in H1 H2, and ratio is taken at H = 1
+            grid_h = discrete_pickands_h1(want)
+            assert float(row["grid_ratio"]) == pytest.approx(
+                float(row["ratio"]) / grid_h**2, rel=1e-12)
+        # every grid_ratio is filled, so the grid-factor caveat is not printed
+        assert "grid factor" not in stdout
+
+    def test_grid_ratio_nan_off_alpha_one(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            grid={"points_per_axis": 10},
+            estimation={"reps": 5000, "seed": 11, "H1": 1.0, "H2": 0.8},
+            thresholds={"u": [1.0, 1.4]},
+            verify={"riemann_u": [25.0]},
+        )
+        out = tmp_path / "o"
+        main(["verify", "--config", cfg, "--out-dir", str(out)])
+        rows = read_rows(out / "verify.csv")
+        assert [r["grid_ratio"] for r in rows] == ["nan", "nan"]
+        assert all(math.isfinite(float(r["ratio"])) for r in rows)
+        assert "carries each field's grid factor" in capsys.readouterr().out
 
     def test_verify_rejects_starved_reps(self, tmp_path, capsys):
         cfg = write_config(
@@ -479,6 +597,18 @@ class TestOutputRouting:
 
 
 class TestConsoleScript:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.special loads on the first Matern evaluation, not on import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bgrf.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = subprocess.run(

@@ -16,15 +16,15 @@ delta H_1^delta per step, with
 
     H_1^delta = delta^-1 exp(-2 sum_{k>=1} Phibar(sqrt(k delta / 2)) / k),
 
-which tends to H_1 = 1 as delta -> 0. The acceptance suite compares grid
-maxima with the theorems through this constant.
+which tends to H_1 = 1 as delta -> 0. bgrf.pickands.discrete_pickands_h1
+evaluates it; the acceptance suite and `bgrf verify` compare grid maxima
+with the theorems through this constant.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from bgrf.fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
 from bgrf.pickands import (
@@ -32,6 +32,7 @@ from bgrf.pickands import (
     _check_exponent_guard,
     _mean_exp,
     _set_to_indices,
+    discrete_pickands_h1,
     estimate_H_constant,
     estimate_H_joint,
     estimate_H_set,
@@ -51,13 +52,6 @@ def spitzer_expectation(n_steps: int, step_var: float) -> float:
     return float(a[n_steps])
 
 
-def discrete_pickands_h1(delta: float) -> float:
-    """H_1^delta: the alpha = 1 Pickands constant of the grid delta Z."""
-    k = np.arange(1, math.ceil(200.0 / delta) + 1)  # terms beyond are < 1e-20
-    # 2 Phibar(sqrt(k delta / 2)) = erfc(sqrt(k delta) / 2)
-    return math.exp(-np.sum(erfc(np.sqrt(k * delta) / 2.0) / k)) / delta
-
-
 class TestDiscretePickandsConstant:
     def test_series_matches_spitzer_growth(self):
         for delta in (0.02, 0.05):
@@ -66,6 +60,11 @@ class TestDiscretePickandsConstant:
                 n - 1, 2 * delta
             )
             assert abs(growth / delta - discrete_pickands_h1(delta)) <= 1e-5
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+    def test_needs_positive_step(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            discrete_pickands_h1(delta)
 
 
 class TestEstimateHSet:
