@@ -33,7 +33,6 @@ from .fields import (
     build_covariance,
     cholesky_factor,
     dump_header,
-    sample_blocks,
     write_sample_dump,
 )
 from .model import (
@@ -400,7 +399,7 @@ def cmd_simulate(cfg, args) -> int:
     reps, seed = _reps(cfg, args), _seed(cfg, args)
     L = cholesky_factor(build_covariance(m, g))
     dump = os.path.join(_out_dir(cfg, args), "samples.bgrf")
-    write_sample_dump(dump, sample_blocks(L, seed, reps, args.threads), _dump_tag(cfg))
+    write_sample_dump(dump, L, seed, reps, _dump_tag(cfg), args.threads)
     w = Writer(cfg, args, "simulate", ["replicates", "nodes1", "nodes2", "seed", "dump"])
     w.add(reps, g.n1, g.n2, seed, dump)
     w.flush()

@@ -8,17 +8,24 @@ escalating-jitter policy; a factorisation failure beyond 1e-10 jitter is
 reported as such, since it usually witnesses an invalid cross-correlation.
 
 Determinism contract: replicate r of a run is a function of (seed, r)
-only. Replicates are generated in fixed blocks of _BLOCK; block b draws
+only. Replicates come in mirror pairs: noise column j gives replicate 2j,
+the path L z_j, and replicate 2j + 1, its mirror -L z_j, which has the
+same law (antithetic variates, Glasserman 2004, sec. 4.2). A run of count
+replicates draws ceil(count / 2) columns and, for an odd count, drops the
+last mirror. Columns are drawn in fixed blocks of _BLOCK; block b draws
 its noise from default_rng([seed, b]) regardless of how many replicates
 are requested or how many worker threads process blocks, so any thread
-count reproduces identical streams.
+count reproduces identical streams. Every consumer of the sampler gets
+the pairs from _mirror_pairs, the one place that orders them.
 
-Samples travel as one stream of (start, block) pairs, a block holding
-replicates start .. start + take - 1 as the columns of a (nodes, take)
-array: sample_blocks draws them, write_sample_dump stores them and
-read_sample_dump yields them back, one block at a time. Given a
-reduction, sample_blocks yields (start, reduce(block)) instead, reduced on
-the worker thread that drew the block.
+sample_blocks yields the stream as (start, block) pairs, start being the
+index of the block's first replicate: either the (nodes, cols) paths of
+the block, or, given a reduction of the paths and of their mirrors, its
+values for replicates start .. start + take - 1 in order, reduced on the
+worker thread that drew the block. write_sample_dump stores the paths and
+their mirrors as one row per replicate, and read_sample_dump yields them
+back as (start, block) pairs of at most _BLOCK replicates, the columns of
+a (nodes, take) array.
 
 While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
 pool's workers own the cores; every panel product has an inner dimension
@@ -37,7 +44,7 @@ import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +56,9 @@ class NotPositiveDefiniteError(RuntimeError):
     """Cholesky failed after maximum jitter (validity-condition witness)."""
 
 
-_BLOCK = 4096          # replicate block size; part of the determinism contract
+_BLOCK = 4096          # noise columns per block; part of the determinism contract
 _PANEL = 256           # rows per panel of the block product L @ noise
+_DUMP_PATHS = 128      # paths per write of the dump writer's row-pair buffer
 _NODE_BUDGET = 8192    # largest node count of a dense covariance
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 
@@ -458,20 +466,49 @@ def _check_lower(L: np.ndarray) -> None:
             raise ValueError("factor must be lower triangular")
 
 
+def _mirror_pairs(
+    of_paths: np.ndarray,
+    of_mirrors: np.ndarray,
+    take: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Values of replicates in replicate order along axis 0: row 2j from
+    path j (of_paths[j]), row 2j + 1 from its mirror (of_mirrors[j]), the
+    first take rows of them, so an odd take drops the last mirror.
+
+    out, when given, holds 2 len(of_paths) rows and receives the pairs.
+    """
+    if out is None:
+        out = np.empty((2 * len(of_paths), *of_paths.shape[1:]), of_paths.dtype)
+    out[0::2] = of_paths
+    out[1::2] = of_mirrors
+    return out[:take]
+
+
 def sample_blocks(
     L: np.ndarray,
     seed: int,
     count: int,
     threads: int = 1,
-    reduce: Callable[[np.ndarray], object] | None = None,
-) -> Iterator[tuple[int, object]]:
-    """Yield (start_index, samples) blocks; samples has shape (n, take).
+    reduce: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, block) for count replicates drawn as mirror pairs,
+    start being the index of the block's first replicate (2 _BLOCK per
+    block).
+
+    Without reduce, block is the (n, cols) array of the block's paths:
+    column j is replicate start + 2j, and its negation is replicate
+    start + 2j + 1 when that is below count. With reduce, reduce(paths)
+    runs on the worker that computed the block and returns two arrays
+    with one row per path, the reduction of the paths and that of their
+    mirrors; block is then the reduction of replicates start ..
+    start + take - 1, in order along axis 0 (_mirror_pairs), so the
+    consumer receives only what the reduction keeps. reduce may overwrite
+    paths.
 
     L must be lower triangular: the product L @ noise is taken one row
     panel at a time, L[a:b, :b] @ noise[:b], which skips the zero upper
-    triangle. With reduce given, each block is replaced by reduce(samples)
-    on the worker that computed it, so the consumer receives only what
-    the reduction keeps; reduce may overwrite samples.
+    triangle.
 
     threads is capped at os.cpu_count(), since each worker holds up to two
     blocks. With more than one, OpenBLAS runs one thread until the
@@ -483,15 +520,18 @@ def sample_blocks(
         raise ValueError("seed must be a nonnegative integer")
     _check_lower(L)
     n = L.shape[0]
-    n_blocks = (count + _BLOCK - 1) // _BLOCK
+    columns = (count + 1) // 2
+    n_blocks = (columns + _BLOCK - 1) // _BLOCK
     threads = min(threads, os.cpu_count() or 1)
 
-    def one(b: int) -> object:
+    def one(b: int) -> np.ndarray:
         noise = _noise_block(seed, b, n)
-        mat = np.empty_like(noise)
-        _panel_product(L, noise, mat)
-        mat = mat[:, : min(_BLOCK, count - b * _BLOCK)]
-        return mat if reduce is None else reduce(mat)
+        paths = np.empty_like(noise)
+        _panel_product(L, noise, paths)
+        paths = paths[:, : min(_BLOCK, columns - b * _BLOCK)]
+        if reduce is None:
+            return paths
+        return _mirror_pairs(*reduce(paths), count - 2 * b * _BLOCK)
 
     # a chunk is one block per thread: no more blocks are held than run at
     # once; one pool serves every chunk of the call
@@ -503,12 +543,13 @@ def sample_blocks(
         ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext()
     ) as pool:
         for lo in range(0, n_blocks, chunk):
-            # no name holds a chunk's list, so it is freed before the next
-            # chunk is computed
             for i, out in enumerate(block_map(
                 min(chunk, n_blocks - lo), lambda i, lo=lo: one(lo + i), pool
             )):
-                yield (lo + i) * _BLOCK, out
+                yield 2 * (lo + i) * _BLOCK, out
+            # the chunk's list is gone; drop its last block as well before
+            # the next chunk is drawn
+            del out
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +592,29 @@ _MAGIC = b"BGRF"
 
 
 def write_sample_dump(
-    path: str, blocks: Iterable[tuple[int, np.ndarray]], tag: int
+    path: str, L: np.ndarray, seed: int, reps: int, tag: int, threads: int = 1
 ) -> None:
-    """Stream (start, block) pairs, blocks of shape (nodes, take) in
-    replicate order, to a dump one block at a time.
+    """Sample reps replicates with sample_blocks and store them in a dump,
+    one row per replicate: path j in row 2j, its negation in row 2j + 1.
 
-    The header goes in last, so a run that stops part-way leaves a file
-    whose magic a reader rejects.
+    Each block of paths goes out _DUMP_PATHS paths at a time through one
+    reused buffer of their row pairs, so the writer holds no copy of a
+    block. The header goes in last, so a run that stops part-way leaves a
+    file whose magic a reader rejects.
     """
-    nodes = reps = 0
+    nodes = L.shape[0]
+    buf = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
     with open(path, "wb") as fh:
         fh.seek(_HEADER.size)
-        for _, mat in blocks:
-            nodes = mat.shape[0]
-            reps += mat.shape[1]
-            fh.write(np.ascontiguousarray(mat.T, dtype="<f8"))
+        for start, paths in sample_blocks(L, seed, reps, threads):
+            for j in range(0, paths.shape[1], _DUMP_PATHS):
+                part = paths[:, j : j + _DUMP_PATHS].T
+                fh.write(_mirror_pairs(
+                    part, -part, reps - start - 2 * j, buf[: 2 * len(part)]
+                ))
+            # part is a view of the block: drop both before the sampler
+            # draws the next block
+            del paths, part
         fh.seek(0)
         fh.write(_HEADER.pack(_MAGIC, nodes, reps, tag))
 

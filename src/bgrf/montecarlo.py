@@ -55,33 +55,41 @@ def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
-def _block_maxima(mat: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate maxima of a block's rows [:n1] (X1) and rows [n1:] (X2)."""
-    return mat[:n1].max(axis=0), mat[n1:].max(axis=0)
+def _block_maxima(mat: np.ndarray, n1: int) -> np.ndarray:
+    """(take, 2) per-replicate maxima of a block's rows [:n1] (X1) and rows
+    [n1:] (X2)."""
+    return np.column_stack([mat[:n1].max(axis=0), mat[n1:].max(axis=0)])
+
+
+def _pair_maxima(paths: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """_block_maxima of a block's paths and of their mirrors, the mirror's
+    maximum being minus the path's minimum: max(-X) = -min(X)."""
+    return _block_maxima(paths, n1), -np.column_stack(
+        [paths[:n1].min(axis=0), paths[n1:].min(axis=0)]
+    )
 
 
 def _maxima(
-    pairs: Iterable[tuple[int, tuple[np.ndarray, np.ndarray]]], reps: int
+    pairs: Iterable[tuple[int, np.ndarray]], reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather a stream of (start, _block_maxima) pairs into per-replicate
     maxima of X1 and X2."""
-    max1 = np.empty(reps)
-    max2 = np.empty(reps)
-    for start, (m1, m2) in pairs:
-        max1[start : start + len(m1)] = m1
-        max2[start : start + len(m2)] = m2
-    return max1, max2
+    out = np.empty((reps, 2))
+    for start, block in pairs:
+        out[start : start + len(block)] = block
+    return out[:, 0], out[:, 1]
 
 
 def field_maxima(
     m: BivariateMaternModel, g: GridSpec, reps: int, seed: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate maxima of X1 over the A1 grid and X2 over the A2 grid,
-    each block reduced on the worker that sampled it."""
+    each block reduced on the worker that sampled it to the maxima of its
+    paths and of their mirrors."""
     if reps < 1:
         raise ValueError("reps must be positive")
     L = cholesky_factor(build_covariance(m, g))
-    blocks = sample_blocks(L, seed, reps, threads, partial(_block_maxima, n1=g.n1))
+    blocks = sample_blocks(L, seed, reps, threads, partial(_pair_maxima, n1=g.n1))
     return _maxima(blocks, reps)
 
 

@@ -15,11 +15,11 @@ which makes H_a(T) pathwise nondecreasing in T and makes the identity
 exp(X) + exp(Y) - exp(max(X,Y)) = exp(min(X,Y)) hold replicate by
 replicate up to roundoff.
 
-chi and -chi have the same law, and L(-Z) = -(LZ), so one noise column
-gives two replicates: the path and its mirror (antithetic variates,
-Glasserman 2004, sec. 4.2). reps counts paths, so a call draws
-ceil(reps / 2) noise columns; the standard error is taken over the
-(path, mirror) pairs, which are independent of one another.
+chi and -chi have the same law, and L(-Z) = -(LZ), so the sampler's
+replicates come in pairs, a path and its mirror (antithetic variates,
+fields.sample_blocks): reps paths take ceil(reps / 2) noise columns. The
+standard error is taken over the (path, mirror) pairs, which are
+independent of one another.
 
 At alpha = 1 the constant is known exactly, H_1 = 1, and so is its grid
 version: on delta Z the drifted path is a Gaussian random walk, and
@@ -107,11 +107,10 @@ def path_suprema(
     """(reps, len(sets)) matrix of sup_{t in S_k} (chi(t) - t^alpha).
 
     One shared path per replicate; deterministic in (seed, replicate).
-    Noise column j gives replicate 2j, the path X, and replicate 2j + 1,
-    its mirror -X; for odd reps the last mirror is dropped. Block rows
-    hold the path on t[1:]; the rows are cut at every set's endpoints,
-    each segment's supremum is taken once per path, on the worker that
-    sampled the block (for the mirror as -min(X + d), since
+    Replicates come in the sampler's mirror pairs, a path X and -X. Block
+    rows hold the path on t[1:]; the rows are cut at every set's
+    endpoints, each segment's supremum is taken once per path, on the
+    worker that sampled the block (for the mirror as -min(X + d), since
     sup(-X - d) = -min(X + d)), and a set's supremum is the maximum over
     the segments it spans (and 0, the path at t = 0, when it holds the
     origin).
@@ -145,20 +144,19 @@ def path_suprema(
                 top = np.max([seg[j] for j in js], axis=0)
                 rows[:, k] = np.maximum(top, 0.0) if has_origin else top
 
-    def suprema(mat: np.ndarray) -> np.ndarray:
-        # column j gives the path X (row 2j) and its mirror -X (row 2j+1)
-        sups = np.zeros((2 * mat.shape[1], len(sets)))  # 0 for the set {0}
+    def suprema(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the suprema of the paths X and of their mirrors -X
+        path, mirror = np.zeros((2, mat.shape[1], len(sets)))  # 0 for the set {0}
         mat -= drift  # X - d on t[1:]
-        set_suprema([mat[a:b].max(axis=0) for a, b in segments], sups[0::2])
+        set_suprema([mat[a:b].max(axis=0) for a, b in segments], path)
         mat += drift2  # X + d: sup(-X - d) = -min(X + d)
-        set_suprema([-mat[a:b].min(axis=0) for a, b in segments], sups[1::2])
-        return sups
+        set_suprema([-mat[a:b].min(axis=0) for a, b in segments], mirror)
+        return path, mirror
 
-    columns = (reps + 1) // 2
-    out = np.empty((2 * columns, len(sets)))
-    for start, sups in sample_blocks(L, seed, columns, threads, suprema):
-        out[2 * start : 2 * start + len(sups)] = sups
-    return out[:reps]
+    out = np.empty((reps, len(sets)))
+    for start, sups in sample_blocks(L, seed, reps, threads, suprema):
+        out[start : start + len(sups)] = sups
+    return out
 
 
 def _mean_exp(sups: np.ndarray) -> tuple[float, float]:

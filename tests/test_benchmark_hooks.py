@@ -29,21 +29,29 @@ SAMPLING = {
     "fields._noise_block", "fields.block", "fields.sample_blocks",
 }
 
-# command line -> span names benchmarks/run.py:layer_metrics reads from it
+# command lines, run in order -> span names benchmarks/run.py:layer_metrics
+# reads from them; {out} is the output directory
 HOOKS = {
     "pickands": (
-        ["pickands", "--threads", "2"],
+        [["pickands", "--threads", "2"]],
         SAMPLING | {"pickands.path_suprema", "pickands.estimate_H_constant"},
     ),
     "mc-excursion": (
-        ["mc-excursion"],
+        [["mc-excursion"]],
         SAMPLING | {
             "fields.build_covariance", "fields.cholesky_factor", "specfun.matern",
             "montecarlo.field_maxima", "montecarlo.estimates_from_maxima",
         },
     ),
+    "simulate": (
+        [["simulate"], ["mc-excursion", "--samples", "{out}/samples.bgrf"]],
+        SAMPLING | {
+            "fields.write_sample_dump", "fields.read_sample_dump",
+            "montecarlo.maxima_from_dump",
+        },
+    ),
     "riemann-check": (
-        ["riemann-check", "--u", "25"],
+        [["riemann-check", "--u", "25"]],
         {"asymptotics.riemann_sum_check", "model.cross_corr", "specfun.matern"},
     ),
 }
@@ -51,19 +59,23 @@ HOOKS = {
 
 @pytest.mark.parametrize("command", list(HOOKS))
 def test_tracer_records_every_hook(tmp_path, command):
-    argv, want = HOOKS[command]
+    argvs, want = HOOKS[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))
-    spans = tmp_path / "spans.json"
+    out = tmp_path / "o"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "tracer.py"), str(spans), "--",
-         *argv, "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    names = {span[2] for span in json.loads(spans.read_text())["spans"]}
+    names = set()
+    for k, argv in enumerate(argvs):
+        spans = tmp_path / f"spans{k}.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "benchmarks" / "tracer.py"), str(spans), "--",
+             *(a.format(out=out) for a in argv),
+             "--config", str(cfg), "--seed", "1", "--out-dir", str(out)],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names |= {span[2] for span in json.loads(spans.read_text())["spans"]}
     assert want <= names, f"missing spans: {sorted(want - names)}"

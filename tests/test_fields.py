@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,9 +48,19 @@ def model(rho=0.4, nu12=1.5, **kw):
     return BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=nu12, rho=rho, **kw)
 
 
-def draw(L, seed, count):
-    """(count, nodes) array of replicates, one per row, from sample_blocks."""
+def paths(L, seed, count):
+    """(ceil(count / 2), nodes) array of the independent paths behind count
+    replicates, one per row, from sample_blocks."""
     return np.hstack([mat for _, mat in sample_blocks(L, seed, count)]).T
+
+
+def draw(L, seed, count):
+    """(count, nodes) array of replicates, one per row: row 2j is path j,
+    row 2j + 1 its negation, and an odd count drops the last negation."""
+    x = paths(L, seed, count)
+    rows = np.empty((2 * len(x), x.shape[1]))
+    rows[0::2], rows[1::2] = x, -x
+    return rows[:count]
 
 
 class TestGeometry:
@@ -197,7 +208,7 @@ class TestCholeskySampling:
         g = GridSpec(point_domain(), 1)
         L = cholesky_factor(build_covariance(model(rho=0.0), g))
         n = 100_000
-        xs = draw(L, seed=7, count=n)
+        xs = paths(L, seed=7, count=2 * n)
         se = np.sqrt(2.0 / n)
         assert abs(xs[:, 0].var(ddof=1) - 1.0) < 3 * se
         assert abs(xs[:, 1].var(ddof=1) - 1.0) < 3 * se
@@ -206,7 +217,7 @@ class TestCholeskySampling:
         g = GridSpec(point_domain(), 1)
         L = cholesky_factor(build_covariance(model(rho=0.5), g))
         n = 100_000
-        xs = draw(L, seed=11, count=n)
+        xs = paths(L, seed=11, count=2 * n)
         corr = np.corrcoef(xs.T)[0, 1]
         se = (1 - 0.25) / np.sqrt(n)
         assert abs(corr - 0.5) < 3 * se
@@ -216,7 +227,7 @@ class TestCholeskySampling:
         g = unit_overlap(3)
         cov = build_covariance(m, g)
         n = 100_000
-        xs = draw(cholesky_factor(cov), seed=3, count=n)
+        xs = paths(cholesky_factor(cov), seed=3, count=2 * n)
         emp = np.cov(xs.T)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(emp - cov) < 4 * se)
@@ -225,7 +236,7 @@ class TestCholeskySampling:
         g = unit_overlap(5)
         L = cholesky_factor(build_covariance(model(rho=0.3), g))
         a = draw(L, seed=42, count=3)
-        b = draw(L, seed=42, count=5000)[:3]
+        b = draw(L, seed=42, count=9000)[:3]  # past the first block
         assert a.shape == (3, 10)
         assert np.array_equal(a, b)
 
@@ -243,8 +254,9 @@ class TestCholeskySampling:
         assert digest(1) == digest(4)
 
     def test_one_pool_per_call(self, monkeypatch):
-        # ten blocks are five chunks at two threads; every chunk must run
-        # on the same pool, and the stream must not depend on the threads
+        # ten blocks (of 4,096 paths, 8,192 replicates) are five chunks at
+        # two threads; every chunk must run on the same pool, and the stream
+        # must not depend on the threads
         pools = []
 
         class CountingPool(fields.ThreadPoolExecutor):
@@ -254,7 +266,7 @@ class TestCholeskySampling:
 
         monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
         L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
-        count = 9 * 4096 + 1
+        count = 2 * 9 * 4096 + 1
 
         def stream(threads):
             return np.hstack([m for _, m in sample_blocks(L, 9, count, threads)])
@@ -297,9 +309,9 @@ class TestPanelProduct:
     @pytest.mark.parametrize("n", [100, 256, 512, 600])
     def test_matches_full_product(self, n):
         L = lower_factor(n)
-        count = 4096 + 10  # ends on a partial block
+        count = 2 * (4096 + 10) - 1  # 4,106 paths: ends on a partial block
         got = np.hstack([mat for _, mat in sample_blocks(L, 5, count)])
-        want = np.hstack([L @ fields._noise_block(5, b, n) for b in (0, 1)])[:, :count]
+        want = np.hstack([L @ fields._noise_block(5, b, n) for b in (0, 1)])[:, :4106]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -316,11 +328,13 @@ class TestPanelProduct:
         with pytest.raises(ValueError, match="square"):
             next(sample_blocks(np.zeros((3, 2)), 0, 10))
 
-    @pytest.mark.parametrize("reduce", [None, lambda mat: mat.max(axis=0)],
-                             ids=["blocks", "reduced"])
+    @pytest.mark.parametrize(
+        "reduce", [None, lambda mat: (mat.max(axis=0), -mat.min(axis=0))],
+        ids=["blocks", "reduced"],
+    )
     def test_threads_give_identical_bytes(self, reduce):
         L = lower_factor(600)
-        count = 3 * 4096 + 7
+        count = 2 * (3 * 4096) + 7
 
         def digest(threads):
             h = hashlib.sha256()
@@ -347,19 +361,22 @@ class TestPanelProduct:
 
     def test_reduce_runs_on_the_worker(self):
         L = lower_factor(300)
-        count = 2 * 4096 + 3
+        count = 2 * (2 * 4096) + 5  # 8,195 paths, the last without its mirror
         workers = set()
 
         def column_sums(mat):
             workers.add(threading.get_ident())
-            return mat.sum(axis=0)
+            return mat.sum(axis=0), -2.0 * mat.sum(axis=0)
 
         reduced = list(sample_blocks(L, 4, count, 2, column_sums))
         assert threading.get_ident() not in workers
         plain = list(sample_blocks(L, 4, count))
-        assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 4096, 8192]
+        assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 8192, 16384]
+        assert [len(got) for _, got in reduced] == [8192, 8192, 5]
         for (_, got), (_, mat) in zip(reduced, plain):
-            assert np.array_equal(got, mat.sum(axis=0))
+            sums = mat.sum(axis=0)
+            assert np.array_equal(got[0::2], sums)  # path j: replicate 2j
+            assert np.array_equal(got[1::2], -2.0 * sums[: len(got) // 2])
 
 
 @pytest.fixture
@@ -412,9 +429,9 @@ class TestBlasPin:
 
         def record(mat):
             seen.append(get())
-            return mat[0]
+            return mat[0], mat[0]
 
-        list(sample_blocks(self.L(), 1, 3 * 4096, 2, record))
+        list(sample_blocks(self.L(), 1, 2 * (3 * 4096), 2, record))
         assert seen == [1, 1, 1]
         assert get() == 2
 
@@ -467,9 +484,13 @@ class TestBlasPin:
         L = lower_factor(8)
         seen = []
 
+        def record(mat):
+            seen.append(fake.count)
+            return mat[0], mat[0]
+
         def consume(seed):
             for _ in range(50):
-                list(sample_blocks(L, seed, 2 * 4096, 2, lambda mat: seen.append(fake.count)))
+                list(sample_blocks(L, seed, 2 * (2 * 4096), 2, record))
 
         consumers = [threading.Thread(target=consume, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
@@ -496,9 +517,9 @@ class TestFbm:
         alpha, T, eta, n = 0.8, 2.0, 1 / 4, 100_000
         t = fbm_grid(T, eta)
         L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-        paths = draw(L, seed=2, count=n)  # chi on t[1:]
+        chi = paths(L, seed=2, count=2 * n)  # chi on t[1:]
         want = 2.0 * t[1:] ** alpha
-        got = paths.var(axis=0, ddof=1)
+        got = chi.var(axis=0, ddof=1)
         se = want * np.sqrt(2.0 / n)
         assert np.all(np.abs(got - want) < 3 * se)
 
@@ -510,7 +531,7 @@ class TestFbm:
         assert np.max(np.abs(cov - want)) < 1e-12
         n = 100_000
         L = cholesky_factor(cov[1:, 1:])
-        emp = np.cov(draw(L, seed=4, count=n).T)
+        emp = np.cov(paths(L, seed=4, count=2 * n).T)
         se = np.sqrt((np.outer(np.diag(want[1:, 1:]), np.diag(want[1:, 1:])) + want[1:, 1:] ** 2) / n)
         assert np.all(np.abs(emp - want[1:, 1:]) < 4 * se)
 
@@ -534,24 +555,47 @@ class TestFbm:
 
 
 class TestDump:
-    def stream(self, count):
-        L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
-        return list(sample_blocks(L, seed=6, count=count))
+    def L(self):
+        return cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
 
     def test_roundtrip(self, tmp_path):
-        count = 2 * 4096 + 7  # three blocks, the last one partial
-        blocks = self.stream(count)
-        p = str(tmp_path / "x.bgrf")
-        write_sample_dump(p, iter(blocks), 0xDEADBEEF)
-        raw = open(p, "rb").read()
-        assert raw[:4] == b"BGRF"
-        assert dump_header(p) == (6, count, 0xDEADBEEF)
-        rows = np.vstack([mat.T for _, mat in blocks])
-        assert raw[16:] == rows.astype("<f8").tobytes()
-        back = list(read_sample_dump(p))
-        assert [s for s, _ in back] == [s for s, _ in blocks]
-        for (_, got), (_, want) in zip(back, blocks):
-            assert np.array_equal(got, want)
+        # 8,193 replicates are 4,097 paths: a full block, then one path
+        # without its mirror; 8,793 end part-way through one of the writer's
+        # buffers in the second block, again on a path without its mirror
+        L = self.L()
+        for count in (8193, 8793):
+            p = str(tmp_path / f"x{count}.bgrf")
+            write_sample_dump(p, L, 6, count, 0xDEADBEEF)
+            raw = open(p, "rb").read()
+            assert raw[:4] == b"BGRF"
+            assert dump_header(p) == (6, count, 0xDEADBEEF)
+            assert len(raw) == 16 + 8 * count * 6
+            rows = draw(L, 6, count)
+            assert raw[16:] == rows.astype("<f8").tobytes()
+            back = list(read_sample_dump(p))
+            assert [s for s, _ in back] == list(range(0, count, 4096))
+            assert np.array_equal(np.hstack([mat for _, mat in back]).T, rows)
+
+    def test_rows_pair_with_their_negation(self, tmp_path):
+        p = str(tmp_path / "n.bgrf")
+        write_sample_dump(p, self.L(), 6, 8193, 0)
+        rows = np.fromfile(p, dtype="<u8", offset=16).reshape(8193, 6)
+        # bit for bit: row 2j + 1 is row 2j with every sign bit flipped
+        assert np.array_equal(rows[1::2], rows[0:-1:2] ^ np.uint64(1 << 63))
+
+    def test_writer_frees_each_block(self, tmp_path):
+        # six blocks from sample_blocks into the writer: each block must be
+        # gone before the next is drawn, so the peak is one block's noise
+        # and product (two blocks) plus the writer's buffer, not three
+        L = lower_factor(200)
+        block = 8 * 200 * 4096
+        tracemalloc.start()
+        try:
+            write_sample_dump(str(tmp_path / "m.bgrf"), L, 1, 2 * 6 * 4096, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "y.bgrf")
@@ -562,20 +606,24 @@ class TestDump:
         with pytest.raises(ValueError, match="magic"):
             next(read_sample_dump(p))
 
-    def test_interrupted_write_leaves_no_header(self, tmp_path):
-        def failing():
-            yield from self.stream(5)
-            raise RuntimeError("sampling stopped")
+    def test_interrupted_write_leaves_no_header(self, tmp_path, monkeypatch):
+        noise_block = fields._noise_block
 
+        def failing(seed, block, n):
+            if block == 1:
+                raise RuntimeError("sampling stopped")
+            return noise_block(seed, block, n)
+
+        monkeypatch.setattr(fields, "_noise_block", failing)
         p = str(tmp_path / "z.bgrf")
-        with pytest.raises(RuntimeError):
-            write_sample_dump(p, failing(), 1)
+        with pytest.raises(RuntimeError, match="sampling stopped"):
+            write_sample_dump(p, self.L(), 6, 8193, 1)
         with pytest.raises(ValueError, match="magic"):
             dump_header(p)
 
     def test_truncated_payload(self, tmp_path):
         p = str(tmp_path / "t.bgrf")
-        write_sample_dump(p, iter(self.stream(5)), 0)
+        write_sample_dump(p, self.L(), 6, 5, 0)
         with open(p, "r+b") as fh:
             fh.truncate(16 + 8 * 29)
         with pytest.raises(ValueError, match="size mismatch"):

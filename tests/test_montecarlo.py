@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bgrf.fields import DomainPair, GridSpec, Rect, sample_blocks, cholesky_factor, build_covariance, write_sample_dump
+from bgrf.fields import DomainPair, GridSpec, Rect, cholesky_factor, build_covariance, write_sample_dump
 from bgrf.model import BivariateMaternModel
 from bgrf.montecarlo import (
     ExcursionEstimate,
@@ -103,17 +103,40 @@ class TestMcExcursion:
         with pytest.raises(ValueError, match="1000"):
             mc_excursion_multi(model(0.4), point_grid(), [1.0], reps=10, seed=0)
 
-    @pytest.mark.parametrize("reps", [2000, 9000])  # 9000 ends on a partial block
+    # 9,000 ends on a partial block; 8,193 on a path whose mirror is dropped,
+    # alone in its block
+    @pytest.mark.parametrize("reps", [2000, 9000, 8193])
     def test_dump_reuse_matches_live_maxima(self, tmp_path, reps):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)
         g = GridSpec(d, 8)
         m = model(0.4)
         L = cholesky_factor(build_covariance(m, g))
         p = str(tmp_path / "samples.bgrf")
-        write_sample_dump(p, sample_blocks(L, seed=8, count=reps), 0)
+        write_sample_dump(p, L, 8, reps, 0)
         d1, d2 = maxima_from_dump(p, g.n1)
         l1, l2 = field_maxima(m, g, reps=reps, seed=8)
         assert np.array_equal(d1, l1) and np.array_equal(d2, l2)
+
+    def test_mirror_pairs_keep_the_binomial_error_conservative(self):
+        # every covariance of a standardized model is >= 0, so by Pitt's
+        # theorem (Ann. Probab. 10(2), 1982) an indicator increasing in X
+        # and the same indicator of -X are negatively correlated: the
+        # binomial SE the estimates report bounds the SE over the
+        # (path, mirror) pair means
+        m = BivariateMaternModel(nu1=0.5, nu2=0.75, nu12=1.5, rho=0.4, dim_N=2)
+        d = DomainPair(
+            A1=(Rect((0.0, 0.0), (1.0, 1.0)),), A2=(Rect((0.0, 1.0), (1.0, 2.0)),),
+            dim_N=2, split_M=1,
+        )
+        reps = 20_000
+        max1, max2 = field_maxima(m, GridSpec(d, 10), reps, seed=12)
+        hit = ((max1 > 1.5) & (max2 > 1.5)).astype(float)
+        path, mirror = hit[0::2], hit[1::2]
+        assert 0.0 < path.mean() < 1.0 and 0.0 < mirror.mean() < 1.0
+        assert np.corrcoef(path, mirror)[0, 1] <= 0.0
+        p = hit.mean()
+        pair_se = np.std((path + mirror) / 2, ddof=1) / math.sqrt(reps / 2)
+        assert pair_se <= math.sqrt(p * (1 - p) / reps)
 
 
 class TestWilson:

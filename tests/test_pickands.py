@@ -165,10 +165,11 @@ class TestEstimateHConstant:
 # ---------------------------------------------------------------------------
 # Oracle: the reduction path_suprema once ran on the consumer, one fancy-index
 # copy of the drifted block per set, kept as the reference for the segment
-# extremes it now takes on the worker. Column j of a block gives replicate 2j,
-# the path X, and replicate 2j + 1, its mirror -X, whose supremum is taken as
-# -min((X - d) + 2d), the same arithmetic as path_suprema. Both see the same
-# blocks, and max and min are exact, so the two must agree bit for bit.
+# extremes it now takes on the worker. Column j of a block of paths gives
+# replicate start + 2j, the path X, and replicate start + 2j + 1, its mirror
+# -X, whose supremum is taken as -min((X - d) + 2d), the same arithmetic as
+# path_suprema. Both see the same blocks, and max and min are exact, so the two
+# must agree bit for bit.
 # ---------------------------------------------------------------------------
 
 def reference_suprema(alpha, sets, eta, horizon, reps, seed):
@@ -178,10 +179,9 @@ def reference_suprema(alpha, sets, eta, horizon, reps, seed):
     idx = [np.arange(i_lo, i_hi + 1)
            for i_lo, i_hi in (_set_to_indices(lo, hi, eta, n_steps) for lo, hi in sets)]
     drift = t**alpha
-    columns = (reps + 1) // 2
-    out = np.empty((2 * columns, len(sets)))
-    for start, mat in sample_blocks(L, seed, columns):
-        stop = 2 * (start + mat.shape[1])
+    out = np.empty((reps + 1, len(sets)))
+    for start, mat in sample_blocks(L, seed, reps):
+        stop = start + 2 * mat.shape[1]
         vals = mat - drift[1:, None]  # drifted path on t[1:]
         shifted = vals + 2.0 * drift[1:, None]  # X + d, for the mirror
         for k, ix in enumerate(idx):
@@ -193,7 +193,7 @@ def reference_suprema(alpha, sets, eta, horizon, reps, seed):
                     segs = tuple(np.maximum(seg, 0.0) for seg in segs)
             else:
                 segs = (0.0, 0.0)  # the set {0}
-            out[2 * start : stop : 2, k], out[2 * start + 1 : stop : 2, k] = segs
+            out[start : stop : 2, k], out[start + 1 : stop : 2, k] = segs
     return out[:reps]
 
 
@@ -245,7 +245,7 @@ class TestMirrorPairs:
         alpha, eta, horizon, reps = 1.4, 1 / 64, 2.0, 601
         t = fbm_grid(horizon, eta)
         L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-        ((_, X),) = sample_blocks(L, 37, (reps + 1) // 2)
+        ((_, X),) = sample_blocks(L, 37, reps)
         mirror = -X - (t**alpha)[1:, None]  # -X - d, built directly
         want = np.stack([
             np.maximum(mirror[:64].max(axis=0), 0.0),  # [0, 1]: holds the origin
