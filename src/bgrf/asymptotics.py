@@ -24,6 +24,12 @@ and
 whose growth must match the closed-form limit at the domain pair's
 (M, mes_M), M = N for overlapping domains. Cell-pair membership uses
 exact interval arithmetic against the rectangle unions.
+
+At d1 == d2 the kernel and the band test of two whole cells (each inside
+one box) depend on their offset l - k alone: such pairs are counted per
+offset from the cells' indicator arrays, and only the clipped cells on the
+domains' faces are enumerated pair by pair. At d1 != d2 every cell of A1 is
+tested against its window of A2's cells.
 """
 
 from __future__ import annotations
@@ -192,12 +198,17 @@ class RiemannCheck:
 def _cell_range(lo: float, hi: float, d: float) -> range:
     """Indices k with [k d, (k+1) d] meeting [lo, hi] (closed sets, so
     face-touching cells count)."""
+    # lo / d and hi / d round, so the first guess can be a cell off either way
     k_min = math.ceil(lo / d) - 1
     while (k_min + 1) * d < lo:
         k_min += 1
+    while k_min * d >= lo:
+        k_min -= 1
     k_max = math.floor(hi / d)
     while k_max * d > hi:
         k_max -= 1
+    while (k_max + 1) * d <= hi:
+        k_max += 1
     return range(k_min, k_max + 1)
 
 
@@ -319,6 +330,103 @@ def _band_pairs(
             yield ks, ls
 
 
+def _windows(
+    k: np.ndarray, d1: float, d2: float, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(l_lo, l_hi): the candidate partners of cell k per axis, from the tau
+    range; the slack covers the piece geometry."""
+    lax = delta + d1 + d2
+    return (
+        np.floor((k * d1 - lax) / d2).astype(np.int64),
+        np.floor(((k + 1) * d1 + lax) / d2).astype(np.int64) + 1,
+    )
+
+
+def _whole(k: np.ndarray, piece_lo: np.ndarray, piece_hi: np.ndarray, d: float) -> np.ndarray:
+    """Which cells lie inside a single box: some piece is [k d, (k+1) d]."""
+    lo, hi = (k * d)[:, None], ((k + 1) * d)[:, None]
+    return np.any(np.all((piece_lo == lo) & (piece_hi == hi), axis=2), axis=1)
+
+
+def _indicator(k: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows k[keep] as a boolean array over the bounding box of k, and
+    the box's first cell k0: entry i is cell k0 + i."""
+    k0 = k.min(axis=0)
+    out = np.zeros(tuple(k.max(axis=0) - k0 + 1), dtype=bool)
+    out[tuple((k[keep] - k0).T)] = True
+    return out, k0
+
+
+def _correlate(
+    a: np.ndarray, a0: np.ndarray, b: np.ndarray, b0: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """For each row o of offsets, the number of cells k set in a with cell
+    k + o set in b; a[i] is cell a0 + i and b[j] is cell b0 + j. One overlap
+    of slices per offset, so the counts are exact integers."""
+    out = np.zeros(len(offsets), dtype=np.int64)
+    base = (a0 - b0).tolist()
+    for n, o in enumerate(offsets.tolist()):
+        sa, sb = [], []
+        for oj, bj, na, nb in zip(o, base, a.shape, b.shape):
+            s = oj + bj  # a[i] pairs with b[i + s]
+            lo = max(0, -s)
+            hi = max(lo, min(na, nb - s))
+            sa.append(slice(lo, hi))
+            sb.append(slice(lo + s, hi + s))
+        out[n] = np.count_nonzero(a[tuple(sa)] & b[tuple(sb)])
+    return out
+
+
+def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.ndarray:
+    """Cell pairs in the band per offset l - k at d1 == d2 == side: an
+    N-dimensional array over offsets -R..R per axis, R = int(delta / side) + 2,
+    the count for offset o at index o + R.
+
+    Whether two whole cells (each inside a single box) meet the band depends
+    on their offset alone, and so does whether the product of two covered
+    cells lies inside it. Those pairs are counted per offset from the cells'
+    indicator arrays, masked by the offset test. In the intersect family a
+    clipped cell (one no single box holds) goes through _band_pairs: each
+    clipped cell of A1 against every cell of A2, and each clipped cell of A2,
+    with the roles swapped, against the whole cells of A1.
+    """
+    R = int(delta / side) + 2
+    o = np.indices((2 * R + 1,) * d.dim_N) - R
+    reach = np.abs(o) + (1 if cells == "subset" else -1)
+    near = np.sum((np.maximum(reach, 0) * side) ** 2, axis=0) <= delta * delta
+
+    k, k_lo, k_hi = _cells_of_union(d.A1, side)
+    l, l_lo, l_hi = _cells_of_union(d.A2, side)
+    if cells == "subset":
+        in1 = _covered(d.A1, k * side, (k + 1) * side)
+        in2 = _covered(d.A2, l * side, (l + 1) * side)
+    else:
+        in1, in2 = _whole(k, k_lo, k_hi, side), _whole(l, l_lo, l_hi, side)
+    set1, k0 = _indicator(k, in1)
+    counts = np.zeros(near.shape, dtype=np.int64)
+    counts[near] = _correlate(set1, k0, *_indicator(l, in2), o[:, near].T)
+    if cells == "subset":
+        return counts
+
+    flat = counts.reshape(-1)
+
+    def add(ks: np.ndarray, ls: np.ndarray) -> None:
+        at = np.ravel_multi_index((ls - ks + R).T, counts.shape)
+        flat[:] += np.bincount(at, minlength=flat.size)
+
+    c1, c2 = ~in1, ~in2
+    for ks, ls in _band_pairs(k[c1], k_lo[c1], k_hi[c1], *_windows(k[c1], side, side, delta),
+                              d.A2, side, side, delta, cells):
+        add(ks, ls)
+    # the piece distance is symmetric at d1 == d2; every partner is a cell
+    # of A1, and those not whole were counted above
+    for ls, ks in _band_pairs(l[c2], l_lo[c2], l_hi[c2], *_windows(l[c2], side, side, delta),
+                              d.A1, side, side, delta, cells):
+        whole = set1[tuple((ks - k0).T)]
+        add(ks[whole], ls[whole])
+    return counts
+
+
 def riemann_cells(
     e: LocalExpansion, d: DomainPair, T_scale: float, C_delta: float, u: float
 ) -> tuple[float, float, float]:
@@ -393,17 +501,6 @@ def riemann_sum_check(
     d1, d2, delta = riemann_cells(e, d, T_scale, C_delta, u)
     M, mes = d.shared_part()
 
-    k, piece_lo, piece_hi = _cells_of_union(d.A1, d1)
-    if cells == "subset":
-        keep = _covered(d.A1, k * d1, (k + 1) * d1)
-        k, piece_lo, piece_hi = k[keep], piece_lo[keep], piece_hi[keep]
-    # candidate l window per cell and axis from the tau range; the slack
-    # covers the piece geometry
-    lax = delta + d1 + d2
-    l_lo = np.floor((k * d1 - lax) / d2).astype(np.int64)
-    l_hi = np.floor(((k + 1) * d1 + lax) / d2).astype(np.int64) + 1
-    pairs = _band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, d.A2, d1, d2, delta, cells)
-
     one_over_1p_rho = 1.0 / (1.0 + e.rho)
 
     def kernel(tau: np.ndarray) -> np.ndarray:
@@ -413,17 +510,18 @@ def riemann_sum_check(
     if d1 == d2:
         # tau = (l - k) d1 depends on the offset alone: count the pairs per
         # offset and evaluate the kernel once per distinct offset
-        o_min = (l_lo - k).min(axis=0, initial=0)
-        shape = tuple((l_hi - k).max(axis=0, initial=0) - o_min + 1)
-        counts = np.zeros(math.prod(shape), dtype=np.int64)
-        for ks, ls in pairs:
-            flat = np.ravel_multi_index((ls - ks - o_min).T, shape)
-            counts += np.bincount(flat, minlength=len(counts))
-        hit = np.nonzero(counts)[0]
-        offsets = np.column_stack(np.unravel_index(hit, shape)) + o_min
+        counts = _offset_counts(d, d1, delta, cells)
+        hit = np.nonzero(counts)
+        offsets = np.column_stack(hit) - counts.shape[0] // 2
         h_sum = math.fsum(counts[hit] * kernel(offsets * d1))
         n_pairs = int(counts.sum())
     else:
+        k, piece_lo, piece_hi = _cells_of_union(d.A1, d1)
+        if cells == "subset":
+            keep = _covered(d.A1, k * d1, (k + 1) * d1)
+            k, piece_lo, piece_hi = k[keep], piece_lo[keep], piece_hi[keep]
+        l_lo, l_hi = _windows(k, d1, d2, delta)
+        pairs = _band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, d.A2, d1, d2, delta, cells)
         sizes: list[int] = []
 
         def kernel_values():

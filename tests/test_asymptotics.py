@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bgrf import asymptotics
@@ -296,6 +296,25 @@ class TestRiemannSum:
             riemann_sum_check(STANDARD, bare, standard_r, 1.0, 3.0, 30.0)
 
 
+class TestCellRange:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.floats(1e-4, 0.1), n=st.integers(-2000, 2000), side=st.sampled_from([-1, 1]))
+    def test_face_on_a_cell_boundary(self, d, n, side):
+        # a face at n d exactly: lo / d and hi / d may round past n, and the
+        # cell beyond the face still touches it
+        lo, hi = sorted((n * d, n * d + side))
+        guess = range(math.floor(lo / d) - 3, math.ceil(hi / d) + 3)
+        meets = [k for k in guess if (k + 1) * d >= lo and k * d <= hi]
+        assert list(asymptotics._cell_range(lo, hi, d)) == meets
+
+    def test_cell_past_an_upper_face(self):
+        # 964 d rounds to hi, but hi / d rounds to just below 964
+        d = 0.018672035962882298
+        hi = 964 * d
+        assert math.floor(hi / d) == 963
+        assert asymptotics._cell_range(hi - 1.0, hi, d)[-1] == 964
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the per-cell loop riemann_sum_check once ran, one cell of A1 at a
 # time, kept as the reference for the chunked array code.
@@ -391,7 +410,9 @@ def _model(nu2, N):
 
 
 # (name, A1, A2, split_M, N, u, T); faces at 0.5317 and 0.6137 fall inside
-# cells, so cells meet two boxes of A1 and straddle the boxes of A2
+# cells, so cells meet two boxes of A1 and straddle the boxes of A2. The
+# gap, the nested interval and the L give cells of A1 whose partners in the
+# band are not one contiguous window of A2's cells
 ORACLE_DOMAINS = {
     "1d-overlap": (boxes(((0, 1),)), boxes(((0, 1),)), None, 1, 12.0, 1.0),
     "1d-split": (boxes(((0, 1),)), boxes(((1, 2),)), 0, 1, 12.0, 1.0),
@@ -405,6 +426,15 @@ ORACLE_DOMAINS = {
     "2d-unions": (
         boxes(((0, 0.5317), (0, 1)), ((0.5317, 1), (0, 1))),
         boxes(((0, 1), (0, 0.6137)), ((0, 1), (0.6137, 1))),
+        None, 2, 8.0, 4.0,
+    ),
+    "1d-gap": (
+        boxes(((0, 1),)), boxes(((0, 0.3117),), ((0.6941, 1),)), None, 1, 12.0, 1.0,
+    ),
+    "1d-nested": (boxes(((0, 1),)), boxes(((0.2317, 0.8113),)), None, 1, 12.0, 1.0),
+    "2d-L": (
+        boxes(((0, 0.5317), (0, 1)), ((0.5317, 1), (0, 0.4129))),
+        boxes(((0, 1), (0, 1))),
         None, 2, 8.0, 4.0,
     ),
 }
@@ -424,6 +454,25 @@ def assert_matches_reference(args, cells):
     assert n_ref > 0
     assert chk.n_pairs == n_ref
     assert abs(chk.h_sum - h_ref) <= 1e-12 * h_ref
+
+
+@st.composite
+def lattice_unions(draw, N):
+    """1 to 3 boxes with every face on the 1/97 lattice of [0, 1]."""
+    def box():
+        spans = []
+        for _ in range(N):
+            lo, hi = sorted(draw(st.lists(st.integers(0, 97), min_size=2, max_size=2,
+                                          unique=True)))
+            spans.append((lo / 97, hi / 97))
+        return tuple(spans)
+
+    return boxes(*(box() for _ in range(draw(st.integers(1, 3)))))
+
+
+# domains whose cells meet more than one box or whose in-band partners are
+# not one window: the ones worth cutting into 16-candidate chunks
+CHUNKED = ["1d-unions", "2d-unions", "1d-gap", "1d-nested", "2d-L"]
 
 
 class TestRiemannOracle:
@@ -460,12 +509,79 @@ class TestRiemannOracle:
             assert calls
 
     @pytest.mark.parametrize("cells", ["intersect", "subset"])
-    @pytest.mark.parametrize("name", ["1d-unions", "2d-unions"])
+    @pytest.mark.parametrize("name", CHUNKED)
     def test_chunks_split_a_window(self, monkeypatch, name, cells):
         # 16 candidates per chunk: less than one cell's window (about 39 in
         # 1-D, 10 x 10 in 2-D), so chunk ends fall inside windows
         monkeypatch.setattr(asymptotics, "_CHUNK_PAIRS", 16)
         assert_matches_reference(oracle_case(name, 0.75), cells)
+
+    @pytest.mark.parametrize("name", CHUNKED)
+    def test_chunks_split_a_clipped_window(self, monkeypatch, name):
+        # at d1 == d2 only clipped cells reach _band_pairs, in intersect
+        # mode; their windows (about 120 in 1-D) still split into chunks
+        monkeypatch.setattr(asymptotics, "_CHUNK_PAIRS", 16)
+        assert_matches_reference(oracle_case(name, 0.5), "intersect")
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 2), cells=st.sampled_from(["intersect", "subset"]))
+    def test_lattice_unions_match_per_cell_loop(self, data, N, cells):
+        A1, A2 = data.draw(lattice_unions(N)), data.draw(lattice_unions(N))
+        d = DomainPair(A1=A1, A2=A2, dim_N=N)
+        u, T = (12.0, 1.0) if N == 1 else (8.0, 4.0)
+        m = _model(0.5, N)
+        e = local_expansion(m)
+        C = default_delta_constant(e)
+        delta = C * math.sqrt(math.log(u)) / u
+        span = [max(b.hi[j] for b in A1 + A2) - min(b.lo[j] for b in A1 + A2)
+                for j in range(N)]
+        assume(d.mes(N) > 0 and delta < math.hypot(*span))
+        args = (e, d, lambda h: cross_corr(m, h), T, C, u)
+        chk = riemann_sum_check(*args, cells)
+        h_ref, n_ref = reference_riemann(*args, cells)
+        assert chk.n_pairs == n_ref
+        assert abs(chk.h_sum - h_ref) <= 1e-12 * h_ref
+
+
+# the README model on A1 = A2 = [0, 1] at T = 1 and C = 3, beyond the
+# per-cell oracle's reach: (u, cells) -> (n_pairs, h_sum)
+README_RIEMANN = {
+    (20.0, "intersect"): (73_098, 40320.721130847385),
+    (20.0, "subset"): (71_494, 40007.168284699335),
+    (40.0, "intersect"): (688_134, 332250.0677176473),
+    (40.0, "subset"): (681_730, 331627.2662794708),
+    (50.0, "intersect"): (1_400_184, 652370.8186978687),
+    (50.0, "subset"): (1_390_180, 651594.6895595096),
+    (80.0, "intersect"): (6_193_302, 2692526.264878766),
+    (80.0, "subset"): (6_167_698, 2691300.451968132),
+}
+
+
+class TestReadmeRiemann:
+    @pytest.mark.parametrize("u, cells", list(README_RIEMANN))
+    def test_frozen_values(self, u, cells):
+        chk = riemann_sum_check(STANDARD, overlap_domain(), standard_r, 1.0, 3.0, u, cells)
+        assert (chk.n_pairs, chk.h_sum) == README_RIEMANN[u, cells]
+
+    @pytest.mark.parametrize("cells", ["intersect", "subset"])
+    def test_only_clipped_cells_enumerated(self, monkeypatch, cells):
+        # 6,402 cells of A1 at u = 80; pairs of cells inside [0, 1] are
+        # counted per offset, so only the two face-touching cells of each
+        # domain are tested pair by pair, and subset cells never are
+        received = []
+        band_pairs = asymptotics._band_pairs
+
+        def recording(k, *args):
+            received.append(len(k))
+            return band_pairs(k, *args)
+
+        monkeypatch.setattr(asymptotics, "_band_pairs", recording)
+        chk = riemann_sum_check(STANDARD, overlap_domain(), standard_r, 1.0, 3.0, 80.0, cells)
+        assert (chk.n_pairs, chk.h_sum) == README_RIEMANN[80.0, cells]
+        if cells == "intersect":
+            assert 0 < sum(received) < 10
+        else:
+            assert received == []
 
 
 class TestSharedKernelLimit:

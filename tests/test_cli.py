@@ -357,6 +357,25 @@ class TestRiemannCheckCommand:
         assert not (out / "riemann-check.csv").exists()
 
 
+    def test_budget_checked_first_at_equal_cell_sides(self, tmp_path, monkeypatch, capsys):
+        # the README model has d1 == d2, where pairs are counted per offset:
+        # u = 20 fits the cell budget, u = 2000 does not, so nothing may be
+        # counted by either route
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cell pairs counted before every u was checked")
+
+        monkeypatch.setattr(asymptotics, "_band_pairs", unreachable)
+        monkeypatch.setattr(asymptotics, "_offset_counts", unreachable)
+        cfg = write_config(
+            tmp_path, model={"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.5, "dim_N": 1}
+        )
+        out = tmp_path / "o"
+        assert main(["riemann-check", "--config", cfg, "--out-dir", str(out),
+                     "--u", "20", "2000"]) == 1
+        assert "exceed the budget" in capsys.readouterr().err
+        assert not (out / "riemann-check.csv").exists()
+
+
 class TestNodeBudget:
     def test_dense_covariance_refused(self, tmp_path, monkeypatch, capsys):
         # dim_N = 2 on the default unit squares at 100 points per axis:
