@@ -25,10 +25,10 @@ whose growth must match the closed-form limit at the domain pair's
 (M, mes_M), M = N for overlapping domains. Cell-pair membership uses
 exact interval arithmetic against the rectangle unions.
 
-At d1 == d2 the kernel and the band test of two whole cells (each inside
-one box) depend on their offset l - k alone: such pairs are counted per
-offset from the cells' indicator arrays, and only the clipped cells on the
-domains' faces are enumerated pair by pair. At d1 != d2 every cell of A1 is
+At d1 == d2 the kernel and the band test of two cells the unions cover
+depend on their offset l - k alone: such pairs are counted per offset from
+the cells' indicator arrays, and only the clipped cells on the domains'
+faces are enumerated pair by pair. At d1 != d2 every cell of A1 is
 tested against its window of A2's cells.
 """
 
@@ -238,18 +238,6 @@ def _cells_of_union(
     return k, piece_lo, piece_hi
 
 
-def _covered(boxes: Sequence[Rect], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Which rows [lo_i, hi_i] the union covers: a single-box test for every
-    row, exact union arithmetic only for rows no single box covers."""
-    inside = np.zeros(len(lo), dtype=bool)
-    for box in boxes:
-        inside |= np.all((lo >= box.lo) & (hi <= box.hi), axis=1)
-    if len(boxes) > 1:
-        for i in np.nonzero(~inside)[0]:
-            inside[i] = union_covers(boxes, Rect(tuple(lo[i]), tuple(hi[i])))
-    return inside
-
-
 def _band_pairs(
     k: np.ndarray,
     piece_lo: np.ndarray,
@@ -325,7 +313,7 @@ def _band_pairs(
             ls = l_lo[c][hit[0]] + np.column_stack([o[h] for o, h in zip(offs, hit[1:])])
             if cells == "subset":
                 # and cell l lies inside A2
-                inside = _covered(A2, ls * d2, (ls + 1) * d2)
+                inside = union_covers(A2, ls * d2, (ls + 1) * d2)
                 ks, ls = ks[inside], ls[inside]
             yield ks, ls
 
@@ -342,38 +330,15 @@ def _windows(
     )
 
 
-def _whole(k: np.ndarray, piece_lo: np.ndarray, piece_hi: np.ndarray, d: float) -> np.ndarray:
-    """Which cells lie inside a single box: some piece is [k d, (k+1) d]."""
-    lo, hi = (k * d)[:, None], ((k + 1) * d)[:, None]
-    return np.any(np.all((piece_lo == lo) & (piece_hi == hi), axis=2), axis=1)
-
-
-def _indicator(k: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows k[keep] as a boolean array over the bounding box of k, and
-    the box's first cell k0: entry i is cell k0 + i."""
-    k0 = k.min(axis=0)
-    out = np.zeros(tuple(k.max(axis=0) - k0 + 1), dtype=bool)
-    out[tuple((k[keep] - k0).T)] = True
-    return out, k0
-
-
-def _correlate(
-    a: np.ndarray, a0: np.ndarray, b: np.ndarray, b0: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """For each row o of offsets, the number of cells k set in a with cell
-    k + o set in b; a[i] is cell a0 + i and b[j] is cell b0 + j. One overlap
-    of slices per offset, so the counts are exact integers."""
+def _correlate(a: np.ndarray, b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """For each row o of offsets, the number of cells i set in a with cell
+    i + o set in b, a and b indexing the same cells. One overlap of slices
+    per offset, so the counts are exact integers."""
     out = np.zeros(len(offsets), dtype=np.int64)
-    base = (a0 - b0).tolist()
     for n, o in enumerate(offsets.tolist()):
-        sa, sb = [], []
-        for oj, bj, na, nb in zip(o, base, a.shape, b.shape):
-            s = oj + bj  # a[i] pairs with b[i + s]
-            lo = max(0, -s)
-            hi = max(lo, min(na, nb - s))
-            sa.append(slice(lo, hi))
-            sb.append(slice(lo + s, hi + s))
-        out[n] = np.count_nonzero(a[tuple(sa)] & b[tuple(sb)])
+        sa = tuple(slice(max(0, -oj), max(0, na - oj)) for oj, na in zip(o, a.shape))
+        sb = tuple(slice(max(0, oj), max(0, na + oj)) for oj, na in zip(o, a.shape))
+        out[n] = np.count_nonzero(a[sa] & b[sb])
     return out
 
 
@@ -382,13 +347,14 @@ def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.n
     N-dimensional array over offsets -R..R per axis, R = int(delta / side) + 2,
     the count for offset o at index o + R.
 
-    Whether two whole cells (each inside a single box) meet the band depends
-    on their offset alone, and so does whether the product of two covered
-    cells lies inside it. Those pairs are counted per offset from the cells'
-    indicator arrays, masked by the offset test. In the intersect family a
-    clipped cell (one no single box holds) goes through _band_pairs: each
-    clipped cell of A1 against every cell of A2, and each clipped cell of A2,
-    with the roles swapped, against the whole cells of A1.
+    A cell the union covers meets its domain in the whole cell, so whether
+    two covered cells meet the band, or whether their product lies inside
+    it, depends on their offset alone. Those pairs are counted per offset
+    from the covered cells' indicator arrays, masked by the offset test. In
+    the intersect family a clipped cell (one the union does not cover) goes
+    through _band_pairs: each clipped cell of A1 against every cell of A2,
+    and each clipped cell of A2, with the roles swapped, against the covered
+    cells of A1.
     """
     R = int(delta / side) + 2
     o = np.indices((2 * R + 1,) * d.dim_N) - R
@@ -397,14 +363,18 @@ def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.n
 
     k, k_lo, k_hi = _cells_of_union(d.A1, side)
     l, l_lo, l_hi = _cells_of_union(d.A2, side)
-    if cells == "subset":
-        in1 = _covered(d.A1, k * side, (k + 1) * side)
-        in2 = _covered(d.A2, l * side, (l + 1) * side)
-    else:
-        in1, in2 = _whole(k, k_lo, k_hi, side), _whole(l, l_lo, l_hi, side)
-    set1, k0 = _indicator(k, in1)
+    in1 = union_covers(d.A1, k * side, (k + 1) * side)
+    in2 = union_covers(d.A2, l * side, (l + 1) * side)
+    # per axis, steps between the covered cells' indices cut to R + 1: offsets
+    # in -R..R join the same cells, and far-apart boxes cost R + 1 slots
+    both = np.vstack([k[in1], l[in2]])
+    for j in range(d.dim_N):
+        used, at = np.unique(both[:, j], return_inverse=True)
+        both[:, j] = np.r_[0, np.cumsum(np.minimum(np.diff(used), R + 1))][at]
+    sets = np.zeros((2, *(both.max(axis=0, initial=0) + 1)), dtype=bool)
+    sets[(np.repeat([0, 1], [in1.sum(), in2.sum()]), *both.T)] = True
     counts = np.zeros(near.shape, dtype=np.int64)
-    counts[near] = _correlate(set1, k0, *_indicator(l, in2), o[:, near].T)
+    counts[near] = _correlate(*sets, o[:, near].T)
     if cells == "subset":
         return counts
 
@@ -419,11 +389,11 @@ def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.n
                               d.A2, side, side, delta, cells):
         add(ks, ls)
     # the piece distance is symmetric at d1 == d2; every partner is a cell
-    # of A1, and those not whole were counted above
+    # of A1, and those not covered were counted above
     for ls, ks in _band_pairs(l[c2], l_lo[c2], l_hi[c2], *_windows(l[c2], side, side, delta),
                               d.A1, side, side, delta, cells):
-        whole = set1[tuple((ks - k0).T)]
-        add(ks[whole], ls[whole])
+        covered = union_covers(d.A1, ks * side, (ks + 1) * side)
+        add(ks[covered], ls[covered])
     return counts
 
 
@@ -518,7 +488,7 @@ def riemann_sum_check(
     else:
         k, piece_lo, piece_hi = _cells_of_union(d.A1, d1)
         if cells == "subset":
-            keep = _covered(d.A1, k * d1, (k + 1) * d1)
+            keep = union_covers(d.A1, k * d1, (k + 1) * d1)
             k, piece_lo, piece_hi = k[keep], piece_lo[keep], piece_hi[keep]
         l_lo, l_hi = _windows(k, d1, d2, delta)
         pairs = _band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, d.A2, d1, d2, delta, cells)

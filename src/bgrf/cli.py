@@ -523,19 +523,22 @@ def cmd_verify(cfg, args) -> int:
     w = Writer(cfg, args, "verify",
                ["u", "p_hat", "hits", "theorem_value", "ratio", "grid_ratio"])
     w.meta["samples"] = "shared-across-u"
+    too_fine = ""
     for est, (delta1, delta2) in zip(ests, deltas):
         value, ratio = theorem(H1, H2, est)
         grid_ratio = math.nan
         if closed and delta1 > 0 and delta2 > 0:
-            _, grid_ratio = theorem(discrete_pickands_h1(delta1),
-                                    discrete_pickands_h1(delta2), est)
+            try:
+                _, grid_ratio = theorem(*map(discrete_pickands_h1, (delta1, delta2)), est)
+            except ValueError as exc:
+                too_fine = f" or its series is too long ({exc})"
         w.add(est.u, est.p_hat, est.hits, value, ratio, grid_ratio)
     if any(math.isnan(row[-1]) for row in w.rows):
         print(
             "ratio divides this grid estimate by a theorem evaluated with the "
             "continuous-time H1, H2, so it carries each field's grid factor "
             "H^delta_i(u) / H < 1; grid_ratio is nan where H^delta_i(u) has "
-            "no closed form (alpha_i != 1 or dim_N > 1)"
+            "no closed form (alpha_i != 1 or dim_N > 1)" + too_fine
         )
 
     failures = []

@@ -98,85 +98,53 @@ class Rect:
         return Rect(lo, hi)
 
 
-def _union_measure(boxes: Sequence[Rect]) -> float:
-    """Exact Lebesgue measure of a union of boxes (sweep recursion)."""
-    boxes = [b for b in boxes if b.measure() > 0.0]
-    if not boxes:
-        return 0.0
-    if boxes[0].dim == 1:
-        spans = sorted((b.lo[0], b.hi[0]) for b in boxes)
-        total, cur_lo, cur_hi = 0.0, spans[0][0], spans[0][1]
-        for lo, hi in spans[1:]:
-            if lo > cur_hi:
-                total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        return total + (cur_hi - cur_lo)
-    cuts = sorted({b.lo[0] for b in boxes} | {b.hi[0] for b in boxes})
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        slab = [
-            Rect(b.lo[1:], b.hi[1:])
-            for b in boxes
-            if b.lo[0] <= mid <= b.hi[0]
-        ]
-        if slab:
-            total += (right - left) * _union_measure(slab)
-    return total
+def _atoms(unions: Sequence[Sequence[Rect]]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Cut the bounding box of the unions' boxes at every box face into
+    atoms: (cuts, inside), cuts[j] the sorted faces on axis j, atom i being
+    prod_j [cuts[j][i_j], cuts[j][i_j + 1]], and inside[u] the boolean array
+    of the atoms of union u. An atom lies inside a box or meets it in a null
+    set; faces are compared with <=, never through a midpoint."""
+    cuts = [np.unique([f for A in unions for b in A for f in (b.lo[j], b.hi[j])])
+            for j in range(unions[0][0].dim)]
+    inside = np.zeros((len(unions), *[len(c) - 1 for c in cuts]), dtype=bool)
+    for u, union in enumerate(unions):
+        for b in union:
+            inside[(u, *(slice(np.searchsorted(c, lo), np.searchsorted(c, hi))
+                         for c, lo, hi in zip(cuts, b.lo, b.hi)))] = True
+    return cuts, inside
 
 
-def _intersect_unions(A: Sequence[Rect], B: Sequence[Rect]) -> list[Rect]:
-    out = []
-    for a in A:
-        for b in B:
-            r = a.intersect(b)
-            if r is not None:
-                out.append(r)
-    return out
+def _volume(cuts: Sequence[np.ndarray], mask: np.ndarray) -> float:
+    """Measure of the atoms set in mask: over the slabs of axis 0 on which
+    the cross-section stays the same, the slab's width times the measure of
+    its cross-section, so in 1-D each run of atoms is one span."""
+    if mask.ndim == 0 or not mask.any():
+        return float(mask.any())
+    changes = np.any(mask[1:] != mask[:-1], axis=tuple(range(1, mask.ndim)))
+    starts = np.flatnonzero(np.r_[True, changes])
+    ends = np.r_[starts[1:], len(mask)]
+    return sum(
+        float(cuts[0][e] - cuts[0][s]) * _volume(cuts[1:], mask[s])
+        for s, e in zip(starts.tolist(), ends.tolist())
+    )
 
 
-def subtract_box(cell: Rect, box: Rect) -> list[Rect]:
-    """cell minus box, as boxes overlapping at most on faces."""
-    if _covers(box, cell):
-        return []
-    if cell.intersect(box) is None:
-        return [cell]
-    pieces = []
-    lo, hi = list(cell.lo), list(cell.hi)
-    for j in range(cell.dim):
-        if box.lo[j] > lo[j]:
-            piece_hi = hi.copy()
-            piece_hi[j] = box.lo[j]
-            pieces.append(Rect(tuple(lo), tuple(piece_hi)))
-            lo[j] = box.lo[j]
-        if box.hi[j] < hi[j]:
-            piece_lo = lo.copy()
-            piece_lo[j] = box.hi[j]
-            pieces.append(Rect(tuple(piece_lo), tuple(hi)))
-            hi[j] = box.hi[j]
-    return pieces
-
-
-def _covers(box: Rect, cell: Rect) -> bool:
-    return all(bl <= cl and ch <= bh
-               for bl, bh, cl, ch in zip(box.lo, box.hi, cell.lo, cell.hi))
-
-
-def union_covers(boxes: Sequence[Rect], cell: Rect) -> bool:
-    """True iff cell is covered by the union (exact box arithmetic)."""
-    remaining = [cell]
-    for b in boxes:
-        nxt: list[Rect] = []
-        for piece in remaining:
-            if _covers(b, piece):
-                continue
-            nxt.extend(p for p in subtract_box(piece, b) if p.measure() > 0.0)
-        remaining = nxt
-        if not remaining:
-            return True
-    return not remaining
+def union_covers(boxes: Sequence[Rect], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows [lo_i, hi_i] of the (n, N) arrays the union covers up to a
+    null set (a row of zero width is covered): the rows whose interior meets
+    no atom outside the union (_atoms, with an unbounded atom added on either
+    side of each axis), counted over each row's atoms by prefix sums."""
+    cuts, (inside,) = _atoms([boxes])
+    N = len(cuts)
+    count = np.pad(np.pad(~inside, 1, constant_values=True).astype(np.int64), (1, 0))
+    for j in range(N):
+        count = count.cumsum(axis=j)
+    # on axis j, padded atoms ends[0, j] .. ends[1, j] - 1 meet the row's interior
+    ends = np.stack([[np.searchsorted(c, x, "right") for c, x in zip(cuts, lo.T)],
+                     [np.searchsorted(c, x, "left") + 1 for c, x in zip(cuts, hi.T)]])
+    missed = sum((-1) ** (N - sum(up)) * count[tuple(ends[up, range(N)])]
+                 for up in np.ndindex((2,) * N))
+    return (missed == 0) | np.any(hi <= lo, axis=1)
 
 
 @dataclass(frozen=True)
@@ -225,9 +193,9 @@ class DomainPair:
         face at M = split_M, and 1 at M = 0 by convention."""
         if M == 0:
             return 1.0
-        P1 = [Rect(r.lo[:M], r.hi[:M]) for r in self.A1]
-        P2 = [Rect(r.lo[:M], r.hi[:M]) for r in self.A2]
-        return _union_measure(_intersect_unions(P1, P2))
+        cuts, (in1, in2) = _atoms([[Rect(r.lo[:M], r.hi[:M]) for r in A]
+                                   for A in (self.A1, self.A2)])
+        return _volume(cuts, in1 & in2)
 
     def shared_part(self) -> tuple[int, float]:
         """(M, mes_M) of the tail asymptotic: (N, mes_N(A1 and A2)) when

@@ -125,10 +125,13 @@ def expansion_coefficient(nu: float) -> float:
 
 
 def validity_bound_equal_scale(nu1: float, nu2: float, nu12: float, N: int) -> float:
-    """Closed-form bound on rho^2 when a1 = a2 = a12."""
+    """Closed-form bound on rho^2 when a1 = a2 = a12; 0.0 when
+    2 nu12 < nu1 + nu2, as validity_bound gives."""
     for v in (nu1, nu2, nu12):
         if not (v > 0):
             raise ValueError("smoothness parameters must be > 0")
+    if 2.0 * nu12 - nu1 - nu2 < 0.0:
+        return 0.0
     halfN = N / 2.0
     return math.exp(
         math.lgamma(nu1 + halfN)

@@ -37,6 +37,7 @@ import numpy as np
 from .fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
 
 _EXP_GUARD = 700.0  # exp overflows just above 709; abort well before
+_H1_TERMS = 2_000_000  # series terms of discrete_pickands_h1: delta >= 1e-4
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,18 @@ def discrete_pickands_h1(delta: float) -> float:
         H_1^delta = delta^-1 exp(-sum_{k>=1} erfc(sqrt(k delta) / 2) / k),
 
     with erfc(sqrt(k delta) / 2) = 2 Phibar(sqrt(k delta / 2)). It tends to
-    H_1 = 1 as delta -> 0.
+    H_1 = 1 as delta -> 0; a delta whose 200 / delta terms exceed _H1_TERMS
+    raises ValueError.
     """
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
-    k = np.arange(1, math.ceil(200.0 / delta) + 1)  # terms beyond are < 1e-20
+    terms = 200.0 / delta  # terms beyond are < 1e-20
+    if terms > _H1_TERMS:
+        raise ValueError(f"delta = {delta:.6g} needs {terms:.3g} terms, over {_H1_TERMS:.3g}")
+    n = math.ceil(terms)
+    k = np.arange(1, n + 1)
     x = (np.sqrt(k * delta) / 2.0).tolist()
-    return math.exp(-np.sum(np.array(list(map(math.erfc, x))) / k)) / delta
+    return math.exp(-np.sum(np.fromiter(map(math.erfc, x), float, n) / k)) / delta
 
 
 def _check_exponent_guard(sups: np.ndarray) -> None:

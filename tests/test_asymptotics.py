@@ -11,6 +11,7 @@ alpha1=alpha2=1, mes=1, rho=0.5, r''(0)=-0.25, c=H=1, u=3:
 """
 
 import math
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -342,11 +343,10 @@ def reference_riemann(e, d, cross_r, T_scale, C_delta, u, cells="intersect"):
     lax = delta + d1 + d2
     for k, pieces1 in sorted(cells1.items()):
         if cells == "subset":
-            cell_k = Rect(tuple(kj * d1 for kj in k), tuple((kj + 1) * d1 for kj in k))
-            if not union_covers(d.A1, cell_k):
+            s_lo = np.array(k, dtype=float) * d1
+            s_hi = (np.array(k, dtype=float) + 1) * d1
+            if not union_covers(d.A1, s_lo[None], s_hi[None])[0]:
                 continue
-            s_lo = np.array(cell_k.lo)
-            s_hi = np.array(cell_k.hi)
         axes = [
             np.arange(
                 math.floor((k[j] * d1 - lax) / d2),
@@ -382,8 +382,9 @@ def reference_riemann(e, d, cross_r, T_scale, C_delta, u, cells="intersect"):
                 pending = member & ~inside_one
                 if np.any(pending) and len(d.A2) > 1:
                     for i in np.nonzero(pending)[0]:
-                        cell_l = Rect(tuple(t_lo_cell[i]), tuple(t_hi_cell[i]))
-                        inside_one[i] = union_covers(d.A2, cell_l)
+                        inside_one[i] = union_covers(
+                            d.A2, t_lo_cell[i : i + 1], t_hi_cell[i : i + 1]
+                        )[0]
                 member &= inside_one
         if not np.any(member):
             continue
@@ -436,6 +437,10 @@ ORACLE_DOMAINS = {
         boxes(((0, 0.5317), (0, 1)), ((0.5317, 1), (0, 0.4129))),
         boxes(((0, 1), (0, 1))),
         None, 2, 8.0, 4.0,
+    ),
+    "1d-sparse": (
+        boxes(((0, 0.1),), ((5, 5.1),)), boxes(((0, 0.1),), ((5, 5.1),)),
+        None, 1, 12.0, 1.0,
     ),
 }
 
@@ -493,20 +498,34 @@ class TestRiemannOracle:
         chk = riemann_sum_check(e, d, lambda h: cross_corr(m, h), 4.0, 3.0, 20.0, "subset")
         assert (chk.h_sum, chk.n_pairs) == (0.0, 0)
 
-    def test_unions_reach_exact_coverage(self, monkeypatch):
-        # subset cells straddling a face of A1 or A2 are settled by
-        # union_covers, not by the single-box test
-        calls = []
+    @pytest.mark.parametrize("name", ["1d-unions", "2d-unions"])
+    def test_shared_face_cell_counted_per_offset(self, monkeypatch, name):
+        # the cell of A1 that the shared face x = 0.5317 splits lies in no
+        # single box, yet the union covers it: at d1 == d2 it is counted per
+        # offset, and _band_pairs sees only cells the union does not cover
+        args = oracle_case(name, 0.5)
+        e, d, _, T, _, u = args
+        side = T * u ** (-2.0 / e.alpha1)
+        # the face's cell in x, at y = 0.5 in 2-D
+        k = np.array([[math.floor(0.5317 / side)] + [math.floor(0.5 / side)] * (d.dim_N - 1)])
+        cell = (k * side, (k + 1) * side)
+        assert not any(union_covers([b], *cell)[0] for b in d.A1)
+        assert union_covers(d.A1, *cell)[0]
 
-        def counting(boxes, cell):
-            calls.append(cell)
-            return union_covers(boxes, cell)
+        received = []
+        band_pairs = asymptotics._band_pairs
 
-        monkeypatch.setattr(asymptotics, "union_covers", counting)
-        for name in ("1d-unions", "2d-unions"):
-            calls.clear()
-            riemann_sum_check(*oracle_case(name, 0.5), "subset")
-            assert calls
+        def recording(k, piece_lo, piece_hi, l_lo, l_hi, A2, *rest):
+            if A2 == d.A2:
+                received.append(k)
+            return band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, A2, *rest)
+
+        monkeypatch.setattr(asymptotics, "_band_pairs", recording)
+        assert_matches_reference(args, "intersect")
+        cells = np.vstack(received)
+        assert len(cells) > 0
+        assert not union_covers(d.A1, cells * side, (cells + 1) * side).any()
+        assert not np.all(cells == k, axis=1).any()
 
     @pytest.mark.parametrize("cells", ["intersect", "subset"])
     @pytest.mark.parametrize("name", CHUNKED)
@@ -582,6 +601,28 @@ class TestReadmeRiemann:
             assert 0 < sum(received) < 10
         else:
             assert received == []
+
+
+class TestSparseUnions:
+    # A1 = A2 = [0, 0.1]^2 u [L, L + 0.1]^2 at d1 == d2: no pair of cells
+    # far apart is in the band, so the counts do not depend on L, and the
+    # per-offset count must not grow with the gap between the boxes
+    @staticmethod
+    def check(L):
+        m = BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=1.5, rho=0.5, dim_N=2)
+        A = boxes(((0, 0.1), (0, 0.1)), ((L, L + 0.1), (L, L + 0.1)))
+        d = DomainPair(A1=A, A2=A, dim_N=2)
+        return riemann_sum_check(local_expansion(m), d, lambda h: cross_corr(m, h),
+                                 1.0, 3.0, 10.0)
+
+    def test_far_boxes_count_as_near_ones(self):
+        near = self.check(10.0)
+        start = time.perf_counter()
+        far = self.check(1000.0)
+        seconds = time.perf_counter() - start
+        assert near.n_pairs == 41_472
+        assert (far.n_pairs, far.h_sum) == (near.n_pairs, near.h_sum)
+        assert seconds < 2.0
 
 
 class TestSharedKernelLimit:

@@ -560,6 +560,25 @@ class TestVerify:
         assert all(math.isfinite(float(r["ratio"])) for r in rows)
         assert "carries each field's grid factor" in capsys.readouterr().out
 
+    def test_grid_ratio_nan_where_the_series_is_too_long(self, tmp_path, capsys):
+        # at u = 0.05 the local grid step (0.05 / 1.5)^2 / 29 is below 1e-4,
+        # where discrete_pickands_h1 refuses its series
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.5, "dim_N": 1},
+            grid={"points_per_axis": 30},
+            estimation={"reps": 5000, "seed": 11, "H1": 1.0, "H2": 1.0},
+            thresholds={"u": [0.05, 2.0]},
+            verify={"riemann_u": [25.0]},
+        )
+        out = tmp_path / "o"
+        main(["verify", "--config", cfg, "--out-dir", str(out)])
+        rows = read_rows(out / "verify.csv")
+        assert rows[0]["grid_ratio"] == "nan"
+        assert math.isfinite(float(rows[1]["grid_ratio"]))
+        stdout = capsys.readouterr().out
+        assert "its series is too long (delta = 3.83" in stdout
+
     def test_verify_rejects_starved_reps(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

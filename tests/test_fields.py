@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgrf import fields
 from bgrf.fields import (
@@ -24,7 +26,6 @@ from bgrf.fields import (
     fbm_grid,
     read_sample_dump,
     sample_blocks,
-    subtract_box,
     union_covers,
     write_sample_dump,
 )
@@ -120,16 +121,73 @@ class TestGeometry:
             )
 
     def test_subtract_and_cover(self):
-        cell = Rect((0.0, 0.0), (1.0, 1.0))
-        rest = subtract_box(cell, Rect((0.25, 0.25), (0.5, 0.5)))
-        total = sum(r.measure() for r in rest)
-        assert abs(total - (1.0 - 0.0625)) < 1e-15
-        assert union_covers([Rect((0.0, 0.0), (0.6, 1.0)), Rect((0.5, 0.0), (1.0, 1.0))], cell)
-        assert not union_covers([Rect((0.0, 0.0), (0.6, 1.0))], cell)
+        cell = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+        assert union_covers([Rect((0.0, 0.0), (0.6, 1.0)), Rect((0.5, 0.0), (1.0, 1.0))], *cell)
+        assert not union_covers([Rect((0.0, 0.0), (0.6, 1.0))], *cell)
         # cover by two boxes sharing a face exactly
         assert union_covers(
-            [Rect((0.0, 0.0), (0.5, 1.0)), Rect((0.5, 0.0), (1.0, 1.0))], cell
+            [Rect((0.0, 0.0), (0.5, 1.0)), Rect((0.5, 0.0), (1.0, 1.0))], *cell
         )
+
+
+@st.composite
+def eighth_lattice_union(draw, N):
+    """1 to 3 boxes in [0, 1]^N with every face on the 1/8 lattice, some of
+    them of zero width."""
+    def span():
+        lo, hi = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2)))
+        return lo / 8, hi / 8
+
+    return tuple(
+        Rect(*map(tuple, zip(*(span() for _ in range(N)))))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+
+
+def sub_cells_inside(boxes, lo, hi):
+    """Per 1/16 sub-cell of [lo, hi] (a 1/16-lattice cell), whether a box
+    holds it: faces on the 1/8 lattice never cut a sub-cell."""
+    axes = [np.arange(round(16 * a), round(16 * b)) for a, b in zip(lo, hi)]
+    sub = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) / 16
+    inside = np.zeros(sub.shape[:-1], dtype=bool)
+    for b in boxes:
+        inside |= np.all((b.lo <= sub) & (sub + 1 / 16 <= b.hi), axis=-1)
+    return inside
+
+
+class TestAtoms:
+    """union_covers and DomainPair.mes against a brute force over the 1/16
+    sub-cells; every value involved is exact in binary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 3))
+    def test_cover_matches_sub_cells(self, data, N):
+        boxes = data.draw(eighth_lattice_union(N))
+        # 1 to 5 cells reaching past [0, 1], some of zero width
+        span = st.lists(st.integers(-2, 18), min_size=2, max_size=2)
+        cells = data.draw(st.lists(st.lists(span, min_size=N, max_size=N),
+                                   min_size=1, max_size=5))
+        ends = np.sort(np.array(cells), axis=2) / 16
+        lo, hi = ends[..., 0], ends[..., 1]
+        want = [sub_cells_inside(boxes, a, b).all() for a, b in zip(lo, hi)]
+        assert union_covers(boxes, lo, hi).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 3))
+    def test_measure_matches_sub_cells(self, data, N):
+        A1, A2 = data.draw(eighth_lattice_union(N)), data.draw(eighth_lattice_union(N))
+        d = DomainPair(A1=A1, A2=A2, dim_N=N)
+        for M in range(1, N + 1):
+            P1 = [Rect(b.lo[:M], b.hi[:M]) for b in A1]
+            P2 = [Rect(b.lo[:M], b.hi[:M]) for b in A2]
+            unit = (np.zeros(M), np.ones(M))
+            both = sub_cells_inside(P1, *unit) & sub_cells_inside(P2, *unit)
+            assert d.mes(M) == np.count_nonzero(both) / 16**M
+
+    def test_degenerate_input(self):
+        # a point domain has measure 0; a cell of zero width is covered
+        assert point_domain().mes(1) == 0.0
+        assert union_covers([interval(0, 1)], np.array([[2.0]]), np.array([[2.0]])).all()
 
 
 class TestGridSpec:

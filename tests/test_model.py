@@ -132,6 +132,12 @@ class TestValidityBound:
         # 2 nu12 < nu1 + nu2 pushes the infimum to zero at t = infinity
         assert validity_bound(0.9, 0.9, 0.5, 1, 1, 1, 1) == 0.0
 
+    @pytest.mark.parametrize("nu1, nu2, nu12, N", [(0.5, 0.5, 0.3, 1), (0.5, 0.9, 0.6, 2)])
+    def test_equal_scale_outside_its_regime(self, nu1, nu2, nu12, N):
+        # 2 nu12 < nu1 + nu2 forces rho = 0 at every scale, the closed form too
+        assert validity_bound(nu1, nu2, nu12, 1.0, 1.0, 1.0, N) == 0.0
+        assert validity_bound_equal_scale(nu1, nu2, nu12, N) == 0.0
+
     def test_matches_search_on_random_sweep(self):
         rng = np.random.default_rng(20100901)
         positive = 0

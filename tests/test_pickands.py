@@ -22,6 +22,7 @@ with the theorems through this constant.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ class TestDiscretePickandsConstant:
     def test_needs_positive_step(self, delta):
         with pytest.raises(ValueError, match="delta must be positive"):
             discrete_pickands_h1(delta)
+
+    def test_refuses_a_series_too_long_before_allocating(self):
+        # delta = 1e-7 needs 2e9 terms, about 190 GB as Python floats
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="delta = 1e-07 needs 2e"):
+                discrete_pickands_h1(1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_longest_allowed_series(self):
+        # 200 / delta terms: 2e6 at delta = 1e-4, the smallest step accepted
+        assert 0.99 < discrete_pickands_h1(1e-4) < 1.0
+        with pytest.raises(ValueError, match="terms, over 2e"):
+            discrete_pickands_h1(0.99e-4)
+        # 200 / delta overflows: refused, not an OverflowError
+        with pytest.raises(ValueError, match="needs inf terms"):
+            discrete_pickands_h1(1e-320)
 
 
 class TestEstimateHSet:
