@@ -27,6 +27,11 @@ their mirrors as one row per replicate, and read_sample_dump yields them
 back as (start, block) pairs of at most _BLOCK replicates, the columns of
 a (nodes, take) array.
 
+The one Monte Carlo reduction, segment_suprema, takes sup (X - drift) over
+row segments for each path X and its mirror; sample_suprema runs it on the
+workers, for montecarlo's grid maxima and pickands' set suprema alike. A
+dump's rows hold the mirrors already, so reading one needs segment_maxima.
+
 While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
 pool's workers own the cores; every panel product has an inner dimension
 that OpenBLAS splits alike at one thread and at several, so the bytes of a
@@ -83,12 +88,6 @@ class Rect:
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    def measure(self) -> float:
-        out = 1.0
-        for l, h in zip(self.lo, self.hi):
-            out *= h - l
-        return out
 
     def intersect(self, other: "Rect") -> "Rect | None":
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
@@ -423,9 +422,13 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _check_lower(L: np.ndarray) -> None:
-    """Raise unless L is square and lower triangular: the panel product
-    skips every entry right of a panel's last column."""
+def _check_draw(L: np.ndarray, seed: int, count: int) -> None:
+    """Raise unless count > 0, seed is an integer >= 0 and L is square and
+    lower triangular (the panel product skips entries right of a panel)."""
+    if count <= 0:
+        raise ValueError("count must be positive")
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ValueError("seed must be a nonnegative integer")
     n = L.shape[0]
     if L.ndim != 2 or L.shape[1] != n:
         raise ValueError(f"factor must be square, got shape {L.shape}")
@@ -482,11 +485,7 @@ def sample_blocks(
     blocks. With more than one, OpenBLAS runs one thread until the
     generator finishes, is closed or raises.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if not (isinstance(seed, int) and seed >= 0):
-        raise ValueError("seed must be a nonnegative integer")
-    _check_lower(L)
+    _check_draw(L, seed, count)
     n = L.shape[0]
     columns = (count + 1) // 2
     n_blocks = (columns + _BLOCK - 1) // _BLOCK
@@ -518,6 +517,49 @@ def sample_blocks(
             # the chunk's list is gone; drop its last block as well before
             # the next chunk is drawn
             del out
+
+
+def segment_maxima(rows: np.ndarray, segments: Sequence[tuple[int, int]]) -> np.ndarray:
+    """(cols, len(segments)) maxima of each column of the (n, cols) rows
+    over each row segment [a, b)."""
+    out = np.empty((len(segments), rows.shape[1]))
+    for k, (a, b) in enumerate(segments):
+        np.max(rows[a:b], axis=0, out=out[k])
+    return out.T
+
+
+def segment_suprema(
+    paths: np.ndarray, segments: Sequence[tuple[int, int]],
+    drift: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sup (X - drift) over each row segment [a, b) for each column X of the
+    (n, cols) paths and for its mirror -X, as -min(X + drift): two (cols,
+    len(segments)) arrays, a reduce of sample_blocks. A drift, an (n, 1)
+    column, is applied to paths in place; without one, paths is only read."""
+    if drift is not None:
+        paths -= drift
+    path = segment_maxima(paths, segments)
+    if drift is not None:
+        paths += 2.0 * drift
+    mirror = np.empty((len(segments), paths.shape[1]))
+    for k, (a, b) in enumerate(segments):
+        np.min(paths[a:b], axis=0, out=mirror[k])
+    return path, np.negative(mirror, out=mirror).T
+
+
+def sample_suprema(
+    L: np.ndarray, seed: int, count: int, threads: int,
+    segments: Sequence[tuple[int, int]], drift: np.ndarray | None = None,
+) -> np.ndarray:
+    """(count, len(segments)) segment suprema of the count replicates of
+    sample_blocks, in replicate order, each block reduced by
+    segment_suprema on the worker that sampled it."""
+    out = np.empty((count, len(segments)))
+    # looked up per call, so a timing wrapper set on the module gets a span
+    reduce = functools.partial(segment_suprema, segments=segments, drift=drift)
+    for start, sups in sample_blocks(L, seed, count, threads, reduce):
+        out[start : start + len(sups)] = sups
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +612,7 @@ def write_sample_dump(
     block. The header goes in last, so a run that stops part-way leaves a
     file whose magic a reader rejects.
     """
+    _check_draw(L, seed, reps)  # before the file at path is truncated
     nodes = L.shape[0]
     buf = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
     with open(path, "wb") as fh:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +20,8 @@ from .fields import (
     cholesky_factor,
     dump_header,
     read_sample_dump,
-    sample_blocks,
+    sample_suprema,
+    segment_maxima,
 )
 from .model import BivariateMaternModel
 
@@ -55,51 +54,29 @@ def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
-def _block_maxima(mat: np.ndarray, n1: int) -> np.ndarray:
-    """(take, 2) per-replicate maxima of a block's rows [:n1] (X1) and rows
-    [n1:] (X2)."""
-    return np.column_stack([mat[:n1].max(axis=0), mat[n1:].max(axis=0)])
-
-
-def _pair_maxima(paths: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """_block_maxima of a block's paths and of their mirrors, the mirror's
-    maximum being minus the path's minimum: max(-X) = -min(X)."""
-    return _block_maxima(paths, n1), -np.column_stack(
-        [paths[:n1].min(axis=0), paths[n1:].min(axis=0)]
-    )
-
-
-def _maxima(
-    pairs: Iterable[tuple[int, np.ndarray]], reps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather a stream of (start, _block_maxima) pairs into per-replicate
-    maxima of X1 and X2."""
-    out = np.empty((reps, 2))
-    for start, block in pairs:
-        out[start : start + len(block)] = block
-    return out[:, 0], out[:, 1]
-
-
 def field_maxima(
     m: BivariateMaternModel, g: GridSpec, reps: int, seed: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate maxima of X1 over the A1 grid and X2 over the A2 grid,
-    each block reduced on the worker that sampled it to the maxima of its
-    paths and of their mirrors."""
+    """Per-replicate maxima of X1 over the A1 grid and X2 over the A2 grid:
+    the suprema of the paths' rows [0, n1) and [n1, n) (fields.sample_suprema)."""
     if reps < 1:
         raise ValueError("reps must be positive")
     L = cholesky_factor(build_covariance(m, g))
-    blocks = sample_blocks(L, seed, reps, threads, partial(_pair_maxima, n1=g.n1))
-    return _maxima(blocks, reps)
+    sups = sample_suprema(L, seed, reps, threads, [(0, g.n1), (g.n1, L.shape[0])])
+    return sups[:, 0], sups[:, 1]
 
 
 def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute per-replicate maxima from a stored sample dump."""
+    """Recompute per-replicate maxima from a stored sample dump, whose rows
+    hold every replicate, mirrors included."""
     nodes, reps, _ = dump_header(path)
-    if n1 >= nodes:
-        raise ValueError("n1 exceeds the stored node count")
-    blocks = read_sample_dump(path)
-    return _maxima(((start, _block_maxima(mat, n1)) for start, mat in blocks), reps)
+    if not 0 < n1 < nodes:
+        raise ValueError(f"n1 = {n1} must lie in 1 .. {nodes - 1}, "
+                         f"for {nodes} stored nodes")
+    out = np.empty((reps, 2))
+    for start, rows in read_sample_dump(path):
+        out[start : start + rows.shape[1]] = segment_maxima(rows, [(0, n1), (n1, nodes)])
+    return out[:, 0], out[:, 1]
 
 
 def estimates_from_maxima(

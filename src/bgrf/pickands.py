@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
+from .fields import cholesky_factor, fbm_covariance, fbm_grid, sample_suprema
 
 _EXP_GUARD = 700.0  # exp overflows just above 709; abort well before
 _H1_TERMS = 2_000_000  # series terms of discrete_pickands_h1: delta >= 1e-4
@@ -115,11 +115,9 @@ def path_suprema(
     One shared path per replicate; deterministic in (seed, replicate).
     Replicates come in the sampler's mirror pairs, a path X and -X. Block
     rows hold the path on t[1:]; the rows are cut at every set's
-    endpoints, each segment's supremum is taken once per path, on the
-    worker that sampled the block (for the mirror as -min(X + d), since
-    sup(-X - d) = -min(X + d)), and a set's supremum is the maximum over
-    the segments it spans (and 0, the path at t = 0, when it holds the
-    origin).
+    endpoints, each segment's supremum is taken once per replicate by
+    fields.sample_suprema, and a set's supremum is the maximum over the
+    segments it spans (and 0, the path at t = 0, when it holds the origin).
     """
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -136,32 +134,12 @@ def path_suprema(
         (a, b) for a, b in zip(cuts, cuts[1:])
         if any(start <= a and b <= stop for start, stop, _ in spans)
     ]
-    members = [
-        [j for j, (a, b) in enumerate(segments) if start <= a and b <= stop]
-        for start, stop, _ in spans
-    ]
-    drift = (t**alpha)[1:, None]
-    drift2 = 2.0 * drift
-
-    def set_suprema(seg: list[np.ndarray], rows: np.ndarray) -> None:
-        # rows[:, k] = maximum of the segment suprema set k spans
-        for k, ((_, _, has_origin), js) in enumerate(zip(spans, members)):
-            if js:
-                top = np.max([seg[j] for j in js], axis=0)
-                rows[:, k] = np.maximum(top, 0.0) if has_origin else top
-
-    def suprema(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the suprema of the paths X and of their mirrors -X
-        path, mirror = np.zeros((2, mat.shape[1], len(sets)))  # 0 for the set {0}
-        mat -= drift  # X - d on t[1:]
-        set_suprema([mat[a:b].max(axis=0) for a, b in segments], path)
-        mat += drift2  # X + d: sup(-X - d) = -min(X + d)
-        set_suprema([-mat[a:b].min(axis=0) for a, b in segments], mirror)
-        return path, mirror
-
+    sups = sample_suprema(L, seed, reps, threads, segments, (t**alpha)[1:, None])
     out = np.empty((reps, len(sets)))
-    for start, sups in sample_blocks(L, seed, reps, threads, suprema):
-        out[start : start + len(sups)] = sups
+    for k, (start, stop, has_origin) in enumerate(spans):
+        js = [j for j, (a, b) in enumerate(segments) if start <= a and b <= stop]
+        # a set holding the origin also holds the path's value 0 at t = 0
+        np.max(sups[:, js], axis=1, out=out[:, k], initial=0.0 if has_origin else -np.inf)
     return out
 
 

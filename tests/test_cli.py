@@ -314,6 +314,19 @@ class TestSimulateAndReuse:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_failed_simulate_keeps_the_earlier_dump(self, tmp_path, capsys, reps):
+        cfg = write_config(
+            tmp_path, grid={"points_per_axis": 6}, estimation={"reps": 2000, "seed": 5}
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        before = (out / "samples.bgrf").read_bytes()
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--reps", reps]) == 1
+        assert "must be positive" in capsys.readouterr().err
+        assert (out / "samples.bgrf").read_bytes() == before
+
     def test_missing_dump_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, estimation={"reps": 2000, "seed": 5})
         missing = tmp_path / "nothere.bgrf"

@@ -26,6 +26,8 @@ from bgrf.fields import (
     fbm_grid,
     read_sample_dump,
     sample_blocks,
+    sample_suprema,
+    segment_suprema,
     union_covers,
     write_sample_dump,
 )
@@ -435,6 +437,49 @@ class TestPanelProduct:
             sums = mat.sum(axis=0)
             assert np.array_equal(got[0::2], sums)  # path j: replicate 2j
             assert np.array_equal(got[1::2], -2.0 * sums[: len(got) // 2])
+
+
+class TestSegmentSuprema:
+    SEGMENTS = [(0, 3), (3, 4), (4, 9), (0, 9)]
+
+    def test_mirror_is_the_negated_drifted_path(self):
+        # values and drift on a 1/8 lattice, so X - d, X + d and -X - d are
+        # exact and the mirror half must equal the max of -X - d bit for bit
+        rng = np.random.default_rng(3)
+        X = rng.integers(-40, 40, size=(9, 50)) / 8.0
+        d = (np.arange(1, 10) / 4.0)[:, None]
+        path, mirror = segment_suprema(X.copy(), self.SEGMENTS, d)
+        for k, (a, b) in enumerate(self.SEGMENTS):
+            assert np.array_equal(path[:, k], (X - d)[a:b].max(axis=0))
+            assert np.array_equal(mirror[:, k], (-X - d)[a:b].max(axis=0))
+
+    def test_read_only_paths_without_drift(self):
+        # read_sample_dump yields read-only arrays
+        X = np.random.default_rng(4).standard_normal((9, 30))
+        rows = np.frombuffer(X.tobytes()).reshape(X.shape)
+        assert not rows.flags.writeable
+        path, mirror = segment_suprema(rows, self.SEGMENTS)
+        assert np.array_equal(rows, X)
+        for k, (a, b) in enumerate(self.SEGMENTS):
+            assert np.array_equal(path[:, k], X[a:b].max(axis=0))
+            assert np.array_equal(mirror[:, k], (-X)[a:b].max(axis=0))
+
+    def test_one_row_segment(self):
+        X = np.random.default_rng(5).standard_normal((4, 7))
+        path, mirror = segment_suprema(X, [(2, 3)])
+        assert path.shape == mirror.shape == (7, 1)
+        assert np.array_equal(path[:, 0], X[2]) and np.array_equal(mirror[:, 0], -X[2])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gathers_in_replicate_order(self, threads):
+        # 8,195 replicates: a full block, then a partial one whose last
+        # mirror is dropped
+        L = lower_factor(40)
+        count, segments = 8195, [(0, 10), (10, 40)]
+        got = sample_suprema(L, 6, count, threads, segments)
+        rows = draw(L, 6, count)
+        want = np.column_stack([rows[:, a:b].max(axis=1) for a, b in segments])
+        assert np.array_equal(got, want)
 
 
 @pytest.fixture

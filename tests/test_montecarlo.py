@@ -117,6 +117,15 @@ class TestMcExcursion:
         l1, l2 = field_maxima(m, g, reps=reps, seed=8)
         assert np.array_equal(d1, l1) and np.array_equal(d2, l2)
 
+    @pytest.mark.parametrize("n1", [0, -3, 16, 17])
+    def test_dump_split_must_leave_both_fields_nodes(self, tmp_path, n1):
+        d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)
+        g = GridSpec(d, 8)
+        p = str(tmp_path / "samples.bgrf")
+        write_sample_dump(p, cholesky_factor(build_covariance(model(0.4), g)), 8, 10, 0)
+        with pytest.raises(ValueError, match=r"n1 = -?\d+ must lie in 1 \.\. 15"):
+            maxima_from_dump(p, n1)
+
     def test_mirror_pairs_keep_the_binomial_error_conservative(self):
         # every covariance of a standardized model is >= 0, so by Pitt's
         # theorem (Ann. Probab. 10(2), 1982) an indicator increasing in X

@@ -309,6 +309,11 @@ class TestGuards:
     def test_exponent_guard_passes(self):
         _check_exponent_guard(np.array([10.0, 600.0]))
 
+    def test_origin_only_sets_give_zeros(self):
+        # the set {0} spans no row, so there is no segment to reduce
+        got = path_suprema(1.0, [(0.0, 0.0)], 1 / 16, 1.0, 5, 0)
+        assert np.array_equal(got, np.zeros((5, 1)))
+
     def test_misaligned_set_rejected(self):
         with pytest.raises(ValueError, match="multiples of eta"):
             path_suprema(1.0, [(0.0, 0.7)], 1 / 16, 1.0, 10, 0)
