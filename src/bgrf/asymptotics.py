@@ -192,7 +192,6 @@ class RiemannCheck:
     regime: str  # "overlap" | "split"
     cells: str   # "intersect" | "subset"
     delta: float
-    T_scale: float
 
 
 def _cell_range(lo: float, hi: float, d: float) -> range:
@@ -513,5 +512,4 @@ def riemann_sum_check(
         regime="overlap" if M == d.dim_N else "split",
         cells=cells,
         delta=delta,
-        T_scale=T_scale,
     )

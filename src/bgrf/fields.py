@@ -22,10 +22,12 @@ sample_blocks yields the stream as (start, block) pairs, start being the
 index of the block's first replicate: either the (nodes, cols) paths of
 the block, or, given a reduction of the paths and of their mirrors, its
 values for replicates start .. start + take - 1 in order, reduced on the
-worker thread that drew the block. write_sample_dump stores the paths and
-their mirrors as one row per replicate, and read_sample_dump yields them
-back as (start, block) pairs of at most _BLOCK replicates, the columns of
-a (nodes, take) array.
+worker thread that drew the block. A worker holds one block: the panel
+product overwrites the block's noise with its paths through one reused
+buffer of _PANEL rows. write_sample_dump stores the paths and their
+mirrors as one row per replicate, and read_sample_dump yields them back as
+(start, block) pairs of at most _BLOCK replicates, the columns of a
+(nodes, take) array.
 
 The one Monte Carlo reduction, segment_suprema, takes sup (X - drift) over
 row segments for each path X and its mirror; sample_suprema runs it on the
@@ -340,28 +342,27 @@ def _panels(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _PANEL, n)) for a in range(0, n, _PANEL)]
 
 
-def _panel_product(L: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
-    """out = L @ noise for lower-triangular L, one row panel at a time,
-    L[a:b, :b] @ noise[:b].
+def _panel_product(L: np.ndarray, noise: np.ndarray) -> None:
+    """noise = L @ noise in place for lower-triangular L, one row panel at
+    a time from the bottom up: L[a:b, :b] @ noise[:b] goes through one
+    reused panel buffer into rows [a, b), and the rows above b still hold
+    noise.
 
     OpenBLAS splits an inner dimension K > 384 differently at one thread
     than at several, which moves the last bits, but K below 256 and K a
     multiple of 256 come out the same. A full panel's K is a multiple of
-    256; a short last panel [a, n) is taken as K = a plus K = n - a, the
-    second product landing in the rows of the panel above, which are
-    written after it.
+    256; a short last panel [a, n) is taken as K = n - a plus K = a.
     """
     n = L.shape[0]
-    panels = _panels(n)
-    a, b = panels[-1]
-    if 0 < a and b - a < _PANEL:
-        np.matmul(L[a:b, :a], noise[:a], out=out[a:b])
-        scratch = out[2 * a - b:a]
-        np.matmul(L[a:b, a:b], noise[a:b], out=scratch)
-        out[a:b] += scratch
-        panels.pop()
-    for a, b in panels:
-        np.matmul(L[a:b, :b], noise[:b], out=out[a:b])
+    buf = np.empty((min(n, _PANEL), noise.shape[1]))
+    for a, b in reversed(_panels(n)):
+        rows = buf[: b - a]
+        cut = a if b - a < _PANEL else 0
+        np.matmul(L[a:b, cut:b], noise[cut:b], out=rows)
+        noise[a:b] = rows
+        if cut:
+            np.matmul(L[a:b, :cut], noise[:cut], out=rows)
+            noise[a:b] += rows
 
 
 @functools.cache
@@ -481,8 +482,8 @@ def sample_blocks(
     panel at a time, L[a:b, :b] @ noise[:b], which skips the zero upper
     triangle.
 
-    threads is capped at os.cpu_count(), since each worker holds up to two
-    blocks. With more than one, OpenBLAS runs one thread until the
+    threads is capped at os.cpu_count(), since each worker holds a block
+    and a panel. With more than one, OpenBLAS runs one thread until the
     generator finishes, is closed or raises.
     """
     _check_draw(L, seed, count)
@@ -492,9 +493,8 @@ def sample_blocks(
     threads = min(threads, os.cpu_count() or 1)
 
     def one(b: int) -> np.ndarray:
-        noise = _noise_block(seed, b, n)
-        paths = np.empty_like(noise)
-        _panel_product(L, noise, paths)
+        paths = _noise_block(seed, b, n)
+        _panel_product(L, paths)
         paths = paths[:, : min(_BLOCK, columns - b * _BLOCK)]
         if reduce is None:
             return paths
@@ -612,7 +612,9 @@ def write_sample_dump(
     block. The header goes in last, so a run that stops part-way leaves a
     file whose magic a reader rejects.
     """
-    _check_draw(L, seed, reps)  # before the file at path is truncated
+    if reps < 1:  # both checks run before the file at path is truncated
+        raise ValueError("reps must be positive")
+    _check_draw(L, seed, reps)
     nodes = L.shape[0]
     buf = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
     with open(path, "wb") as fh:

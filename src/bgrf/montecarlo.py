@@ -120,8 +120,6 @@ class RateFit:
     slope: float
     slope_se: float
     slope_ci: tuple[float, float]
-    intercept: float
-    intercept_se: float
     used_u: tuple[float, ...]
     dropped_u: tuple[float, ...]
     ratios: tuple[float, ...] | None = None
@@ -157,10 +155,7 @@ def rate_fit(
     sxx = float(np.sum((x - xbar) ** 2))
     c = (x - xbar) / sxx
     slope = float(np.dot(c, y))
-    intercept = float(y.mean() - slope * xbar)
     slope_se = math.sqrt(float(np.sum(c * c * var_y)))
-    d = 1.0 / len(x) - xbar * c
-    intercept_se = math.sqrt(float(np.sum(d * d * var_y)))
 
     ratios = None
     if theorem_values is not None:
@@ -173,8 +168,6 @@ def rate_fit(
         slope=slope,
         slope_se=slope_se,
         slope_ci=(slope - _Z95 * slope_se, slope + _Z95 * slope_se),
-        intercept=intercept,
-        intercept_se=intercept_se,
         used_u=tuple(u for u, _ in kept),
         dropped_u=tuple(u for u, _ in dropped),
         ratios=ratios,

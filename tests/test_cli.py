@@ -324,7 +324,7 @@ class TestSimulateAndReuse:
         before = (out / "samples.bgrf").read_bytes()
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--reps", reps]) == 1
-        assert "must be positive" in capsys.readouterr().err
+        assert "reps must be positive" in capsys.readouterr().err
         assert (out / "samples.bgrf").read_bytes() == before
 
     def test_missing_dump_exits_one(self, tmp_path, capsys):

@@ -365,8 +365,8 @@ def lower_factor(n, seed=0):
 
 class TestPanelProduct:
     # _PANEL = 256: one short panel, exactly one and two panels, and a
-    # last panel shorter than the others
-    @pytest.mark.parametrize("n", [100, 256, 512, 600])
+    # last panel shorter than the others, down to one row (257)
+    @pytest.mark.parametrize("n", [100, 256, 257, 512, 600])
     def test_matches_full_product(self, n):
         L = lower_factor(n)
         count = 2 * (4096 + 10) - 1  # 4,106 paths: ends on a partial block
@@ -405,9 +405,9 @@ class TestPanelProduct:
 
         assert digest(1) == digest(2)
 
-    # a last panel shorter than 256 rows, with an inner dimension past 384
-    # (385, 600, 700, 1100) or not (300)
-    @pytest.mark.parametrize("n", [300, 385, 600, 700, 1100])
+    # a last panel shorter than 256 rows, one row long (257), with an inner
+    # dimension past 384 (385, 600, 700, 1100) or not (257, 300)
+    @pytest.mark.parametrize("n", [257, 300, 385, 600, 700, 1100])
     def test_blas_threads_give_identical_bytes(self, blas, n):
         get, set_ = blas
         L = lower_factor(n)
@@ -688,8 +688,9 @@ class TestDump:
 
     def test_writer_frees_each_block(self, tmp_path):
         # six blocks from sample_blocks into the writer: each block must be
-        # gone before the next is drawn, so the peak is one block's noise
-        # and product (two blocks) plus the writer's buffer, not three
+        # gone before the next is drawn; at 200 nodes the one panel's buffer
+        # is a whole block, so the peak is the block and that buffer (two
+        # blocks) plus the writer's buffer, not three
         L = lower_factor(200)
         block = 8 * 200 * 4096
         tracemalloc.start()
@@ -699,6 +700,20 @@ class TestDump:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * block
+
+    def test_writer_holds_one_block(self, tmp_path):
+        # at 1,024 nodes the product overwrites the block's noise through a
+        # 256-row panel buffer, a quarter block: the peak is the block, that
+        # buffer and the writer's buffer, with no second block beside them
+        L = lower_factor(1024)
+        block = 8 * 1024 * 4096
+        tracemalloc.start()
+        try:
+            write_sample_dump(str(tmp_path / "w.bgrf"), L, 1, 2 * 3 * 4096, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "y.bgrf")
