@@ -565,14 +565,14 @@ class TestRiemannOracle:
 # the README model on A1 = A2 = [0, 1] at T = 1 and C = 3, beyond the
 # per-cell oracle's reach: (u, cells) -> (n_pairs, h_sum)
 README_RIEMANN = {
-    (20.0, "intersect"): (73_098, 40320.721130847385),
-    (20.0, "subset"): (71_494, 40007.168284699335),
-    (40.0, "intersect"): (688_134, 332250.0677176473),
-    (40.0, "subset"): (681_730, 331627.2662794708),
-    (50.0, "intersect"): (1_400_184, 652370.8186978687),
-    (50.0, "subset"): (1_390_180, 651594.6895595096),
-    (80.0, "intersect"): (6_193_302, 2692526.264878766),
-    (80.0, "subset"): (6_167_698, 2691300.451968132),
+    (20.0, "intersect"): (73_098, 40320.72113084706),
+    (20.0, "subset"): (71_494, 40007.16828469901),
+    (40.0, "intersect"): (688_134, 332250.0677176415),
+    (40.0, "subset"): (681_730, 331627.266279465),
+    (50.0, "intersect"): (1_400_184, 652370.8186978584),
+    (50.0, "subset"): (1_390_180, 651594.6895594993),
+    (80.0, "intersect"): (6_193_302, 2692526.2648786567),
+    (80.0, "subset"): (6_167_698, 2691300.4519680226),
 }
 
 

@@ -648,17 +648,34 @@ class TestOutputRouting:
 
 
 class TestConsoleScript:
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy.special loads on the first Matern evaluation, not on import
+    # every command that evaluates a Matern (theorem1 through its model
+    # checks), on a config small enough to pass every gate of verify
+    @pytest.mark.parametrize("command", [
+        "validate", "simulate", "mc-excursion", "riemann-check", "theorem1",
+        "matern-eval", "verify",
+    ])
+    def test_runs_without_scipy(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.5, "dim_N": 1},
+            domain={"A1": [[[0, 1]]], "A2": [[[0.5, 2]]], "split_M": None},
+            grid={"points_per_axis": 10},
+            estimation={"reps": 20_000, "seed": 11, "H1": 1.0, "H2": 1.0},
+            thresholds={"u": [1.0, 1.4, 1.8, 2.2]},
+            verify={"riemann_u": [25.0]},
+        )
+        args = [command, "--config", cfg]
+        if command != "validate":
+            args += ["--out-dir", str(tmp_path / "o")]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, bgrf.cli; print('scipy' in sys.modules)"],
+             "import sys; sys.modules['scipy'] = None; from bgrf.cli import main; "
+             f"sys.exit(main({args!r}))"],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -247,6 +247,14 @@ class TestCovariance:
         cov = build_covariance(model(), unit_overlap(8))
         assert np.all(np.diag(cov) == 1.0)
 
+    def test_unit_diagonal_at_small_nu(self):
+        # nu1 = 0.02: the Matern of a rough field at lag 0 is still exactly 1
+        m = BivariateMaternModel(nu1=0.02, nu2=0.5, nu12=1.5, rho=0.1)
+        assert check_assumptions(m)["validity"].passed
+        cov = build_covariance(m, unit_overlap(8))
+        assert np.all(np.diag(cov) == 1.0)
+        assert cholesky_factor(cov).shape == (16, 16)
+
     def test_psd_witness_for_valid_models(self):
         # rho^2 strictly below the validity bound -> Cholesky succeeds
         # (jitter capped at 1e-10 inside cholesky_factor)

@@ -6,7 +6,9 @@ nu = 1/2 and nu = 3/2 Matern correlations.
 """
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,88 @@ class TestMatern:
             c = math.gamma(1 - nu) / (2 ** (2 * nu) * math.gamma(1 + nu))
             ratio = (1.0 - matern(h, MaternParams(nu, 1.0))) / h ** (2 * nu)
             assert abs(ratio - c) <= 0.01 * c
+
+
+def mp_besselk_matern(nu, x):
+    """(K_nu(x), M(x | nu, 1)) at 30 digits, as doubles."""
+    with mpmath.workdps(30):
+        k = mpmath.besselk(nu, x)
+        m = 2 ** (1 - mpmath.mpf(nu)) / mpmath.gamma(nu) * mpmath.mpf(x) ** nu * k
+        return float(k), float(m)
+
+
+def normal_doubles(v):
+    return (v >= np.finfo(float).tiny) & (v <= np.finfo(float).max)
+
+
+class TestKvQuadrature:
+    """K_nu by the trapezoid rule on its cosh integral (specfun._scaled_kv)."""
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.5, 0.75, 1.5, 2.5, 5.0, 10.0, 20.0])
+    def test_against_mpmath(self, nu):
+        # x log-uniform over matern's live range, from where 1 - M underflows
+        # (x^min(2 nu, 2) = e^-45) to 740; relative error wherever the value
+        # is a normal double (M is subnormal near 740 at small nu, and K_nu
+        # overflows at small x and large nu)
+        rng = np.random.default_rng(round(100 * nu))
+        x = np.exp(rng.uniform(-45.0 / min(2.0 * nu, 2.0), math.log(740.0), 120))
+        want_k, want_m = np.array([mp_besselk_matern(nu, v) for v in x]).T
+        for got, want in ((bessel_k(nu, x), want_k), (matern(x, MaternParams(nu, 1.0)), want_m)):
+            ok = normal_doubles(want)
+            assert ok.sum() >= 60
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-13 * want[ok])
+
+    @pytest.mark.parametrize("nu", [0.3, 1.5, 20.0, 80.0])
+    def test_value_depends_on_the_lag_alone(self, nu):
+        # bit for bit: a 2-D array, its scalars, a permutation and a subset
+        p = MaternParams(nu, 1.3)
+        rng = np.random.default_rng(1)
+        h = np.exp(rng.uniform(-30.0, 6.0, (30, 40)))
+        h[0, :5] = 0.0
+        h[1, :10] = h[2, :10]
+        full = matern(h, p)
+        assert np.array_equal(full, [[matern(float(v), p) for v in row] for row in h])
+        perm = rng.permutation(h.size)
+        assert np.array_equal(matern(h.ravel()[perm], p), full.ravel()[perm])
+        assert np.array_equal(matern(h.ravel()[perm[:57]], p), full.ravel()[perm[:57]])
+        k = bessel_k(nu, h[1:])
+        assert np.array_equal(k, [[bessel_k(nu, float(v)) for v in row] for row in h[1:]])
+
+    @pytest.mark.parametrize("nu", [0.02, 0.001])
+    def test_lag_zero_at_small_nu(self, nu):
+        # below nu = 0.03 the lag where 1 - M underflows is itself below the
+        # smallest double, so every positive lag is live and lag 0 is not
+        p = MaternParams(nu, 1.0)
+        h = np.array([0.0, 5e-324, 1e-300, 1e-3, 1.0])
+        got = matern(h, p)
+        assert got[0] == 1.0 and matern(0.0, p) == 1.0
+        want = np.array([mp_besselk_matern(nu, v)[1] for v in h[1:]])
+        assert np.all(np.abs(got[1:] - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("nu", [40.0, 80.0])
+    def test_finite_where_k_overflows(self, nu):
+        # from the smallest live lag e^-22.5 up, K_nu overflows double
+        # precision over the first decades, but M stays in [0, 1]
+        x = np.geomspace(math.exp(-22.5), 1.0, 60)
+        want_k, want_m = np.array([mp_besselk_matern(nu, v) for v in x]).T
+        assert np.isinf(want_k[:20]).all()
+        got = matern(x, MaternParams(nu, 1.0))
+        assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0))
+        assert np.all(np.abs(got - want_m) <= 1e-12 * want_m)
+
+    def test_memory_is_bounded(self):
+        # 10^6 distinct lags in one octave, [1, 2): one work array for all of
+        # them would hold 10^6 x 50 nodes, 400 MB. In chunks the peak stays
+        # under 16 times the 8 MB of lags (11 times measured, most of it
+        # np.unique and whole-array temporaries)
+        h = np.linspace(1.0, 2.0, 10**6, endpoint=False)
+        tracemalloc.start()
+        try:
+            matern(h, MaternParams(1.5, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * h.nbytes
 
 
 class TestCosineIntegral:
