@@ -39,8 +39,8 @@ from .model import (
 from .montecarlo import (
     ExcursionEstimate,
     RateFit,
+    estimates_from_maxima,
     field_maxima,
-    mc_excursion_multi,
     rate_fit,
 )
 from .pickands import (
@@ -54,7 +54,6 @@ from .specfun import (
     MaternParams,
     QuadratureError,
     bessel_k,
-    gamma_fn,
     matern,
     matern_cosine_integral,
     matern_d2_at_zero,

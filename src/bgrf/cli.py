@@ -200,9 +200,14 @@ class Writer:
             ]
             lines += [",".join(_fmt(v) for v in row) for row in self.rows]
         else:
+            # JSON has no NaN or Infinity: a non-finite float is written as null
             lines = [json.dumps({"_meta": self.meta}, sort_keys=True)]
             lines += [
-                json.dumps(dict(zip(self.columns, row)), sort_keys=True)
+                json.dumps(
+                    {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in zip(self.columns, row)},
+                    sort_keys=True, allow_nan=False,
+                )
                 for row in self.rows
             ]
         text = "\n".join(lines) + "\n"
@@ -544,7 +549,7 @@ def cmd_verify(cfg, args) -> int:
     failures = []
     target = -1.0 / (1.0 + e.rho)
     try:
-        fit = rate_fit([(est.u, est) for est in ests])
+        fit = rate_fit(ests)
         rate_ok = abs(fit.slope - target) <= rate_tol * abs(target)
         print(
             f"rate: slope = {fit.slope:.4f} (se {fit.slope_se:.4f}), "

@@ -26,6 +26,7 @@ from .fields import (
 from .model import BivariateMaternModel
 
 _Z95 = 1.959963984540054
+_MIN_HITS = 30  # rate_fit drops estimates with fewer hits
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class ExcursionEstimate:
             raise ValueError("interval must satisfy 0 <= lo <= p <= hi <= 1")
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    p = hits / n
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    p, z = hits / n, _Z95
     den = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / den
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / den
@@ -100,75 +101,42 @@ def estimates_from_maxima(
     return out
 
 
-def mc_excursion_multi(
-    m: BivariateMaternModel,
-    g: GridSpec,
-    u_list,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-) -> list[ExcursionEstimate]:
-    """Joint excursion estimates for all thresholds on shared samples."""
-    if reps < 1000:
-        raise ValueError("reps must be at least 1000")
-    max1, max2 = field_maxima(m, g, reps, seed, threads)
-    return estimates_from_maxima(max1, max2, u_list, seed)
-
-
 @dataclass(frozen=True)
 class RateFit:
     slope: float
     slope_se: float
-    slope_ci: tuple[float, float]
     used_u: tuple[float, ...]
     dropped_u: tuple[float, ...]
-    ratios: tuple[float, ...] | None = None
 
 
-def rate_fit(
-    points: list[tuple[float, ExcursionEstimate]],
-    theorem_values: list[float] | None = None,
-    min_hits: int = 30,
-) -> RateFit:
+def rate_fit(ests: list[ExcursionEstimate]) -> RateFit:
     """OLS of log p_hat against u^2.
 
     The slope estimates the exponential rate (expected -1/(1+rho)); its
-    confidence interval comes from the delta method,
-    Var(log p_hat) ~= (1 - p_hat)/hits. Points with fewer than min_hits
-    hits are dropped; fewer than 4 surviving points is an error. If
-    theorem values are supplied, the p_hat/theorem ratio sequence is
-    returned for trend inspection.
+    standard error comes from the delta method,
+    Var(log p_hat) ~= (1 - p_hat)/hits. Estimates with fewer than
+    _MIN_HITS hits are dropped; fewer than 4 distinct u among the kept
+    ones is an error.
     """
     kept, dropped = [], []
-    for u, est in points:
-        (kept if est.hits >= min_hits else dropped).append((u, est))
-    if len(kept) < 4:
+    for est in ests:
+        (kept if est.hits >= _MIN_HITS else dropped).append(est)
+    if len({est.u for est in kept}) < 4:
         raise ValueError(
-            f"rate_fit needs >= 4 points with hits >= {min_hits}; "
-            f"only {len(kept)} survive (dropped u = {[u for u, _ in dropped]})"
+            f"rate_fit needs >= 4 distinct u with hits >= {_MIN_HITS}; "
+            f"kept u = {[est.u for est in kept]}, "
+            f"dropped u = {[est.u for est in dropped]}"
         )
-    x = np.array([u * u for u, _ in kept])
-    y = np.array([math.log(est.p_hat) for _, est in kept])
-    var_y = np.array([(1.0 - est.p_hat) / est.hits for _, est in kept])
+    x = np.array([est.u * est.u for est in kept])
+    y = np.array([math.log(est.p_hat) for est in kept])
+    var_y = np.array([(1.0 - est.p_hat) / est.hits for est in kept])
 
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     c = (x - xbar) / sxx
-    slope = float(np.dot(c, y))
-    slope_se = math.sqrt(float(np.sum(c * c * var_y)))
-
-    ratios = None
-    if theorem_values is not None:
-        if len(theorem_values) != len(points):
-            raise ValueError("theorem_values must align with points")
-        ratios = tuple(
-            est.p_hat / tv for (_, est), tv in zip(points, theorem_values)
-        )
     return RateFit(
-        slope=slope,
-        slope_se=slope_se,
-        slope_ci=(slope - _Z95 * slope_se, slope + _Z95 * slope_se),
-        used_u=tuple(u for u, _ in kept),
-        dropped_u=tuple(u for u, _ in dropped),
-        ratios=ratios,
+        slope=float(np.dot(c, y)),
+        slope_se=math.sqrt(float(np.sum(c * c * var_y))),
+        used_u=tuple(est.u for est in kept),
+        dropped_u=tuple(est.u for est in dropped),
     )

@@ -48,7 +48,6 @@ class PickandsEstimate:
     horizon_T: float
     eta: float
     replicates: int
-    kind: str  # "single-set" | "joint" | "constant"
     sequence: tuple[tuple[float, float, float], ...] | None = None
     warning: str | None = None
 
@@ -167,14 +166,14 @@ def estimate_H_set(
     T = 0 degenerates to the set {0}, where the value is exactly 1.
     """
     if T == 0:
-        return PickandsEstimate(1.0, 0.0, alpha, 0.0, eta, reps, "single-set")
+        return PickandsEstimate(1.0, 0.0, alpha, 0.0, eta, reps)
     if not (T > 0):
         raise ValueError("T must be nonnegative")
     if eta > T / 8:
         raise ValueError(f"need eta <= T/8, got eta={eta} for T={T}")
     sups = path_suprema(alpha, [(0.0, T)], eta, T, reps, seed, threads)
     value, se = _mean_exp(sups[:, 0])
-    return PickandsEstimate(value, se, alpha, T, eta, reps, "single-set")
+    return PickandsEstimate(value, se, alpha, T, eta, reps)
 
 
 def estimate_H_joint(
@@ -192,7 +191,7 @@ def estimate_H_joint(
         raise ValueError("sets must have positive extent")
     sups = path_suprema(alpha, [S_set, T_set], eta, horizon, reps, seed, threads)
     value, se = _mean_exp(np.minimum(sups[:, 0], sups[:, 1]))
-    return PickandsEstimate(value, se, alpha, horizon, eta, reps, "joint")
+    return PickandsEstimate(value, se, alpha, horizon, eta, reps)
 
 
 def estimate_H_constant(
@@ -233,6 +232,5 @@ def estimate_H_constant(
             )
     _, value, se = seq[-1]
     return PickandsEstimate(
-        value, se, alpha, T_max, eta, reps, "constant",
-        sequence=tuple(seq), warning=warning,
+        value, se, alpha, T_max, eta, reps, sequence=tuple(seq), warning=warning
     )

@@ -1,7 +1,7 @@
 """Scalar special functions for the Matern correlation family.
 
-Provides the gamma function, the modified Bessel function of the second
-kind K_nu, the Matern correlation
+Provides the modified Bessel function of the second kind K_nu, the
+Matern correlation
 
     M(h | nu, a) = 2^(1-nu) / Gamma(nu) * (a h)^nu * K_nu(a h),
 
@@ -49,13 +49,6 @@ class MaternParams:
             raise ValueError(f"nu must be > 0, got {self.nu}")
         if not (self.a > 0):
             raise ValueError(f"a must be > 0, got {self.a}")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    if not (x > 0):
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def bessel_k(nu: float, x):
@@ -192,6 +185,8 @@ def _scaled_kv(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_N_SUBTRACT = 8  # Taylor terms _tail_integral integrates in closed form
+_OSC_TOL = 1e-10  # relative error bound of _oscillatory_integral's tail sum
 
 
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,22 +195,22 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _gl_panel(f, a: float, b: float, n: int = 32) -> float:
+def _gl_panel(f, a: float, b: float, n: int) -> float:
     x, w = _gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def _tail_integral(p: float, s: float, n_subtract: int = 8) -> float:
+def _tail_integral(p: float, s: float) -> float:
     """int_0^1 v^p (1 + v^2)^(-s) dv for p > -1, s > 0.
 
     The endpoint power v^p (p possibly in (-1, 0)) is handled by
-    subtracting the first few Taylor terms of (1+v^2)^(-s), which are
+    subtracting the first _N_SUBTRACT Taylor terms of (1+v^2)^(-s), which are
     integrable in closed form; the smooth remainder goes to Gauss-Legendre.
     """
     coeffs = []
     c = 1.0
-    for k in range(n_subtract):
+    for k in range(_N_SUBTRACT):
         coeffs.append(c)
         c *= -(s + k) / (k + 1.0)  # binom(-s, k+1) recursion
     exact = sum(ck / (p + 2 * k + 1.0) for k, ck in enumerate(coeffs))
@@ -223,14 +218,14 @@ def _tail_integral(p: float, s: float, n_subtract: int = 8) -> float:
     def remainder(v):
         poly = np.zeros_like(v)
         v2 = v * v
-        for k in reversed(range(n_subtract)):
+        for k in reversed(range(_N_SUBTRACT)):
             poly = poly * v2 + coeffs[k]
         return v**p * ((1.0 + v2) ** (-s) - poly)
 
     return exact + _gl_panel(remainder, 0.0, 1.0, 64)
 
 
-def _oscillatory_integral(env, omega: float, tol: float = 1e-10) -> float:
+def _oscillatory_integral(env, omega: float) -> float:
     """int_0^inf cos(omega r) env(r) dr, env positive, smooth, decaying.
 
     Head [0, pi/(2 omega)] by geometrically split Gauss-Legendre panels;
@@ -264,7 +259,7 @@ def _oscillatory_integral(env, omega: float, tol: float = 1e-10) -> float:
     tail_full = euler(terms)
     tail_short = euler(terms[: n_terms - 16])
     err = abs(tail_full - tail_short)
-    if err > tol * max(1.0, abs(head + tail_full)):
+    if err > _OSC_TOL * max(1.0, abs(head + tail_full)):
         raise QuadratureError(
             f"oscillatory tail did not converge: omega={omega}, "
             f"estimated error {err:.3e}"

@@ -317,7 +317,7 @@ def mc7_runs():
 
 def test_c7_rate_slope(mc7_runs):
     over, _, _, dt = mc7_runs
-    fit = rate_fit(list(zip(MC7_US, over)))
+    fit = rate_fit(over)
     target = -2.0 / 3.0
     rel = abs(fit.slope - target) / abs(target)
     report(

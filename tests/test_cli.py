@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -572,6 +573,45 @@ class TestVerify:
         assert [r["grid_ratio"] for r in rows] == ["nan", "nan"]
         assert all(math.isfinite(float(r["ratio"])) for r in rows)
         assert "carries each field's grid factor" in capsys.readouterr().out
+
+    def test_json_rows_are_strict_json(self, tmp_path):
+        # grid_ratio is nan off alpha = 1; JSON has no NaN, so it is null
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            grid={"points_per_axis": 10},
+            estimation={"reps": 5000, "seed": 11, "H1": 1.0, "H2": 0.8},
+            thresholds={"u": [1.0, 1.4]},
+            verify={"riemann_u": [25.0]},
+        )
+        out = tmp_path / "o"
+        main(["verify", "--config", cfg, "--out-dir", str(out), "--format", "json"])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        lines = (out / "verify.jsonl").read_text().splitlines()
+        rows = [json.loads(line, parse_constant=refuse) for line in lines[1:]]
+        assert [r["grid_ratio"] for r in rows] == [None, None]
+        assert all(math.isfinite(r["ratio"]) for r in rows)
+
+    def test_repeated_thresholds_fail_the_rate_without_a_warning(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.5, "dim_N": 1},
+            grid={"points_per_axis": 10},
+            estimation={"reps": 5000, "seed": 11, "H1": 1.0, "H2": 1.0},
+            verify={"riemann_u": [25.0]},
+        )
+        argv = ["verify", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                "--u", "1.5", "1.5", "1.5", "1.5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert caught == []
+        stdout = capsys.readouterr().out
+        assert "rate: FAIL (rate_fit needs >= 4 distinct u" in stdout
+        assert "verify FAILED: rate" in stdout
 
     def test_grid_ratio_nan_where_the_series_is_too_long(self, tmp_path, capsys):
         # at u = 0.05 the local grid step (0.05 / 1.5)^2 / 29 is below 1e-4,

@@ -17,7 +17,6 @@ from bgrf.montecarlo import (
     estimates_from_maxima,
     field_maxima,
     maxima_from_dump,
-    mc_excursion_multi,
     rate_fit,
     wilson_interval,
 )
@@ -64,8 +63,8 @@ class TestMcExcursion:
     def test_monotone_in_u_on_shared_samples(self):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)
         g = GridSpec(d, 20)
-        ests = mc_excursion_multi(
-            model(0.5), g, [1.0, 1.5, 2.0, 2.5, 3.0], reps=20_000, seed=4
+        ests = estimates_from_maxima(
+            *field_maxima(model(0.5), g, reps=20_000, seed=4), [1.0, 1.5, 2.0, 2.5, 3.0], 4
         )
         ps = [e.p_hat for e in ests]
         assert all(b <= a for a, b in zip(ps, ps[1:]))
@@ -98,10 +97,6 @@ class TestMcExcursion:
         assert est.p_hat == 0.0
         assert est.ci_low == 0.0 and est.ci_high > 0.0
         assert "too rare" in est.warning
-
-    def test_reps_floor(self):
-        with pytest.raises(ValueError, match="1000"):
-            mc_excursion_multi(model(0.4), point_grid(), [1.0], reps=10, seed=0)
 
     # 9,000 ends on a partial block; 8,193 on a path whose mirror is dropped,
     # alone in its block
@@ -170,7 +165,7 @@ def synthetic_points(us, rate=-1.0 / 1.5, scale=1.0):
             p_hat=p, ci_low=0.0, ci_high=1.0, u=u,
             replicates=10**9, hits=10**6, seed=0,
         )
-        pts.append((u, est))
+        pts.append(est)
     return pts
 
 
@@ -187,10 +182,10 @@ class TestRateFit:
     def test_drops_low_hit_points(self):
         pts = synthetic_points([2.0, 2.4, 2.8, 3.2, 3.6])
         starved = ExcursionEstimate(
-            p_hat=pts[-1][1].p_hat, ci_low=0.0, ci_high=1.0, u=3.6,
+            p_hat=pts[-1].p_hat, ci_low=0.0, ci_high=1.0, u=3.6,
             replicates=10**9, hits=5, seed=0,
         )
-        pts[-1] = (3.6, starved)
+        pts[-1] = starved
         fit = rate_fit(pts)
         assert fit.dropped_u == (3.6,)
         assert len(fit.used_u) == 4
@@ -199,11 +194,11 @@ class TestRateFit:
         with pytest.raises(ValueError, match=">= 4"):
             rate_fit(synthetic_points([2.0, 2.4, 2.8]))
 
-    def test_theorem_ratio_sequence(self):
-        pts = synthetic_points([2.0, 2.4, 2.8, 3.2])
-        tv = [2.0 * p[1].p_hat for p in pts]
-        fit = rate_fit(pts, theorem_values=tv)
-        assert np.allclose(fit.ratios, 0.5)
+    def test_repeated_u_errors_and_names_them(self):
+        # repeated thresholds count once: the fit refuses rather than divide
+        # by a sum of squares of u^2 that may be zero
+        with pytest.raises(ValueError, match=r"distinct u.*\[1\.5, 1\.5, 1\.5, 2\.0\]"):
+            rate_fit(synthetic_points([1.5, 1.5, 1.5, 2.0]))
 
     def test_ci_covers_truth_for_noisy_input(self):
         rng = np.random.default_rng(0)
@@ -217,6 +212,7 @@ class TestRateFit:
                 p_hat=hits / n, ci_low=0.0, ci_high=1.0, u=u,
                 replicates=n, hits=hits, seed=0,
             )
-            pts.append((u, est))
+            pts.append(est)
         fit = rate_fit(pts)
-        assert fit.slope_ci[0] <= -1.0 / 1.5 <= fit.slope_ci[1]
+        half = 1.96 * fit.slope_se
+        assert fit.slope - half <= -1.0 / 1.5 <= fit.slope + half

@@ -148,10 +148,6 @@ class TestEstimateHJoint:
         single = estimate_H_set(1.0, 1.0, **kw)
         assert joint.value < single.value
 
-    def test_kind_field(self):
-        est = estimate_H_joint(1.0, (0.0, 1.0), (1.0, 2.0), 1 / 16, 1000, 3)
-        assert est.kind == "joint"
-
 
 class TestEstimateHConstant:
     def test_pathwise_monotone_in_T(self):
@@ -173,7 +169,6 @@ class TestEstimateHConstant:
     def test_reports_largest_horizon(self):
         est = estimate_H_constant(1.0, [1.0, 2.0, 4.0], 1 / 16, reps=2000, seed=31)
         assert est.horizon_T == 4.0
-        assert est.kind == "constant"
         assert len(est.sequence) == 3
 
     def test_validation(self):
@@ -320,4 +315,4 @@ class TestGuards:
 
     def test_estimate_type_validation(self):
         with pytest.raises(ValueError):
-            PickandsEstimate(-1.0, 0.0, 1.0, 1.0, 0.1, 10, "single-set")
+            PickandsEstimate(-1.0, 0.0, 1.0, 1.0, 0.1, 10)

@@ -18,14 +18,11 @@ from bgrf.specfun import (
     MaternParams,
     QuadratureError,
     bessel_k,
-    gamma_fn,
     matern,
     matern_cosine_integral,
     matern_d2_at_zero,
 )
 from bgrf.specfun import _gl_panel, _tail_integral
-
-SQRT_PI = 1.7724538509055160273
 
 
 def reference_d2_at_zero(p):
@@ -37,27 +34,6 @@ def reference_d2_at_zero(p):
     head = _gl_panel(lambda r: r * r * (1.0 + r * r) ** (-s), 0.0, 1.0, 64)
     tail = _tail_integral(2.0 * p.nu - 3.0, s)
     return -p.a * p.a * norm * (head + tail)
-
-
-class TestGamma:
-    def test_trivial_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(5.0) == 24.0
-
-    def test_half(self):
-        assert abs(gamma_fn(0.5) - SQRT_PI) < 1e-15 * SQRT_PI
-
-    def test_relative_error_on_range(self):
-        # spot-check against the log-gamma route on the contract range
-        for x in np.geomspace(1e-3, 50, 40):
-            want = math.exp(math.lgamma(x))
-            assert abs(gamma_fn(x) - want) <= 1e-12 * want
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.5)
 
 
 class TestBesselK:
