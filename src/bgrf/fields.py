@@ -24,10 +24,10 @@ the block, or, given a reduction of the paths and of their mirrors, its
 values for replicates start .. start + take - 1 in order, reduced on the
 worker thread that drew the block. A worker holds one block: the panel
 product overwrites the block's noise with its paths through one reused
-buffer of _PANEL rows. write_sample_dump stores the paths and their
-mirrors as one row per replicate, and read_sample_dump yields them back as
-(start, block) pairs of at most _BLOCK replicates, the columns of a
-(nodes, take) array.
+tile of _PANEL rows and _TILE columns. write_sample_dump stores the paths
+and their mirrors as one row per replicate, and read_sample_dump yields
+them back as (start, block) pairs of at most _BLOCK replicates, the
+columns of a (nodes, take) array, one slab read at a time.
 
 The one Monte Carlo reduction, segment_suprema, takes sup (X - drift) over
 row segments for each path X and its mirror; sample_suprema runs it on the
@@ -65,6 +65,7 @@ class NotPositiveDefiniteError(RuntimeError):
 
 _BLOCK = 4096          # noise columns per block; part of the determinism contract
 _PANEL = 256           # rows per panel of the block product L @ noise
+_TILE = 1024           # output columns per product of one panel
 _DUMP_PATHS = 128      # paths per write of the dump writer's row-pair buffer
 _NODE_BUDGET = 8192    # largest node count of a dense covariance
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
@@ -271,8 +272,14 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """(len(a), len(b)) Euclidean distances between the rows of a and b,
+    summed one axis at a time, so no (len(a), len(b), dim) array is made."""
+    out = np.zeros((len(a), len(b)))
+    for j in range(a.shape[1]):
+        d = np.subtract.outer(a[:, j], b[:, j])
+        d *= d
+        out += d
+    return np.sqrt(out, out=out)
 
 
 def _check_nodes(n: int) -> None:
@@ -291,17 +298,20 @@ def build_covariance(m: BivariateMaternModel, g: GridSpec) -> np.ndarray:
 
     Exactly symmetric; unit diagonal for the standardized model.
     """
-    _check_nodes(g.n1 + g.n2)
+    n1 = g.n1
+    _check_nodes(n1 + g.n2)
     s, t = g.nodes1, g.nodes2
-    c11 = m.sigma1**2 * matern(_pairwise_dist(s, s), MaternParams(m.nu1, m.a1))
-    c22 = m.sigma2**2 * matern(_pairwise_dist(t, t), MaternParams(m.nu2, m.a2))
-    c12 = (
-        m.rho * m.sigma1 * m.sigma2
-        * matern(_pairwise_dist(s, t), MaternParams(m.nu12, m.a12))
-    )
-    top = np.hstack([c11, c12])
-    bot = np.hstack([c12.T, c22])
-    return np.vstack([top, bot])
+    # each block is written into its place: no block is copied
+    cov = np.empty((n1 + g.n2,) * 2)
+    np.multiply(m.sigma1**2, matern(_pairwise_dist(s, s), MaternParams(m.nu1, m.a1)),
+                out=cov[:n1, :n1])
+    np.multiply(m.sigma2**2, matern(_pairwise_dist(t, t), MaternParams(m.nu2, m.a2)),
+                out=cov[n1:, n1:])
+    np.multiply(m.rho * m.sigma1 * m.sigma2,
+                matern(_pairwise_dist(s, t), MaternParams(m.nu12, m.a12)),
+                out=cov[:n1, n1:])
+    cov[n1:, :n1] = cov[:n1, n1:].T
+    return cov
 
 
 def cholesky_factor(cov: np.ndarray) -> np.ndarray:
@@ -344,25 +354,31 @@ def _panels(n: int) -> list[tuple[int, int]]:
 
 def _panel_product(L: np.ndarray, noise: np.ndarray) -> None:
     """noise = L @ noise in place for lower-triangular L, one row panel at
-    a time from the bottom up: L[a:b, :b] @ noise[:b] goes through one
-    reused panel buffer into rows [a, b), and the rows above b still hold
-    noise.
+    a time from the bottom up: L[a:b, :b] @ noise[:b] goes into rows
+    [a, b) one tile of at most _TILE columns at a time, through one reused
+    tile buffer copied back over the tile's own noise columns, and the
+    rows above b still hold noise.
 
     OpenBLAS splits an inner dimension K > 384 differently at one thread
     than at several, which moves the last bits, but K below 256 and K a
     multiple of 256 come out the same. A full panel's K is a multiple of
-    256; a short last panel [a, n) is taken as K = n - a plus K = a.
+    256; a short last panel [a, n) is taken as K = n - a plus K = a. The
+    tiles split only the output columns: a whole tile's columns come out
+    as they do in a product across the block, but OpenBLAS may give the
+    edge columns of a narrower tile other last bits.
     """
-    n = L.shape[0]
-    buf = np.empty((min(n, _PANEL), noise.shape[1]))
+    n, cols = noise.shape
+    tile = np.empty((min(n, _PANEL), min(cols, _TILE)))
     for a, b in reversed(_panels(n)):
-        rows = buf[: b - a]
         cut = a if b - a < _PANEL else 0
-        np.matmul(L[a:b, cut:b], noise[cut:b], out=rows)
-        noise[a:b] = rows
-        if cut:
-            np.matmul(L[a:b, :cut], noise[:cut], out=rows)
-            noise[a:b] += rows
+        for c in range(0, cols, _TILE):
+            d = min(c + _TILE, cols)
+            rows = tile[: b - a, : d - c]
+            np.matmul(L[a:b, cut:b], noise[cut:b, c:d], out=rows)
+            noise[a:b, c:d] = rows
+            if cut:
+                np.matmul(L[a:b, :cut], noise[:cut, c:d], out=rows)
+                noise[a:b, c:d] += rows
 
 
 @functools.cache
@@ -480,10 +496,10 @@ def sample_blocks(
 
     L must be lower triangular: the product L @ noise is taken one row
     panel at a time, L[a:b, :b] @ noise[:b], which skips the zero upper
-    triangle.
+    triangle, over the tiles that hold the columns the block keeps.
 
     threads is capped at os.cpu_count(), since each worker holds a block
-    and a panel. With more than one, OpenBLAS runs one thread until the
+    and a tile. With more than one, OpenBLAS runs one thread until the
     generator finishes, is closed or raises.
     """
     _check_draw(L, seed, count)
@@ -493,9 +509,14 @@ def sample_blocks(
     threads = min(threads, os.cpu_count() or 1)
 
     def one(b: int) -> np.ndarray:
-        paths = _noise_block(seed, b, n)
+        take = min(_BLOCK, columns - b * _BLOCK)
+        # the noise is drawn in full, so the stream does not follow count,
+        # and only the tiles that hold kept columns are multiplied: whole
+        # tiles, since OpenBLAS gives the edge columns of a narrower product
+        # other last bits
+        paths = _noise_block(seed, b, n)[:, : _TILE * -(-take // _TILE)]
         _panel_product(L, paths)
-        paths = paths[:, : min(_BLOCK, columns - b * _BLOCK)]
+        paths = paths[:, :take]
         if reduce is None:
             return paths
         return _mirror_pairs(*reduce(paths), count - 2 * b * _BLOCK)
@@ -648,7 +669,12 @@ def dump_header(path: str) -> tuple[int, int, int]:
 
 def read_sample_dump(path: str) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, block) pairs as sample_blocks does, reading at most
-    _BLOCK replicates of the dump at a time."""
+    _BLOCK replicates of the dump at a time.
+
+    Each block is a fresh read-only slab, never reused, so blocks a caller
+    keeps stay as read. The reader drops its own reference before the next
+    read; a caller that drops its block as well holds one slab at a time.
+    """
     nodes, reps, _ = dump_header(path)
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
@@ -656,3 +682,4 @@ def read_sample_dump(path: str) -> Iterator[tuple[int, np.ndarray]]:
             take = min(_BLOCK, reps - start)
             rows = np.frombuffer(fh.read(8 * take * nodes), dtype="<f8")
             yield start, rows.reshape(take, nodes).T
+            del rows

@@ -77,6 +77,8 @@ def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
     out = np.empty((reps, 2))
     for start, rows in read_sample_dump(path):
         out[start : start + rows.shape[1]] = segment_maxima(rows, [(0, n1), (n1, nodes)])
+        # drop the slab before the reader reads the next one
+        del rows
     return out[:, 0], out[:, 1]
 
 

@@ -63,10 +63,14 @@ def bessel_k(nu: float, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError("bessel_k requires x > 0")
-    xs, at = np.unique(arr.ravel(), return_inverse=True)
-    log_scale, kv = _scaled_kv(nu, xs)
-    with np.errstate(over="ignore"):  # K_nu itself overflows at small x, large nu
-        out = (_exp_sum(log_scale, -xs) * kv)[at].reshape(arr.shape)
+
+    def distinct(lags: np.ndarray) -> np.ndarray:
+        xs, at = np.unique(lags, return_inverse=True)
+        log_scale, kv = _scaled_kv(nu, xs)
+        with np.errstate(over="ignore"):  # K_nu itself overflows at small x, large nu
+            return (_exp_sum(log_scale, -xs) * kv)[at]
+
+    out = _by_slices(distinct, arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -78,26 +82,47 @@ def matern(h, p: MaternParams):
     arr = np.asarray(h, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("matern requires finite h >= 0")
-    # each distinct lag once: covariance blocks repeat few distances many
-    # times. Riemann lags at d1 != d2 are nearly all distinct; there the
-    # sort costs about a tenth of the call and saves nothing.
-    x, at = np.unique(arr.ravel(), return_inverse=True)
-    x *= p.a
-    vals = np.ones_like(x)
     # below this lag the deficit 1 - M ~ x^min(2 nu, 2) underflows double
-    # precision entirely; the limit is 1. x is sorted, so the rest is live.
-    # At nu < 0.03 the threshold underflows to 0; lag 0 stays exactly 1.
+    # precision entirely; the limit is 1. At nu < 0.03 the threshold
+    # underflows to 0; lag 0 stays exactly 1.
     thr = max(math.exp(-45.0 / min(2.0 * p.nu, 2.0)), math.ulp(0.0))
-    live = int(np.searchsorted(x, thr))
-    if live < len(x):
-        xl = x[live:]
-        log_scale, kv = _scaled_kv(p.nu, xl)
-        log_scale += (1.0 - p.nu) * math.log(2.0) - math.lgamma(p.nu) + p.nu * np.log(xl)
-        kv *= _exp_sum(log_scale, -xl)
-        # clamp: near-zero lags can exceed 1 by a few ulps of roundoff
-        np.minimum(kv, 1.0, out=vals[live:])
-    out = vals[at].reshape(arr.shape)
+
+    def distinct(lags: np.ndarray) -> np.ndarray:
+        # each distinct lag of the slice once: covariance blocks repeat few
+        # distances many times. Riemann lags at d1 != d2 are nearly all
+        # distinct; there the sort costs about a tenth of the call and
+        # saves nothing.
+        x, at = np.unique(lags, return_inverse=True)
+        x *= p.a
+        vals = np.ones_like(x)
+        # x is sorted, so the lags from the threshold up are live
+        live = int(np.searchsorted(x, thr))
+        if live < len(x):
+            xl = x[live:]
+            log_scale, kv = _scaled_kv(p.nu, xl)
+            log_scale += (1.0 - p.nu) * math.log(2.0) - math.lgamma(p.nu) + p.nu * np.log(xl)
+            kv *= _exp_sum(log_scale, -xl)
+            # clamp: near-zero lags can exceed 1 by a few ulps of roundoff
+            np.minimum(kv, 1.0, out=vals[live:])
+        return vals[at]
+
+    out = _by_slices(distinct, arr)
     return float(out) if np.isscalar(h) or arr.ndim == 0 else out
+
+
+# lags per slice of one matern or bessel_k call: a value depends on its lag
+# alone, so slices bound a call's temporaries (np.unique's sort and inverse,
+# the prefactor) at about ten times 512 kB and leave every bit as it is
+_LAG_SLICE = 1 << 16
+
+
+def _by_slices(f, arr: np.ndarray) -> np.ndarray:
+    """f over the raveled arr, _LAG_SLICE lags at a time, in arr's shape."""
+    flat = arr.ravel()
+    out = np.empty(flat.shape)
+    for i in range(0, len(flat), _LAG_SLICE):
+        out[i : i + _LAG_SLICE] = f(flat[i : i + _LAG_SLICE])
+    return out.reshape(arr.shape)
 
 
 def _exp_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

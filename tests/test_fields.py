@@ -32,6 +32,7 @@ from bgrf.fields import (
     write_sample_dump,
 )
 from bgrf.model import BivariateMaternModel, check_assumptions, cross_corr
+from bgrf.specfun import MaternParams, matern
 
 
 def interval(lo, hi):
@@ -265,6 +266,37 @@ class TestCovariance:
             L = cholesky_factor(cov)
             assert L.shape == (400, 400)
 
+    def test_blocks_match_their_definition_in_3d(self):
+        # distances summed over three axes, blocks scaled by their variances
+        m = BivariateMaternModel(nu1=0.5, nu2=1.5, nu12=2.0, rho=0.3, sigma1=1.5, sigma2=0.5)
+        d = DomainPair(A1=(Rect((0.0,) * 3, (1.0,) * 3),),
+                       A2=(Rect((0.5, 0.0, 0.2), (1.5, 1.0, 0.9)),), dim_N=3)
+        g = GridSpec(d, 4)
+        s, t = g.nodes1, g.nodes2
+
+        def block(x, y, nu, scale):
+            diff = x[:, None, :] - y[None, :, :]
+            return scale * matern(np.sqrt(np.sum(diff * diff, axis=2)), MaternParams(nu, 1.0))
+
+        c12 = block(s, t, 2.0, 0.3 * 1.5 * 0.5)
+        want = np.block([[block(s, s, 0.5, 1.5**2), c12], [c12.T, block(t, t, 1.5, 0.5**2)]])
+        assert np.array_equal(build_covariance(m, g), want)
+
+    def test_assembled_in_place(self):
+        # 3,200 nodes in 2-D: the blocks go straight into the covariance, so
+        # the peak is the covariance and one block's distances and values
+        d = DomainPair(A1=(Rect((0.0, 0.0), (1.0, 1.0)),),
+                       A2=(Rect((0.0, 1.0), (1.0, 2.0)),), dim_N=2, split_M=1)
+        g = GridSpec(d, 40)
+        tracemalloc.start()
+        try:
+            cov = build_covariance(model(), g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cov.shape == (3200, 3200)
+        assert peak < 2 * cov.nbytes
+
     def test_not_psd_raises(self):
         bad = np.array([[1.0, 1.5], [1.5, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
@@ -371,6 +403,21 @@ def lower_factor(n, seed=0):
     return L
 
 
+def untiled_block(L, seed, b):
+    """Block b's paths by one product per 256-row panel across all 4,096
+    columns, the inner dimensions of fields._panel_product: the reference
+    its tiles must match bit for bit."""
+    noise = fields._noise_block(seed, b, L.shape[0])
+    out = np.empty_like(noise)
+    for a in range(0, len(L), 256):
+        e = min(a + 256, len(L))
+        cut = a if e - a < 256 else 0
+        out[a:e] = L[a:e, cut:e] @ noise[cut:e]
+        if cut:
+            out[a:e] += L[a:e, :cut] @ noise[:cut]
+    return out
+
+
 class TestPanelProduct:
     # _PANEL = 256: one short panel, exactly one and two panels, and a
     # last panel shorter than the others, down to one row (257)
@@ -426,6 +473,41 @@ class TestPanelProduct:
             return mat.tobytes()
 
         assert block(1) == block(2)
+
+    # _TILE = 1024: a block that ends one column short of a tile edge, on
+    # it and one past it, beside a whole block
+    @pytest.mark.parametrize("cols", [1023, 1024, 1025, 4096])
+    @pytest.mark.parametrize("n", [200, 257, 800])
+    def test_tile_edges(self, blas, n, cols):
+        get, set_ = blas
+        L = lower_factor(n)
+
+        def block(blas_threads):
+            set_(blas_threads)
+            (_, mat), = sample_blocks(L, 2, 2 * cols)
+            return mat
+
+        got = block(1)
+        assert got.shape == (n, cols)
+        want = L @ fields._noise_block(2, 0, n)[:, :cols]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the bytes of the whole block's panel products, at any BLAS count
+        assert np.array_equal(got, untiled_block(L, 2, 0)[:, :cols])
+        assert got.tobytes() == block(2).tobytes()
+
+    def test_worker_holds_one_block(self):
+        # at 1,024 nodes the product overwrites the block's noise through a
+        # 256 x 1,024 tile, a sixteenth of the block; the reduction keeps
+        # two values per replicate
+        L = lower_factor(1024)
+        block = 8 * 1024 * 4096
+        tracemalloc.start()
+        try:
+            sample_suprema(L, 1, 2 * 2 * 4096, 1, [(0, 512), (512, 1024)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * block
 
     def test_reduce_runs_on_the_worker(self):
         L = lower_factor(300)
@@ -696,9 +778,9 @@ class TestDump:
 
     def test_writer_frees_each_block(self, tmp_path):
         # six blocks from sample_blocks into the writer: each block must be
-        # gone before the next is drawn; at 200 nodes the one panel's buffer
-        # is a whole block, so the peak is the block and that buffer (two
-        # blocks) plus the writer's buffer, not three
+        # gone before the next is drawn; at 200 nodes the product's tile is
+        # a quarter block, so the peak is the block, that tile and the
+        # writer's buffer, not a second block
         L = lower_factor(200)
         block = 8 * 200 * 4096
         tracemalloc.start()
@@ -707,12 +789,12 @@ class TestDump:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * block
+        assert peak < 1.5 * block
 
     def test_writer_holds_one_block(self, tmp_path):
         # at 1,024 nodes the product overwrites the block's noise through a
-        # 256-row panel buffer, a quarter block: the peak is the block, that
-        # buffer and the writer's buffer, with no second block beside them
+        # 256 x 1,024 tile, a sixteenth of the block: the peak is the block,
+        # that tile and the writer's buffer, with no second block beside them
         L = lower_factor(1024)
         block = 8 * 1024 * 4096
         tracemalloc.start()

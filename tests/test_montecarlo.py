@@ -6,6 +6,7 @@ phi(x) * Phibar((u - rho x)/sqrt(1 - rho^2)) with mpmath at 25 digits.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ class TestMcExcursion:
         d1, d2 = maxima_from_dump(p, g.n1)
         l1, l2 = field_maxima(m, g, reps=reps, seed=8)
         assert np.array_equal(d1, l1) and np.array_equal(d2, l2)
+
+    def test_dump_reader_holds_one_slab(self, tmp_path):
+        # three slabs of 4,096 rows at 200 nodes: each slab must be gone
+        # before the next is read
+        p = str(tmp_path / "samples.bgrf")
+        write_sample_dump(p, np.eye(200), 1, 3 * 4096, 0)
+        slab = 8 * 200 * 4096
+        tracemalloc.start()
+        try:
+            d1, _ = maxima_from_dump(p, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d1) == 3 * 4096
+        assert peak < 1.5 * slab
 
     @pytest.mark.parametrize("n1", [0, -3, 16, 17])
     def test_dump_split_must_leave_both_fields_nodes(self, tmp_path, n1):

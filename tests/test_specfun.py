@@ -200,6 +200,26 @@ class TestKvQuadrature:
             tracemalloc.stop()
         assert peak < 16 * h.nbytes
 
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "grid-block"])
+    def test_memory_is_bounded_at_millions_of_lags(self, distinct):
+        # 4 x 10^6 lags, all distinct or the 2,000 x 2,000 lags of a 1-D
+        # grid block: slices of the input bound the temporaries, so the peak
+        # is the result and one slice's work, under twice the 32 MB of lags
+        if distinct:
+            h = np.linspace(1.0, 2.0, 4 * 10**6, endpoint=False)
+        else:
+            x = np.linspace(0.0, 1.0, 2000)
+            h = np.abs(np.subtract.outer(x, x))
+        for f, lags in ((lambda v: matern(v, MaternParams(1.5, 1.0)), h),
+                        (lambda v: bessel_k(1.5, v), h + 1.0)):
+            tracemalloc.start()
+            try:
+                f(lags)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * h.nbytes
+
 
 class TestCosineIntegral:
     def test_h_zero_normalisation(self):
