@@ -46,8 +46,6 @@ from .montecarlo import (
 from .pickands import (
     PickandsEstimate,
     estimate_H_constant,
-    estimate_H_joint,
-    estimate_H_set,
     path_suprema,
 )
 from .specfun import (

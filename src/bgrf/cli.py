@@ -342,15 +342,15 @@ def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
     return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
 
 
-def _riemann_checks(cfg, m, d: DomainPair, us, modes, C, T) -> list:
-    """riemann_sum_check at each u and cell family; C and T default to the
-    config's verify section, C then to default_delta_constant. Every u is
-    checked against the preconditions and the cell budget before any sum."""
+def _riemann_checks(cfg, m, d: DomainPair, us, modes) -> list:
+    """riemann_sum_check at each u and cell family, with T and C from the
+    config's verify section, C defaulting to default_delta_constant. Every
+    u is checked against the preconditions and the cell budget before any
+    sum."""
     e = local_expansion(m)
-    if C is None:
-        C = (default_delta_constant(e) if cfg["verify"]["riemann_C"] is None
-             else _number(cfg, "verify.riemann_C"))
-    T = T if T is not None else _number(cfg, "verify.riemann_T")
+    C = (default_delta_constant(e) if cfg["verify"]["riemann_C"] is None
+         else _number(cfg, "verify.riemann_C"))
+    T = _number(cfg, "verify.riemann_T")
     for u in us:
         riemann_cells(e, d, T, C, u)
     return [
@@ -457,7 +457,7 @@ def cmd_riemann_check(cfg, args) -> int:
     modes = ("intersect", "subset") if args.both_cells else ("intersect",)
     w = Writer(cfg, args, "riemann-check",
                ["u", "h_sum", "limit_value", "ratio", "n_pairs", "regime", "cells", "delta"])
-    for chk in _riemann_checks(cfg, m, build_domain(cfg, m), us, modes, args.C, args.T):
+    for chk in _riemann_checks(cfg, m, build_domain(cfg, m), us, modes):
         w.add(chk.u, chk.h_sum, chk.limit_value, chk.ratio, chk.n_pairs,
               chk.regime, chk.cells, chk.delta)
     w.flush()
@@ -497,7 +497,7 @@ def cmd_verify(cfg, args) -> int:
     # the Riemann checks run before any estimation: the cell budget can
     # fail them
     riemann = _riemann_checks(cfg, m, d, _thresholds(None, cfg, "verify.riemann_u"),
-                              ("intersect",), None, None)
+                              ("intersect",))
     us = _thresholds(args.u, cfg, "thresholds.u")
     H1, H2 = _pickands_constants(cfg, m, args)
     ests = _excursions(cfg, args, m, g, us, None)
@@ -623,11 +623,9 @@ def main(argv=None) -> int:
     p.add_argument("--h-max", type=float, default=5.0)
     p.add_argument("--h-points", type=int, default=26)
 
-    p = parsers["riemann-check"]
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--both-cells", action="store_true",
-                   help="also sum over the subset cell family")
+    parsers["riemann-check"].add_argument(
+        "--both-cells", action="store_true",
+        help="also sum over the subset cell family")
 
     parsers["mc-excursion"].add_argument(
         "--samples", default=None,
@@ -636,6 +634,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.threads < 1:
         parsers[args.command].error(f"--threads must be at least 1, got {args.threads}")
+    if getattr(args, "h_points", 1) < 1:
+        parsers[args.command].error(f"--h-points must be at least 1, got {args.h_points}")
 
     try:
         cfg = load_config(args.config)

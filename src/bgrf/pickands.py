@@ -1,19 +1,16 @@
-"""Monte Carlo estimation of Pickands functionals.
+"""Monte Carlo estimation of the Pickands constant.
 
 With chi the rescaled fractional Brownian motion (covariance
-|s|^a + |t|^a - |t-s|^a) and X_S = sup_{t in S} (chi(t) - |t|^a), the
-estimators use the expectation forms
+|s|^a + |t|^a - |t-s|^a) and X_T = sup_{t in [0, T]} (chi(t) - |t|^a), the
+estimator uses the expectation forms
 
-    H_a(T)    = E exp(X_[0,T]),
-    H_a(S, T) = E exp(min(X_S, X_T)),
-    H_a       = lim_T H_a([0,T]) / T,
+    H_a(T) = E exp(X_T),
+    H_a    = lim_T H_a(T) / T,
 
 with suprema taken over a grid of spacing eta, so estimates carry a
 negative discretisation bias that shrinks as eta decreases. Within one
-call all sets share a single path per replicate (common random numbers),
-which makes H_a(T) pathwise nondecreasing in T and makes the identity
-exp(X) + exp(Y) - exp(max(X,Y)) = exp(min(X,Y)) hold replicate by
-replicate up to roundoff.
+call all horizons share a single path per replicate (common random
+numbers), which makes H_a(T) pathwise nondecreasing in T.
 
 chi and -chi have the same law, and L(-Z) = -(LZ), so the sampler's
 replicates come in pairs, a path and its mirror (antithetic variates,
@@ -48,7 +45,7 @@ class PickandsEstimate:
     horizon_T: float
     eta: float
     replicates: int
-    sequence: tuple[tuple[float, float, float], ...] | None = None
+    sequence: tuple[tuple[float, float, float], ...]
     warning: str | None = None
 
     def __post_init__(self):
@@ -89,57 +86,38 @@ def _check_exponent_guard(sups: np.ndarray) -> None:
         )
 
 
-def _set_to_indices(lo: float, hi: float, eta: float, n_steps: int) -> tuple[int, int]:
-    """Grid indices (i_lo, i_hi) of the set's endpoints."""
-    i_lo, i_hi = lo / eta, hi / eta
-    if abs(i_lo - round(i_lo)) > 1e-9 or abs(i_hi - round(i_hi)) > 1e-9:
-        raise ValueError(f"set endpoints ({lo}, {hi}) must be multiples of eta")
-    i_lo, i_hi = int(round(i_lo)), int(round(i_hi))
-    if not (0 <= i_lo <= i_hi <= n_steps):
-        raise ValueError(f"set ({lo}, {hi}) outside the simulated horizon")
-    return i_lo, i_hi
-
-
 def path_suprema(
     alpha: float,
-    sets: list[tuple[float, float]],
+    T_list: list[float],
     eta: float,
-    horizon: float,
     reps: int,
     seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """(reps, len(sets)) matrix of sup_{t in S_k} (chi(t) - t^alpha).
+    """(reps, len(T_list)) matrix of sup_{t in [0, T_k]} (chi(t) - t^alpha)
+    for strictly increasing horizons T_k, each a multiple of eta.
 
     One shared path per replicate; deterministic in (seed, replicate).
     Replicates come in the sampler's mirror pairs, a path X and -X. Block
-    rows hold the path on t[1:]; the rows are cut at every set's
-    endpoints, each segment's supremum is taken once per replicate by
-    fields.sample_suprema, and a set's supremum is the maximum over the
-    segments it spans (and 0, the path at t = 0, when it holds the origin).
+    rows hold the path on t[1:]; fields.sample_suprema takes each
+    replicate's supremum over the consecutive segments (T_{k-1}, T_k], and
+    the supremum over [0, T_k] is the running maximum of those segments
+    and 0, the path at t = 0.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    t = fbm_grid(horizon, eta)
+    ends = [T / eta for T in T_list]
+    if any(abs(i - round(i)) > 1e-9 for i in ends):
+        raise ValueError(f"horizons {T_list} must be multiples of eta")
+    ends = [round(i) for i in ends]
+    if not (0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:]))):
+        raise ValueError(f"horizons {T_list} must be positive and strictly increasing")
+    t = fbm_grid(T_list[-1], eta)
     L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-    n_steps = len(t) - 1
-    # set k spans block rows [start, stop): t indices max(i_lo, 1) .. i_hi
-    spans = []
-    for lo, hi in sets:
-        i_lo, i_hi = _set_to_indices(lo, hi, eta, n_steps)
-        spans.append((max(i_lo, 1) - 1, i_hi, i_lo == 0))
-    cuts = sorted({c for start, stop, _ in spans for c in (start, stop)})
-    segments = [
-        (a, b) for a, b in zip(cuts, cuts[1:])
-        if any(start <= a and b <= stop for start, stop, _ in spans)
-    ]
+    segments = list(zip([0] + ends[:-1], ends))
     sups = sample_suprema(L, seed, reps, threads, segments, (t**alpha)[1:, None])
-    out = np.empty((reps, len(sets)))
-    for k, (start, stop, has_origin) in enumerate(spans):
-        js = [j for j, (a, b) in enumerate(segments) if start <= a and b <= stop]
-        # a set holding the origin also holds the path's value 0 at t = 0
-        np.max(sups[:, js], axis=1, out=out[:, k], initial=0.0 if has_origin else -np.inf)
-    return out
+    np.maximum(sups, 0.0, out=sups)
+    return np.maximum.accumulate(sups, axis=1, out=sups)
 
 
 def _mean_exp(sups: np.ndarray) -> tuple[float, float]:
@@ -156,42 +134,6 @@ def _mean_exp(sups: np.ndarray) -> tuple[float, float]:
     else:
         se = 0.0
     return mean, se
-
-
-def estimate_H_set(
-    alpha: float, T: float, eta: float, reps: int, seed: int, threads: int = 1
-) -> PickandsEstimate:
-    """Estimate H_alpha([0, T]) = E exp(sup (chi - t^alpha)).
-
-    T = 0 degenerates to the set {0}, where the value is exactly 1.
-    """
-    if T == 0:
-        return PickandsEstimate(1.0, 0.0, alpha, 0.0, eta, reps)
-    if not (T > 0):
-        raise ValueError("T must be nonnegative")
-    if eta > T / 8:
-        raise ValueError(f"need eta <= T/8, got eta={eta} for T={T}")
-    sups = path_suprema(alpha, [(0.0, T)], eta, T, reps, seed, threads)
-    value, se = _mean_exp(sups[:, 0])
-    return PickandsEstimate(value, se, alpha, T, eta, reps)
-
-
-def estimate_H_joint(
-    alpha: float,
-    S_set: tuple[float, float],
-    T_set: tuple[float, float],
-    eta: float,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-) -> PickandsEstimate:
-    """Estimate H_alpha(S, T) = E exp(min(X_S, X_T)) on shared paths."""
-    horizon = max(S_set[1], T_set[1])
-    if horizon <= 0:
-        raise ValueError("sets must have positive extent")
-    sups = path_suprema(alpha, [S_set, T_set], eta, horizon, reps, seed, threads)
-    value, se = _mean_exp(np.minimum(sups[:, 0], sups[:, 1]))
-    return PickandsEstimate(value, se, alpha, horizon, eta, reps)
 
 
 def estimate_H_constant(
@@ -211,14 +153,10 @@ def estimate_H_constant(
     """
     if len(T_list) < 3:
         raise ValueError("T_list needs at least 3 horizons")
-    if any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise ValueError("T_list must be strictly increasing")
     T_max = T_list[-1]
     if eta > T_list[0] / 8:
         raise ValueError(f"need eta <= min(T)/8, got eta={eta}")
-    sups = path_suprema(
-        alpha, [(0.0, T) for T in T_list], eta, T_max, reps, seed, threads
-    )
+    sups = path_suprema(alpha, T_list, eta, reps, seed, threads)
     seq = []
     for k, T in enumerate(T_list):
         v, se = _mean_exp(sups[:, k])

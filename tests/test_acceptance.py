@@ -49,7 +49,7 @@ from bgrf.model import (
     validity_bound_equal_scale,
 )
 from bgrf.montecarlo import estimates_from_maxima, field_maxima, rate_fit
-from bgrf.pickands import discrete_pickands_h1, estimate_H_constant, path_suprema
+from bgrf.pickands import discrete_pickands_h1, estimate_H_constant
 from bgrf.specfun import (
     MaternParams,
     bessel_k,
@@ -211,24 +211,6 @@ def test_c5_pickands_H1(h1_estimate):
         dev <= 0.12 and dt < 300.0,
         f"H_1 estimate {est.value:.4f} (se {est.std_error:.4f}) at T=8, "
         f"eta=1/64, reps=2e5, seed={SEED}; |dev| {dev:.2%} (tol 12%), {dt:.1f}s",
-    )
-
-
-def test_c5_replicatewise_identity():
-    t0 = time.time()
-    sups = path_suprema(
-        1.0, [(0.0, 1.0), (4.0, 5.0)], 1.0 / 64.0, 5.0, reps=200_000, seed=SEED
-    )
-    ex, ey = np.exp(sups[:, 0]), np.exp(sups[:, 1])
-    lhs = ex + ey - np.exp(np.maximum(sups[:, 0], sups[:, 1]))
-    rhs = np.exp(np.minimum(sups[:, 0], sups[:, 1]))
-    worst = float(np.max(np.abs(lhs - rhs) / (ex + ey)))
-    dt = time.time() - t0
-    report(
-        "5b joint-split identity",
-        worst <= 1e-12 and dt < 300.0,
-        f"max |e^X + e^Y - e^max - e^min| / (e^X + e^Y) = {worst:.2e} "
-        f"over 2e5 paths (tol 1e-12), {dt:.1f}s",
     )
 
 

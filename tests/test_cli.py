@@ -17,6 +17,13 @@ from bgrf.pickands import discrete_pickands_h1, estimate_H_constant
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for
+    running bgrf in a subprocess."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+
+
 def write_config(tmp_path, name="cfg.json", **sections):
     base = {
         "model": {"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
@@ -146,6 +153,18 @@ class TestMaternEval:
         for r in rows:
             assert float(r["abs_diff"]) <= 1e-6
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_h_points_below_one_is_a_usage_error(self, tmp_path, capsys, points):
+        # zero lags would write a header-only CSV that checks nothing
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["matern-eval", "--config", cfg, "--out-dir", str(out),
+                  "--h-points", points])
+        assert exit_.value.code == 2
+        assert f"--h-points must be at least 1, got {points}" in capsys.readouterr().err
+        assert not (out / "matern-eval.csv").exists()
+
 
 class TestExpansion:
     def test_values(self, tmp_path):
@@ -170,6 +189,24 @@ class TestPickands:
         assert [float(r["T"]) for r in rows] == [1.0, 2.0, 4.0]
         values = [float(r["value"]) for r in rows]
         assert values[0] >= values[1] >= values[2]  # H(T)/T decreasing
+
+    def test_threads_give_identical_bytes_on_odd_reps(self, tmp_path):
+        # 12,289 paths are 6,145 noise columns, each a path and its mirror:
+        # a full block, then a partial one whose last mirror is dropped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            "estimation": {"reps": 12289, "seed": 7, "eta": 0.015625,
+                           "T_list": [1.0, 2.0, 4.0, 8.0]},
+        }))
+        for t in (1, 2):
+            subprocess.run(
+                [sys.executable, "-m", "bgrf.cli", "pickands", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / f"t{t}"), "--threads", str(t)],
+                check=True, capture_output=True, env=src_env(),
+            )
+        csv1, csv2 = (tmp_path / f"t{t}" / "pickands.csv" for t in (1, 2))
+        assert csv1.read_bytes() == csv2.read_bytes()
 
 
 class TestTheorems:
@@ -712,8 +749,7 @@ class TestConsoleScript:
              "import sys; sys.modules['scipy'] = None; from bgrf.cli import main; "
              f"sys.exit(main({args!r}))"],
             capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -32,11 +32,8 @@ from bgrf.pickands import (
     PickandsEstimate,
     _check_exponent_guard,
     _mean_exp,
-    _set_to_indices,
     discrete_pickands_h1,
     estimate_H_constant,
-    estimate_H_joint,
-    estimate_H_set,
     path_suprema,
 )
 
@@ -51,6 +48,14 @@ def spitzer_expectation(n_steps: int, step_var: float) -> float:
     for m in range(1, n_steps + 1):
         a[m] = np.dot(g[:m], a[m - 1 :: -1]) / m
     return float(a[n_steps])
+
+
+def estimate_H_T(alpha, T, eta, reps, seed):
+    """H_alpha([0, T]) and its standard error: estimate_H_constant's value
+    at its last horizon T, times T (exact for the powers of two used)."""
+    est = estimate_H_constant(alpha, [T / 2, 3 * T / 4, T], eta, reps, seed)
+    assert est.replicates == reps
+    return est.value * T, est.std_error * T
 
 
 class TestDiscretePickandsConstant:
@@ -89,64 +94,37 @@ class TestDiscretePickandsConstant:
 
 
 class TestEstimateHSet:
-    def test_degenerate_origin_set(self):
-        est = estimate_H_set(1.0, 0.0, 1 / 16, reps=100, seed=0)
-        assert est.value == 1.0
-        assert est.std_error == 0.0
+    # H_alpha([0, T]) = E exp(X_T), through estimate_H_constant
 
     def test_at_least_one_with_origin(self):
         for alpha in [0.5, 1.0, 1.5]:
-            est = estimate_H_set(alpha, 1.0, 1 / 16, reps=2000, seed=1)
-            assert est.value >= 1.0
+            value, _ = estimate_H_T(alpha, 1.0, 1 / 16, reps=2000, seed=1)
+            assert value >= 1.0
 
     def test_spitzer_oracle_alpha_one(self):
         T, eta, reps = 2.0, 1 / 32, 40_000
-        est = estimate_H_set(1.0, T, eta, reps=reps, seed=101)
+        value, se = estimate_H_T(1.0, T, eta, reps=reps, seed=101)
         want = spitzer_expectation(int(T / eta), 2 * eta)
-        assert abs(est.value - want) <= 4 * est.std_error
+        assert abs(value - want) <= 4 * se
 
     def test_spitzer_oracle_longer_horizon(self):
         T, eta, reps = 4.0, 1 / 32, 60_000
-        est = estimate_H_set(1.0, T, eta, reps=reps, seed=202)
+        value, se = estimate_H_T(1.0, T, eta, reps=reps, seed=202)
         want = spitzer_expectation(int(T / eta), 2 * eta)
-        assert abs(est.value - want) <= 4 * est.std_error
+        assert abs(value - want) <= 4 * se
 
     def test_halving_eta_never_decreases_much(self):
         T, reps = 2.0, 20_000
-        coarse = estimate_H_set(1.2, T, 1 / 16, reps=reps, seed=7)
-        fine = estimate_H_set(1.2, T, 1 / 32, reps=reps, seed=7)
-        guard = 2.0 * math.hypot(coarse.std_error, fine.std_error)
-        assert fine.value >= coarse.value - guard
+        coarse, coarse_se = estimate_H_T(1.2, T, 1 / 16, reps=reps, seed=7)
+        fine, fine_se = estimate_H_T(1.2, T, 1 / 32, reps=reps, seed=7)
+        guard = 2.0 * math.hypot(coarse_se, fine_se)
+        assert fine >= coarse - guard
 
     def test_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            estimate_H_set(2.0, 1.0, 1 / 16, 100, 0)
+            estimate_H_T(2.0, 1.0, 1 / 16, 100, 0)
         with pytest.raises(ValueError, match="eta"):
-            estimate_H_set(1.0, 1.0, 0.5, 100, 0)
-
-
-class TestEstimateHJoint:
-    def test_same_set_equals_single(self):
-        kw = dict(eta=1 / 16, reps=5000, seed=5)
-        joint = estimate_H_joint(1.0, (0.0, 2.0), (0.0, 2.0), **kw)
-        single = estimate_H_set(1.0, 2.0, **kw)
-        assert joint.value == single.value  # same paths, min(X, X) = X
-
-    def test_replicatewise_identity(self):
-        # e^X + e^Y - e^max = e^min to roundoff on every path
-        sups = path_suprema(
-            1.0, [(0.0, 1.0), (4.0, 5.0)], 1 / 16, 5.0, reps=4000, seed=9
-        )
-        ex, ey = np.exp(sups[:, 0]), np.exp(sups[:, 1])
-        lhs = ex + ey - np.exp(np.maximum(sups[:, 0], sups[:, 1]))
-        rhs = np.exp(np.minimum(sups[:, 0], sups[:, 1]))
-        assert np.all(np.abs(lhs - rhs) <= 1e-12 * (ex + ey))
-
-    def test_disjoint_below_single(self):
-        kw = dict(eta=1 / 16, reps=20_000, seed=13)
-        joint = estimate_H_joint(1.0, (0.0, 1.0), (4.0, 5.0), **kw)
-        single = estimate_H_set(1.0, 1.0, **kw)
-        assert joint.value < single.value
+            estimate_H_T(1.0, 1.0, 0.5, 100, 0)
 
 
 class TestEstimateHConstant:
@@ -179,96 +157,79 @@ class TestEstimateHConstant:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the reduction path_suprema once ran on the consumer, one fancy-index
-# copy of the drifted block per set, kept as the reference for the segment
-# extremes it now takes on the worker. Column j of a block of paths gives
-# replicate start + 2j, the path X, and replicate start + 2j + 1, its mirror
-# -X, whose supremum is taken as -min((X - d) + 2d), the same arithmetic as
-# path_suprema. Both see the same blocks, and max and min are exact, so the two
-# must agree bit for bit.
+# Oracle: the reduction path_suprema once ran on the consumer, one slice of
+# the drifted block per horizon, kept as the reference for the segment
+# extremes and running maximum it now takes. Column j of a block of paths
+# gives replicate start + 2j, the path X, and replicate start + 2j + 1, its
+# mirror -X, whose supremum is taken as -min((X - d) + 2d), the same
+# arithmetic as path_suprema. Both see the same blocks, and max and min are
+# exact, so the two must agree bit for bit.
 # ---------------------------------------------------------------------------
 
-def reference_suprema(alpha, sets, eta, horizon, reps, seed):
-    t = fbm_grid(horizon, eta)
+def reference_suprema(alpha, T_list, eta, reps, seed):
+    t = fbm_grid(T_list[-1], eta)
     L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-    n_steps = len(t) - 1
-    idx = [np.arange(i_lo, i_hi + 1)
-           for i_lo, i_hi in (_set_to_indices(lo, hi, eta, n_steps) for lo, hi in sets)]
+    ends = [round(T / eta) for T in T_list]
     drift = t**alpha
-    out = np.empty((reps + 1, len(sets)))
+    out = np.empty((reps + 1, len(T_list)))
     for start, mat in sample_blocks(L, seed, reps):
         stop = start + 2 * mat.shape[1]
         vals = mat - drift[1:, None]  # drifted path on t[1:]
         shifted = vals + 2.0 * drift[1:, None]  # X + d, for the mirror
-        for k, ix in enumerate(idx):
-            has_origin = ix[0] == 0
-            rows = ix[ix > 0] - 1
-            if rows.size:
-                segs = (vals[rows].max(axis=0), -shifted[rows].min(axis=0))
-                if has_origin:
-                    segs = tuple(np.maximum(seg, 0.0) for seg in segs)
-            else:
-                segs = (0.0, 0.0)  # the set {0}
-            out[start : stop : 2, k], out[start + 1 : stop : 2, k] = segs
+        for k, end in enumerate(ends):
+            # [0, T_k] holds the origin, where the path is 0, and rows :end
+            out[start:stop:2, k] = np.maximum(vals[:end].max(axis=0), 0.0)
+            out[start + 1:stop:2, k] = np.maximum(-shifted[:end].min(axis=0), 0.0)
     return out[:reps]
 
 
 class TestSupremaOracle:
-    # eta = 1/128 puts 128 to 640 nodes on the path, one to three row
-    # panels of the block product; 4,100 reps are 2,050 noise columns, a
-    # partial block
-    @pytest.mark.parametrize("sets, horizon", [
-        ([(0.0, 1.0), (0.0, 2.0), (0.0, 4.0)], 4.0),
-        ([(0.5, 1.0), (1.0, 2.0)], 2.0),
-        ([(0.0, 0.0), (0.0, 1.0)], 1.0),
-        ([(0.0, 1.0), (4.0, 5.0), (0.25, 4.5)], 5.0),
-        ([(1.0, 1.0), (0.0, 0.0)], 2.0),
-    ], ids=["prefix", "joint", "origin-only", "gap-and-overlap", "points"])
+    # eta = 1/128 puts 320 or 512 nodes on the path, two row panels of the
+    # block product, the first ending on a 64-row panel; origin-only's
+    # first horizon holds the origin and one node, so its supremum is often
+    # the origin's 0; 4,100 reps are 2,050 noise columns, a partial block
+    @pytest.mark.parametrize("T_list", [
+        [1.0, 2.0, 4.0],
+        [1 / 128, 2.5],
+    ], ids=["prefix", "origin-only"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_bit_identical(self, sets, horizon, threads):
-        args = (1.0, sets, 1 / 128, horizon, 4100, 17)
+    def test_bit_identical(self, T_list, threads):
+        args = (1.0, T_list, 1 / 128, 4100, 17)
         got = path_suprema(*args, threads=threads)
         want = reference_suprema(*args)
         assert np.array_equal(got, want)
 
-    def test_joint_estimate(self):
-        S, T = (0.5, 1.0), (1.0, 2.0)
-        est = estimate_H_joint(1.3, S, T, 1 / 128, 4100, 19)
-        sups = reference_suprema(1.3, [S, T], 1 / 128, 2.0, 4100, 19)
-        value, se = _mean_exp(np.minimum(sups[:, 0], sups[:, 1]))
-        assert (est.value, est.std_error) == (value, se)
-
 
 class TestMirrorPairs:
-    SETS = [(0.0, 1.0), (0.5, 2.0), (0.0, 0.0)]
+    T_LIST = [0.5, 1.0, 2.0]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_bit_identical_across_blocks(self, threads):
         # 8,195 reps are 4,098 noise columns: a full block, then a partial
         # one whose last mirror is dropped
-        args = (1.0, self.SETS, 1 / 64, 2.0, 8195, 23)
+        args = (1.0, self.T_LIST, 1 / 64, 8195, 23)
         got = path_suprema(*args, threads=threads)
         assert got.shape == (8195, 3)
         assert np.array_equal(got, reference_suprema(*args))
 
     def test_odd_reps_are_a_prefix(self):
-        args = (1.0, self.SETS, 1 / 64, 2.0)
+        args = (1.0, self.T_LIST, 1 / 64)
         odd = path_suprema(*args, 4101, 31)
         even = path_suprema(*args, 4102, 31)
         assert np.array_equal(odd, even[:4101])
 
     def test_mirror_is_the_negated_path(self):
-        alpha, eta, horizon, reps = 1.4, 1 / 64, 2.0, 601
-        t = fbm_grid(horizon, eta)
+        alpha, eta, reps = 1.4, 1 / 64, 601
+        t = fbm_grid(self.T_LIST[-1], eta)
         L = cholesky_factor(fbm_covariance(alpha, t[1:]))
         ((_, X),) = sample_blocks(L, 37, reps)
         mirror = -X - (t**alpha)[1:, None]  # -X - d, built directly
-        want = np.stack([
-            np.maximum(mirror[:64].max(axis=0), 0.0),  # [0, 1]: holds the origin
-            mirror[31:128].max(axis=0),  # [0.5, 2]: t indices 32..128
-            np.zeros(X.shape[1]),  # {0}
+        want = np.stack([  # each horizon holds the origin, where the path is 0
+            np.maximum(mirror[:32].max(axis=0), 0.0),  # [0, 0.5]
+            np.maximum(mirror[:64].max(axis=0), 0.0),  # [0, 1]
+            np.maximum(mirror[:128].max(axis=0), 0.0),  # [0, 2]
         ], axis=1)
-        got = path_suprema(alpha, self.SETS, eta, horizon, reps, 37)
+        got = path_suprema(alpha, self.T_LIST, eta, reps, 37)
         assert np.allclose(got[1::2], want[:reps // 2], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [7, 8])
@@ -290,10 +251,9 @@ class TestMirrorPairs:
 
     def test_spitzer_oracle_odd_reps(self):
         T, eta, reps = 2.0, 1 / 32, 40_001
-        est = estimate_H_set(1.0, T, eta, reps=reps, seed=303)
+        value, se = estimate_H_T(1.0, T, eta, reps=reps, seed=303)
         want = spitzer_expectation(int(T / eta), 2 * eta)
-        assert est.replicates == reps
-        assert abs(est.value - want) <= 4 * est.std_error
+        assert abs(value - want) <= 4 * se
 
 
 class TestGuards:
@@ -304,15 +264,17 @@ class TestGuards:
     def test_exponent_guard_passes(self):
         _check_exponent_guard(np.array([10.0, 600.0]))
 
-    def test_origin_only_sets_give_zeros(self):
-        # the set {0} spans no row, so there is no segment to reduce
-        got = path_suprema(1.0, [(0.0, 0.0)], 1 / 16, 1.0, 5, 0)
-        assert np.array_equal(got, np.zeros((5, 1)))
-
     def test_misaligned_set_rejected(self):
+        # the horizon [0, 0.7] ends off the grid of spacing 1/16
         with pytest.raises(ValueError, match="multiples of eta"):
-            path_suprema(1.0, [(0.0, 0.7)], 1 / 16, 1.0, 10, 0)
+            path_suprema(1.0, [0.5, 0.7], 1 / 16, 10, 0)
+
+    @pytest.mark.parametrize("T_list", [[1.0, 1.0], [2.0, 1.0], [0.0, 1.0]],
+                             ids=["repeated", "decreasing", "zero"])
+    def test_non_increasing_horizons_rejected(self, T_list):
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            path_suprema(1.0, T_list, 1 / 16, 10, 0)
 
     def test_estimate_type_validation(self):
         with pytest.raises(ValueError):
-            PickandsEstimate(-1.0, 0.0, 1.0, 1.0, 0.1, 10)
+            PickandsEstimate(-1.0, 0.0, 1.0, 1.0, 0.1, 10, ())
