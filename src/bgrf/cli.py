@@ -69,7 +69,7 @@ _DEFAULTS = {
         "H2": None,
     },
     "thresholds": {"u": [2.0, 2.4, 2.8, 3.2]},
-    "output": {"directory": None, "format": "csv"},
+    "output": {"directory": None},
     "verify": {
         "rate_tol": 0.10,
         "riemann_band": 0.10,
@@ -177,9 +177,7 @@ def _fmt(v) -> str:
 class Writer:
     def __init__(self, cfg: dict, args, command: str, columns: list[str]):
         self.columns = columns
-        self.fmt = args.format or cfg["output"]["format"]
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
+        self.fmt = args.format
         ext = "csv" if self.fmt == "csv" else "jsonl"
         self.path = os.path.join(_out_dir(cfg, args), f"{command}.{ext}")
         # the hash covers the scientific sections only, not output routing
@@ -424,25 +422,16 @@ def cmd_pickands(cfg, args) -> int:
     return 0
 
 
-def cmd_theorem(cfg, args, which: str) -> int:
+def cmd_theorem(cfg, args) -> int:
     m = build_model(cfg)
     e = local_expansion(m)
     d = build_domain(cfg, m)
-    # each command forces its case: M = N, or M = split_M
-    if which == "theorem1":
-        M, mes = d.dim_N, d.mes(d.dim_N)
-        if mes <= 0.0:
-            raise ValueError(
-                "theorem1 needs mes_N(A1 and A2) > 0; this domain pair "
-                "routes to theorem2"
-            )
-    elif d.split_M is None:
-        raise ValueError("theorem2 needs domain.split_M")
-    else:
-        M, mes = d.split_M, d.mes(d.split_M)
+    M, mes = d.shared_part()
     us = _thresholds(args.u, cfg, "thresholds.u")
     H1, H2 = _pickands_constants(cfg, m, args)
-    w = Writer(cfg, args, which,
+    case = "overlapping domains" if M == d.dim_N else "touching domains"
+    print(f"case: M = {M}, N = {d.dim_N}, mes_M = {mes:.6g} ({case})", file=sys.stderr)
+    w = Writer(cfg, args, "theorem",
                ["u", "value", "log_value", "exp_rate", "u_power", "constant"])
     for u in us:
         r = tail_asymptotic(e, M, mes, H1, H2, u)
@@ -587,7 +576,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads, at most the CPU count; while they run, "
                    "BLAS uses one thread (never changes outputs)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out-dir", default=None,
                    help="output directory (default $BGRF_OUT_DIR or ./bgrf-out)")
 
@@ -605,8 +594,7 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
         "pickands": cmd_pickands,
         "matern-eval": cmd_matern_eval,
-        "theorem1": lambda c, a: cmd_theorem(c, a, "theorem1"),
-        "theorem2": lambda c, a: cmd_theorem(c, a, "theorem2"),
+        "theorem": cmd_theorem,
         "riemann-check": cmd_riemann_check,
         "mc-excursion": cmd_mc_excursion,
         "verify": cmd_verify,
@@ -615,7 +603,7 @@ def main(argv=None) -> int:
     for name in handlers:
         parsers[name] = p = sub.add_parser(name)
         _add_common(p)
-        if name in ("theorem1", "theorem2", "riemann-check", "mc-excursion", "verify"):
+        if name in ("theorem", "riemann-check", "mc-excursion", "verify"):
             p.add_argument("--u", type=float, nargs="+", default=None)
 
     p = parsers["matern-eval"]

@@ -26,13 +26,11 @@ worker thread that drew the block. A worker holds one block: the panel
 product overwrites the block's noise with its paths through one reused
 tile of _PANEL rows and _TILE columns. write_sample_dump stores the paths
 and their mirrors as one row per replicate, and read_sample_dump yields
-them back as (start, block) pairs of at most _BLOCK replicates, the
-columns of a (nodes, take) array, one slab read at a time.
+the paths back as sample_blocks does, one slab read at a time.
 
 The one Monte Carlo reduction, segment_suprema, takes sup (X - drift) over
 row segments for each path X and its mirror; sample_suprema runs it on the
-workers, for montecarlo's grid maxima and pickands' set suprema alike. A
-dump's rows hold the mirrors already, so reading one needs segment_maxima.
+workers, for montecarlo's grid maxima and pickands' set suprema alike.
 
 While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
 pool's workers own the cores; every panel product has an inner dimension
@@ -207,7 +205,7 @@ class DomainPair:
             return self.dim_N, mes
         if self.split_M is None:
             raise ValueError(
-                "A1 and A2 meet in a null set, and theorem2 needs domain.split_M"
+                "A1 and A2 meet in a null set, and Theorem 2 needs domain.split_M"
             )
         mes = self.mes(self.split_M)
         if not mes > 0.0:
@@ -540,15 +538,6 @@ def sample_blocks(
             del out
 
 
-def segment_maxima(rows: np.ndarray, segments: Sequence[tuple[int, int]]) -> np.ndarray:
-    """(cols, len(segments)) maxima of each column of the (n, cols) rows
-    over each row segment [a, b)."""
-    out = np.empty((len(segments), rows.shape[1]))
-    for k, (a, b) in enumerate(segments):
-        np.max(rows[a:b], axis=0, out=out[k])
-    return out.T
-
-
 def segment_suprema(
     paths: np.ndarray, segments: Sequence[tuple[int, int]],
     drift: np.ndarray | None = None,
@@ -557,15 +546,16 @@ def segment_suprema(
     (n, cols) paths and for its mirror -X, as -min(X + drift): two (cols,
     len(segments)) arrays, a reduce of sample_blocks. A drift, an (n, 1)
     column, is applied to paths in place; without one, paths is only read."""
+    path, mirror = np.empty((2, len(segments), paths.shape[1]))
     if drift is not None:
         paths -= drift
-    path = segment_maxima(paths, segments)
+    for k, (a, b) in enumerate(segments):
+        np.max(paths[a:b], axis=0, out=path[k])
     if drift is not None:
         paths += 2.0 * drift
-    mirror = np.empty((len(segments), paths.shape[1]))
     for k, (a, b) in enumerate(segments):
         np.min(paths[a:b], axis=0, out=mirror[k])
-    return path, np.negative(mirror, out=mirror).T
+    return path.T, np.negative(mirror, out=mirror).T
 
 
 def sample_suprema(
@@ -654,7 +644,7 @@ def write_sample_dump(
 
 
 def dump_header(path: str) -> tuple[int, int, int]:
-    """(nodes, reps, tag) of a dump whose magic and size check out."""
+    """(nodes, reps, tag) of a dump whose magic, counts and size check out."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
     if len(header) != _HEADER.size:
@@ -662,18 +652,20 @@ def dump_header(path: str) -> tuple[int, int, int]:
     magic, nodes, reps, tag = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    if not (nodes and reps):
+        raise ValueError(f"empty dump: {nodes} nodes, {reps} replicates")
     if os.path.getsize(path) != _HEADER.size + 8 * nodes * reps:
         raise ValueError("dump payload size mismatch")
     return nodes, reps, tag
 
 
 def read_sample_dump(path: str) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, block) pairs as sample_blocks does, reading at most
-    _BLOCK replicates of the dump at a time.
+    """Yield (start, paths) as sample_blocks does without reduce: the
+    path rows 2j of each slab of at most _BLOCK replicates of the dump.
 
-    Each block is a fresh read-only slab, never reused, so blocks a caller
+    Each slab is a fresh read-only array, never reused, so paths a caller
     keeps stay as read. The reader drops its own reference before the next
-    read; a caller that drops its block as well holds one slab at a time.
+    read; a caller that drops its paths as well holds one slab at a time.
     """
     nodes, reps, _ = dump_header(path)
     with open(path, "rb") as fh:
@@ -681,5 +673,5 @@ def read_sample_dump(path: str) -> Iterator[tuple[int, np.ndarray]]:
         for start in range(0, reps, _BLOCK):
             take = min(_BLOCK, reps - start)
             rows = np.frombuffer(fh.read(8 * take * nodes), dtype="<f8")
-            yield start, rows.reshape(take, nodes).T
+            yield start, rows.reshape(take, nodes)[0::2].T
             del rows

@@ -18,10 +18,11 @@ from .fields import (
     GridSpec,
     build_covariance,
     cholesky_factor,
+    _mirror_pairs,
     dump_header,
     read_sample_dump,
     sample_suprema,
-    segment_maxima,
+    segment_suprema,
 )
 from .model import BivariateMaternModel
 
@@ -68,17 +69,18 @@ def field_maxima(
 
 
 def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute per-replicate maxima from a stored sample dump, whose rows
-    hold every replicate, mirrors included."""
+    """Recompute per-replicate maxima from a stored sample dump, whose
+    mirror rows negate its paths exactly: the paths reduced as fresh ones."""
     nodes, reps, _ = dump_header(path)
     if not 0 < n1 < nodes:
         raise ValueError(f"n1 = {n1} must lie in 1 .. {nodes - 1}, "
                          f"for {nodes} stored nodes")
     out = np.empty((reps, 2))
-    for start, rows in read_sample_dump(path):
-        out[start : start + rows.shape[1]] = segment_maxima(rows, [(0, n1), (n1, nodes)])
+    for start, paths in read_sample_dump(path):
+        sups = _mirror_pairs(*segment_suprema(paths, [(0, n1), (n1, nodes)]), reps - start)
+        out[start : start + len(sups)] = sups
         # drop the slab before the reader reads the next one
-        del rows
+        del paths
     return out[:, 0], out[:, 1]
 
 

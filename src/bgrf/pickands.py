@@ -106,9 +106,11 @@ def path_suprema(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     ends = [T / eta for T in T_list]
-    if any(abs(i - round(i)) > 1e-9 for i in ends):
-        raise ValueError(f"horizons {T_list} must be multiples of eta")
+    if not all(math.isfinite(i) and abs(i - round(i)) <= 1e-9 for i in ends):
+        raise ValueError(f"horizons {T_list} must be finite multiples of eta")
     ends = [round(i) for i in ends]
     if not (0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:]))):
         raise ValueError(f"horizons {T_list} must be positive and strictly increasing")

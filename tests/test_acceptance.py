@@ -331,7 +331,7 @@ def test_c7_theorem_ratio(mc7_runs):
     report(
         "7b mc-vs-theorem factor",
         max(factors) <= 2.0,
-        f"p_hat/theorem1 = {[f'{r:.3f}' for r in ratios]} at u={MC7_US} "
+        f"p_hat/theorem = {[f'{r:.3f}' for r in ratios]} at u={MC7_US} "
         f"with H1=H2=H_1^delta(u), delta(u) = {[f'{d:.4f}' for d in deltas]}, "
         f"H_1^delta(u) = {[f'{h:.4f}' for h in hs]}; "
         f"worst factor {max(factors):.3f} (tol 2.0)",

@@ -75,7 +75,7 @@ class TestPsi:
             psi(1.0, 1.0)
 
 
-def theorem1_product(e, mes, H1, H2, u):
+def overlap_product(e, mes, H1, H2, u):
     """Theorem 1 (overlapping domains) written out as a plain product."""
     N = e.dim_N
     power = N * (2.0 / e.alpha1 + 2.0 / e.alpha2 - 1.0)
@@ -146,9 +146,9 @@ class TestTheorem1:
         mes=st.floats(0.1, 4.0),
         u=st.floats(1.0, 6.0),
     )
-    def test_matches_theorem1_product(self, N, a1, a2, c1, c2, rho, r2, mes, u):
+    def test_matches_overlap_product(self, N, a1, a2, c1, c2, rho, r2, mes, u):
         e = LocalExpansion(a1, a2, c1, c2, rho, r2, N)
-        want = theorem1_product(e, mes, 1.1, 0.9, u)
+        want = overlap_product(e, mes, 1.1, 0.9, u)
         r = tail_asymptotic(e, N, mes, 1.1, 0.9, u)
         assert r.value == pytest.approx(want, rel=1e-12)
 
@@ -165,7 +165,7 @@ class TestTheorem2:
         assert r.value == pytest.approx(want, rel=1e-13)
         assert r.u_power == pytest.approx(0.0, abs=1e-14)
 
-    def test_ratio_to_theorem1_is_u_power_M_minus_N(self):
+    def test_ratio_to_overlap_case_is_u_power_M_minus_N(self):
         e = expansion(alpha1=0.8, alpha2=1.4, N=2)
         for M in (0, 1):
             mes = 1.0 if M == 0 else 0.7

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -97,7 +98,7 @@ class TestValidate:
         ("pickands", "estimation", {"reps": 4000.0}, "estimation.reps must be an integer"),
         ("pickands", "estimation", {"eta": "1/64"}, "estimation.eta must be a number"),
         ("pickands", "estimation", {"seed": True}, "estimation.seed must be an integer"),
-        ("theorem1", "estimation", {"H1": "1"}, "estimation.H1 must be a number"),
+        ("theorem", "estimation", {"H1": "1"}, "estimation.H1 must be a number"),
         ("riemann-check", "verify", {"riemann_T": [1]}, "verify.riemann_T must be a number"),
         ("verify", "verify", {"rate_tol": "10%"}, "verify.rate_tol must be a number"),
         ("simulate", "grid", {"points_per_axis": "10"},
@@ -117,9 +118,9 @@ class TestValidate:
     @pytest.mark.parametrize("command, section, values, path", [
         ("verify", "verify", {"riemann_u": []}, "verify.riemann_u"),
         ("mc-excursion", "thresholds", {"u": []}, "thresholds.u"),
-        ("theorem1", "thresholds", {"u": []}, "thresholds.u"),
+        ("theorem", "thresholds", {"u": []}, "thresholds.u"),
         ("riemann-check", "verify", {"riemann_u": []}, "verify.riemann_u"),
-    ], ids=["verify", "mc-excursion", "theorem1", "riemann-check"])
+    ], ids=["verify", "mc-excursion", "theorem", "riemann-check"])
     def test_empty_thresholds_exit_two(self, tmp_path, capsys, command, section,
                                        values, path):
         cfg = write_config(tmp_path, **{section: values})
@@ -208,6 +209,31 @@ class TestPickands:
         csv1, csv2 = (tmp_path / f"t{t}" / "pickands.csv" for t in (1, 2))
         assert csv1.read_bytes() == csv2.read_bytes()
 
+    @pytest.mark.parametrize("command, nu1, estimation, message", [
+        ("pickands", 0.5, {"eta": 0}, "eta must be finite and positive, got 0.0"),
+        ("pickands", 0.5, {"eta": -0.125}, "eta must be finite and positive, got -0.125"),
+        ("pickands", 0.5, {"T_list": [1, 2, math.inf]},
+         "horizons [1.0, 2.0, inf] must be finite multiples of eta"),
+        ("theorem", 0.75, {"eta": 0}, "eta must be finite and positive, got 0.0"),
+        ("verify", 0.75, {"eta": 0}, "eta must be finite and positive, got 0.0"),
+    ], ids=["eta-zero", "eta-negative", "horizon-inf", "theorem-eta-zero",
+            "verify-eta-zero"])
+    def test_bad_eta_or_horizon_exits_one(self, tmp_path, capsys, command, nu1,
+                                          estimation, message):
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": nu1, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            grid={"points_per_axis": 5},
+            estimation={"reps": 1000, "seed": 3, **estimation},
+            verify={"riemann_u": [25.0]},
+        )
+        # an overflowing JSON number parses to inf, as Infinity does
+        Path(cfg).write_text(Path(cfg).read_text().replace("Infinity", "1e400"))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not (out / f"{command}.csv").exists()
+
 
 class TestTheorems:
     def overlap_cfg(self, tmp_path):
@@ -226,12 +252,14 @@ class TestTheorems:
             thresholds={"u": [2.0, 3.0]},
         )
 
-    def test_overlap_routes_to_theorem1(self, tmp_path):
+    def test_overlap_takes_M_equal_N(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([
-            "theorem1", "--config", self.overlap_cfg(tmp_path), "--out-dir", str(out)
+            "theorem", "--config", self.overlap_cfg(tmp_path), "--out-dir", str(out)
         ]) == 0
-        rows = read_rows(out / "theorem1.csv")
+        assert capsys.readouterr().err.endswith(
+            "case: M = 1, N = 1, mes_M = 1 (overlapping domains)\n")
+        rows = read_rows(out / "theorem.csv")
         for r in rows:
             rebuilt = (
                 float(r["constant"])
@@ -240,25 +268,27 @@ class TestTheorems:
             )
             assert rebuilt == pytest.approx(float(r["value"]), rel=1e-12)
 
-    def test_theorem1_on_touching_domains_fails(self, tmp_path):
-        assert main([
-            "theorem1", "--config", self.touching_cfg(tmp_path),
-            "--out-dir", str(tmp_path / "o"),
-        ]) == 1
-
-    def test_theorem2_on_touching_domains(self, tmp_path):
+    def test_touching_domains_take_split_M(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([
-            "theorem2", "--config", self.touching_cfg(tmp_path), "--out-dir", str(out)
+            "theorem", "--config", self.touching_cfg(tmp_path), "--out-dir", str(out)
         ]) == 0
-        rows = read_rows(out / "theorem2.csv")
+        assert capsys.readouterr().err.endswith(
+            "case: M = 0, N = 1, mes_M = 1 (touching domains)\n")
+        rows = read_rows(out / "theorem.csv")
         assert float(rows[0]["u_power"]) == pytest.approx(0.0)
 
-    def test_theorem2_needs_split(self, tmp_path):
-        assert main([
-            "theorem2", "--config", self.overlap_cfg(tmp_path),
-            "--out-dir", str(tmp_path / "o"),
-        ]) == 1
+    def test_null_intersection_needs_split(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            domain={"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": None},
+            estimation={"reps": 1000, "seed": 1, "H1": 1.0, "H2": 1.0},
+        )
+        out = tmp_path / "o"
+        assert main(["theorem", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: A1 and A2 meet in a null set, and Theorem 2 needs domain.split_M\n")
+        assert not (out / "theorem.csv").exists()
 
 
 class TestMcExcursion:
@@ -365,6 +395,20 @@ class TestSimulateAndReuse:
         assert "reps must be positive" in capsys.readouterr().err
         assert (out / "samples.bgrf").read_bytes() == before
 
+    def test_empty_dump_exits_one(self, tmp_path, capsys):
+        # a header for 40 + 40 nodes under this config's tag, and no replicates
+        cfg = write_config(tmp_path, grid={"points_per_axis": 40})
+        dump = tmp_path / "empty.bgrf"
+        dump.write_bytes(struct.pack("<4sIII", b"BGRF", 80, 0,
+                                     cli._dump_tag(cli.load_config(cfg))))
+        out = tmp_path / "o"
+        assert main([
+            "mc-excursion", "--config", cfg, "--out-dir", str(out), "--samples", str(dump),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: empty dump: 80 nodes, 0 replicates\n")
+        assert not (out / "mc-excursion.csv").exists()
+
     def test_missing_dump_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, estimation={"reps": 2000, "seed": 5})
         missing = tmp_path / "nothere.bgrf"
@@ -450,7 +494,7 @@ class TestNodeBudget:
 class TestPickandsConstantsOncePerAlpha:
     # nu1 = 0.6: alpha = 1 has an exact constant and is never estimated
     @pytest.mark.parametrize("nu2, estimates", [(0.6, 1), (0.75, 2)])
-    @pytest.mark.parametrize("command", ["verify", "theorem1"])
+    @pytest.mark.parametrize("command", ["verify", "theorem"])
     def test_estimate_calls(self, tmp_path, monkeypatch, command, nu2, estimates):
         calls = []
 
@@ -473,10 +517,10 @@ class TestPickandsConstantsOncePerAlpha:
 
 
 class TestPickandsConstantSources:
-    # overlapping unit intervals; theorem2 gets touching ones
+    # overlapping unit intervals, or touching ones
     TOUCHING = {"domain": {"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": 0}}
 
-    def cfg(self, tmp_path, command, name="cfg.json", **estimation):
+    def cfg(self, tmp_path, touching, name="cfg.json", **estimation):
         return write_config(
             tmp_path,
             name=name,
@@ -484,32 +528,37 @@ class TestPickandsConstantSources:
             estimation={"reps": 1000, "seed": 3, **estimation},
             thresholds={"u": [2.0, 3.0]},
             verify={"riemann_u": [25.0]},
-            **(self.TOUCHING if command == "theorem2" else {}),
+            **(self.TOUCHING if touching else {}),
         )
 
-    @pytest.mark.parametrize("command", ["verify", "theorem1", "theorem2"])
-    def test_alpha_one_is_exact(self, tmp_path, monkeypatch, capsys, command):
+    @pytest.mark.parametrize("command, touching, case", [
+        ("verify", False, ""),
+        ("theorem", False, "case: M = 1, N = 1, mes_M = 1 (overlapping domains)\n"),
+        ("theorem", True, "case: M = 0, N = 1, mes_M = 1 (touching domains)\n"),
+    ], ids=["verify", "theorem-overlap", "theorem-touching"])
+    def test_alpha_one_is_exact(self, tmp_path, monkeypatch, capsys, command, touching,
+                                case):
         def unreachable(*args, **kwargs):
             raise AssertionError("H estimated at alpha = 1, N = 1")
 
         monkeypatch.setattr(cli, "estimate_H_constant", unreachable)
         out = tmp_path / "o"
-        main([command, "--config", self.cfg(tmp_path, command), "--out-dir", str(out)])
+        main([command, "--config", self.cfg(tmp_path, touching), "--out-dir", str(out)])
         assert (out / f"{command}.csv").exists()
         captured = capsys.readouterr()
         assert captured.err == (
-            "H1 = 1 (exact: alpha = 1, N = 1)\nH2 = 1 (exact: alpha = 1, N = 1)\n"
+            "H1 = 1 (exact: alpha = 1, N = 1)\nH2 = 1 (exact: alpha = 1, N = 1)\n" + case
         )
         assert "exact" not in captured.out
 
-    @pytest.mark.parametrize("command", ["theorem1", "theorem2"])
-    def test_exact_rows_equal_given_rows(self, tmp_path, command):
+    @pytest.mark.parametrize("touching", [False, True], ids=["overlap", "touching"])
+    def test_exact_rows_equal_given_rows(self, tmp_path, touching):
         bodies = []
         for name, given in (("exact", {}), ("given", {"H1": 1.0, "H2": 1.0})):
-            cfg = self.cfg(tmp_path, command, f"{name}.json", **given)
+            cfg = self.cfg(tmp_path, touching, f"{name}.json", **given)
             out = tmp_path / name
-            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 0
-            lines = (out / f"{command}.csv").read_text().splitlines()
+            assert main(["theorem", "--config", cfg, "--out-dir", str(out)]) == 0
+            lines = (out / "theorem.csv").read_text().splitlines()
             assert lines[0].startswith("# config_sha256=")
             bodies.append(lines[1:])
         assert bodies[0] == bodies[1]
@@ -523,24 +572,25 @@ class TestPickandsConstantSources:
             thresholds={"u": [2.0]},
         )
         out = tmp_path / "o"
-        assert main(["theorem1", "--config", cfg, "--out-dir", str(out)]) == 0
-        h1, h2 = capsys.readouterr().err.splitlines()
+        assert main(["theorem", "--config", cfg, "--out-dir", str(out)]) == 0
+        h1, h2, case = capsys.readouterr().err.splitlines()
         assert h1.startswith("H1 = ") and h1.endswith(", T = 4, eta = 0.125)")
         assert " (estimated, se " in h1
         assert h2 == "H2 = 0.5 (given)"
+        assert case == "case: M = 1, N = 1, mes_M = 1 (overlapping domains)"
 
 
 class TestNParameterConstants:
     @pytest.mark.parametrize("given", [{}, {"H1": 1.0}], ids=["none", "H1-only"])
-    def test_theorem2_refuses_one_dim_constants(self, tmp_path, capsys, given):
+    def test_theorem_refuses_one_dim_constants(self, tmp_path, capsys, given):
         estimation = {**TOUCHING_2D["estimation"], **given}
         cfg = write_config(tmp_path, **{**TOUCHING_2D, "estimation": estimation})
         out = tmp_path / "o"
-        assert main(["theorem2", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert main(["theorem", "--config", cfg, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: dim_N = 2 needs the N-parameter Pickands constants")
         assert "give estimation.H1 and estimation.H2" in err
-        assert not (out / "theorem2.csv").exists()
+        assert not (out / "theorem.csv").exists()
 
     def test_verify_refuses_after_the_riemann_checks(self, tmp_path, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
@@ -681,7 +731,7 @@ class TestVerify:
     @pytest.mark.parametrize("sections, message", [
         ({"domain": {"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": None},
           "estimation": {"reps": 100_000, "seed": 1}},
-         "theorem2 needs domain.split_M"),
+         "Theorem 2 needs domain.split_M"),
         # the touching-2d benchmark config: at riemann_T = 4 the u = 50 check
         # needs about 1.14e8 cell pairs, over the 1e8 budget
         (TOUCHING_2D, "exceed the budget"),
@@ -723,12 +773,18 @@ class TestOutputRouting:
         assert main(["expansion", "--config", cfg]) == 0
         assert (target / "expansion.csv").exists()
 
+    def test_format_is_a_flag_not_a_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output={"format": "json"})
+        assert main(["expansion", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown keys in 'output': ['format']\n")
+
 
 class TestConsoleScript:
-    # every command that evaluates a Matern (theorem1 through its model
+    # every command that evaluates a Matern (theorem through its model
     # checks), on a config small enough to pass every gate of verify
     @pytest.mark.parametrize("command", [
-        "validate", "simulate", "mc-excursion", "riemann-check", "theorem1",
+        "validate", "simulate", "mc-excursion", "riemann-check", "theorem",
         "matern-eval", "verify",
     ])
     def test_runs_without_scipy(self, tmp_path, command):

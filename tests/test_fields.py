@@ -3,6 +3,7 @@
 import glob
 import hashlib
 import os
+import struct
 import sys
 import threading
 import time
@@ -765,9 +766,10 @@ class TestDump:
             assert len(raw) == 16 + 8 * count * 6
             rows = draw(L, 6, count)
             assert raw[16:] == rows.astype("<f8").tobytes()
+            # the reader yields the paths, rows 2j, as sample_blocks does
             back = list(read_sample_dump(p))
             assert [s for s, _ in back] == list(range(0, count, 4096))
-            assert np.array_equal(np.hstack([mat for _, mat in back]).T, rows)
+            assert np.array_equal(np.hstack([mat for _, mat in back]).T, rows[0::2])
 
     def test_rows_pair_with_their_negation(self, tmp_path):
         p = str(tmp_path / "n.bgrf")
@@ -827,6 +829,15 @@ class TestDump:
         with pytest.raises(RuntimeError, match="sampling stopped"):
             write_sample_dump(p, self.L(), 6, 8193, 1)
         with pytest.raises(ValueError, match="magic"):
+            dump_header(p)
+
+    @pytest.mark.parametrize("nodes, reps", [(6, 0), (0, 5), (0, 0)])
+    def test_empty_header_refused(self, tmp_path, nodes, reps):
+        # nothing to reduce: the payload size, 0 bytes, checks out
+        p = str(tmp_path / "e.bgrf")
+        with open(p, "wb") as fh:
+            fh.write(b"BGRF" + struct.pack("<III", nodes, reps, 0))
+        with pytest.raises(ValueError, match=f"empty dump: {nodes} nodes, {reps} replicates"):
             dump_header(p)
 
     def test_truncated_payload(self, tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bgrf.fields import DomainPair, GridSpec, Rect, cholesky_factor, build_covariance, write_sample_dump
-from bgrf.model import BivariateMaternModel
+from bgrf.model import BivariateMaternModel, cross_corr
 from bgrf.montecarlo import (
     ExcursionEstimate,
     estimates_from_maxima,
@@ -39,6 +39,16 @@ def model(rho, nu12=1.5):
     return BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=nu12, rho=rho)
 
 
+def orthant(u, r):
+    """P(X > u, Y > u) for standard normals of correlation r, exactly:
+    the integral over x > u of phi(x) Phibar((u - r x) / sqrt(1 - r^2)),
+    by 200-node Gauss-Legendre on [u, u + 20], past which phi(x) < 1e-86."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    x = u + 10.0 * (x + 1.0)
+    tail = [0.5 * math.erfc((u - r * t) / math.sqrt(2.0 * (1.0 - r * r))) for t in x]
+    return 10.0 * float(np.dot(w, np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi) * tail))
+
+
 def excursion(m, g, u, reps, seed):
     """The single-threshold estimate on live maxima."""
     return estimates_from_maxima(*field_maxima(m, g, reps, seed), [u], seed)[0]
@@ -60,6 +70,24 @@ class TestMcExcursion:
         est = excursion(model(0.5), point_grid(), u=2.0, reps=500_000, seed=3)
         se = math.sqrt(ORTHANT_2_HALF * (1 - ORTHANT_2_HALF) / est.replicates)
         assert abs(est.p_hat - ORTHANT_2_HALF) < 3 * se
+
+    def test_orthant_reference_matches_the_frozen_constant(self):
+        assert orthant(2.0, 0.5) == pytest.approx(ORTHANT_2_HALF, rel=1e-10)
+
+    def test_one_node_per_field_against_the_exact_orthant(self, tmp_path):
+        # X1 at 0 and X2 at 0.5, of correlation r = cross_corr(m, 0.5): live
+        # maxima and maxima from a dump each within 4 binomial SE of exact
+        d = DomainPair(A1=(interval(0, 1),), A2=(interval(0.5, 2),), dim_N=1)
+        g = GridSpec(d, 1)
+        m = model(0.4)
+        r = float(cross_corr(m, 0.5))
+        reps, seed = 200_000, 11
+        p = str(tmp_path / "samples.bgrf")
+        write_sample_dump(p, cholesky_factor(build_covariance(m, g)), seed, reps, 0)
+        for maxima in (field_maxima(m, g, reps, seed), maxima_from_dump(p, g.n1)):
+            for est in estimates_from_maxima(*maxima, [1.0, 2.0, 3.0], seed):
+                want = orthant(est.u, r)
+                assert abs(est.p_hat - want) <= 4 * math.sqrt(want * (1 - want) / reps)
 
     def test_monotone_in_u_on_shared_samples(self):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)

@@ -275,6 +275,15 @@ class TestGuards:
         with pytest.raises(ValueError, match="positive and strictly increasing"):
             path_suprema(1.0, T_list, 1 / 16, 10, 0)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.125, math.inf, math.nan])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            path_suprema(1.0, [1.0, 2.0], eta, 10, 0)
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match=r"horizons \[1.0, inf\] must be finite multiples"):
+            path_suprema(1.0, [1.0, math.inf], 1 / 16, 10, 0)
+
     def test_estimate_type_validation(self):
         with pytest.raises(ValueError):
             PickandsEstimate(-1.0, 0.0, 1.0, 1.0, 0.1, 10, ())
