@@ -1,8 +1,10 @@
 """Command-line surface.
 
-One JSON config drives every subcommand; flags override config values.
-Exit codes: 0 pass, 1 semantic/check failure, 2 usage or parse failure.
-Outputs are CSV (or JSON lines with --format json) with a leading
+One JSON config drives every subcommand. _DEFAULTS gives every key's
+default and kind, and load_config checks the whole config once, for every
+command; --seed, --reps and --u replace config values and pass the same
+check. Exit codes: 0 pass, 1 semantic/check failure, 2 usage or parse
+failure. Outputs are CSV (or JSON lines with --format json) with a leading
 metadata comment carrying the config hash and seed, so a rerun with the
 same config and seed is byte-identical regardless of --threads.
 """
@@ -56,26 +58,32 @@ class ConfigError(ValueError):
     pass
 
 
+# the kinds of config value; a None default also allows null
+_NUMBER, _INTEGER, _NUMBERS, _BOXES = (
+    "a number", "an integer", "a list of numbers", "boxes")
+
+# section -> key -> (default, kind)
 _DEFAULTS = {
-    "domain": {"A1": None, "A2": None, "split_M": None},
-    "grid": {"points_per_axis": 100},
+    "domain": {"A1": (None, _BOXES), "A2": (None, _BOXES), "split_M": (None, _INTEGER)},
+    "grid": {"points_per_axis": (100, _INTEGER)},
     "estimation": {
-        "reps": 200_000,
-        "seed": 1234,
-        "eta": 1.0 / 64.0,
-        "T_list": [1.0, 2.0, 4.0, 8.0],
-        "alpha": None,
-        "H1": None,
-        "H2": None,
+        "reps": (200_000, _INTEGER),
+        "seed": (1234, _INTEGER),
+        "eta": (1.0 / 64.0, _NUMBER),
+        "T_list": ([1.0, 2.0, 4.0, 8.0], _NUMBERS),
+        "alpha": (None, _NUMBER),
+        "H1": (None, _NUMBER),
+        "H2": (None, _NUMBER),
     },
-    "thresholds": {"u": [2.0, 2.4, 2.8, 3.2]},
-    "output": {"directory": None},
+    "thresholds": {"u": ([2.0, 2.4, 2.8, 3.2], _NUMBERS)},
     "verify": {
-        "rate_tol": 0.10,
-        "riemann_band": 0.10,
-        "riemann_u": [20.0, 40.0, 50.0, 80.0],
-        "riemann_T": 1.0,
-        "riemann_C": None,
+        "rate_tol": (0.10, _NUMBER),
+        "riemann_band": (0.10, _NUMBER),
+        "riemann_u": ([20.0, 40.0, 50.0, 80.0], _NUMBERS),
+        "riemann_T": (1.0, _NUMBER),
+        # null is default_delta_constant; no caller sets it, but every
+        # config hash covers it
+        "riemann_C": (None, _NUMBER),
     },
 }
 
@@ -84,21 +92,41 @@ _MODEL_KEYS = {
 }
 
 
-def _merge_section(name: str, given: dict) -> dict:
-    allowed = _DEFAULTS[name]
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
-    out = {k: v for k, v in allowed.items()}
-    out.update(given)
-    return out
+def _checked(section: str, key: str, value):
+    """value for section.key as its kind: a float, an int or a list of
+    floats; boxes pass as given, for build_domain. A config error for a
+    bool, a non-finite number, an empty list or another type."""
+    path = f"{section}.{key}"
+    default, kind = _DEFAULTS[section][key]
+    if kind == _BOXES or (value is None and default is None):
+        return value
+
+    def finite(v) -> bool:
+        try:
+            return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v))
+        except OverflowError:  # an integer past the float range
+            return False
+
+    if kind == _NUMBERS:
+        if value == []:
+            raise ConfigError(f"{path} must not be empty")
+        if isinstance(value, list) and all(map(finite, value)):
+            return [float(v) for v in value]
+    elif finite(value) and (kind == _NUMBER or isinstance(value, int)):
+        return value if kind == _INTEGER else float(value)
+    null = " or null" if default is None else ""
+    raise ConfigError(f"{path} must be {kind}{null}, got {value!r}")
 
 
 def load_config(path: str) -> dict:
+    """The config at path, every section merged with its defaults and every
+    value checked and converted by _checked. cfg["config_sha256"] is the
+    hash of the merged values before conversion."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -115,8 +143,16 @@ def load_config(path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in 'model': {sorted(unknown)}")
     cfg = {"model": model}
+    for name, keys in _DEFAULTS.items():
+        given = raw.get(name, {})
+        unknown = set(given) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
+        cfg[name] = {key: given.get(key, default) for key, (default, _) in keys.items()}
+    sha = config_hash(cfg, ("model", *_DEFAULTS))[:16]
     for name in _DEFAULTS:
-        cfg[name] = _merge_section(name, raw.get(name, {}))
+        cfg[name] = {key: _checked(name, key, v) for key, v in cfg[name].items()}
+    cfg["config_sha256"] = sha
     return cfg
 
 
@@ -148,11 +184,8 @@ def build_domain(cfg: dict, m: BivariateMaternModel) -> DomainPair:
     unit = (Rect((0.0,) * N, (1.0,) * N),)
     A1 = _boxes(dom["A1"], N, "domain.A1") if dom["A1"] is not None else unit
     A2 = _boxes(dom["A2"], N, "domain.A2") if dom["A2"] is not None else unit
-    split = dom["split_M"]
-    if split is not None and not isinstance(split, int):
-        raise ConfigError("domain.split_M must be an integer or null")
     try:
-        return DomainPair(A1=A1, A2=A2, dim_N=N, split_M=split)
+        return DomainPair(A1=A1, A2=A2, dim_N=N, split_M=dom["split_M"])
     except ValueError as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
@@ -179,10 +212,8 @@ class Writer:
         self.columns = columns
         self.fmt = args.format
         ext = "csv" if self.fmt == "csv" else "jsonl"
-        self.path = os.path.join(_out_dir(cfg, args), f"{command}.{ext}")
-        # the hash covers the scientific sections only, not output routing
-        science = ("model", "domain", "grid", "estimation", "thresholds", "verify")
-        self.meta = {"config_sha256": config_hash(cfg, science)[:16], "seed": _seed(cfg, args)}
+        self.path = os.path.join(_out_dir(args), f"{command}.{ext}")
+        self.meta = {"config_sha256": cfg["config_sha256"], "seed": cfg["estimation"]["seed"]}
         self.rows: list[list] = []
 
     def add(self, *values):
@@ -215,70 +246,17 @@ class Writer:
         return self.path
 
 
-def _out_dir(cfg: dict, args) -> str:
-    """--out-dir, else output.directory, else $BGRF_OUT_DIR, else
-    ./bgrf-out; created when missing."""
-    directory = cfg["output"]["directory"]
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError(f"output.directory must be a string, got {directory!r}")
-    out_dir = (
-        args.out_dir
-        or directory
-        or os.environ.get("BGRF_OUT_DIR")
-        or "bgrf-out"
-    )
+def _out_dir(args) -> str:
+    """--out-dir, else $BGRF_OUT_DIR, else ./bgrf-out; created when
+    missing."""
+    out_dir = args.out_dir or os.environ.get("BGRF_OUT_DIR") or "bgrf-out"
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
 
 
-def _is_number(value, kind: type = float) -> bool:
-    """True for a JSON number, or a JSON integer when kind is int."""
-    return not isinstance(value, bool) and isinstance(
-        value, int if kind is int else (int, float)
-    )
-
-
-def _number(cfg: dict, path: str, kind: type = float):
-    """The config value at "section.key" as kind, float or int; a config
-    error unless it is a JSON number (an integer for int)."""
-    section, key = path.split(".")
-    value = cfg[section][key]
-    if not _is_number(value, kind):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path} must be {expected}, got {value!r}")
-    return kind(value)
-
-
-def _numbers(cfg: dict, path: str) -> list[float]:
-    """The config list at "section.key" as floats; a config error unless it
-    is a JSON list of numbers."""
-    section, key = path.split(".")
-    values = cfg[section][key]
-    if not (isinstance(values, list) and all(map(_is_number, values))):
-        raise ConfigError(f"{path} must be a list of numbers, got {values!r}")
-    return [float(v) for v in values]
-
-
-def _thresholds(given, cfg: dict, path: str) -> list[float]:
-    """The --u values when given, else the config's list at path; a config
-    error when that list is empty, which would check nothing."""
-    us = given or _numbers(cfg, path)
-    if not us:
-        raise ConfigError(f"{path} must not be empty")
-    return us
-
-
-def _seed(cfg: dict, args) -> int:
-    return args.seed if args.seed is not None else _number(cfg, "estimation.seed", int)
-
-
-def _reps(cfg: dict, args) -> int:
-    return args.reps if args.reps is not None else _number(cfg, "estimation.reps", int)
-
-
 def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
     if cfg["estimation"]["alpha"] is not None:
-        return [_number(cfg, "estimation.alpha")]
+        return [cfg["estimation"]["alpha"]]
     seen = []
     for a in (2.0 * m.nu1, 2.0 * m.nu2):
         if a not in seen:
@@ -288,10 +266,9 @@ def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
 
 def _estimate_H(cfg, args, alpha: float):
     """Pickands constant estimate at the config's T_list and eta."""
+    est = cfg["estimation"]
     return estimate_H_constant(
-        alpha, _numbers(cfg, "estimation.T_list"), _number(cfg, "estimation.eta"),
-        _reps(cfg, args), _seed(cfg, args), args.threads,
-    )
+        alpha, est["T_list"], est["eta"], est["reps"], est["seed"], args.threads)
 
 
 def _pickands_constants(cfg, m, args) -> tuple[float, float]:
@@ -310,7 +287,7 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
     H, by_alpha = {}, {}
     for label, alpha in (("H1", 2.0 * m.nu1), ("H2", 2.0 * m.nu2)):
         if est[label] is not None:
-            H[label], source = _number(cfg, f"estimation.{label}"), "given"
+            H[label], source = est[label], "given"
         elif alpha == 1.0:
             H[label], source = 1.0, "exact: alpha = 1, N = 1"
         else:
@@ -323,12 +300,13 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
     return H["H1"], H["H2"]
 
 
-def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
-    """Joint excursion estimates at every u on shared maxima, read from the
-    dump at `samples` when one is named, else sampled afresh."""
-    seed = _seed(cfg, args)
+def _excursions(cfg, args, m, g: GridSpec, samples) -> list:
+    """Joint excursion estimates at every thresholds.u on shared maxima,
+    read from the dump at `samples` when one is named, else sampled
+    afresh."""
+    us, seed = cfg["thresholds"]["u"], cfg["estimation"]["seed"]
     if not samples:
-        maxima = field_maxima(m, g, _reps(cfg, args), seed, args.threads)
+        maxima = field_maxima(m, g, cfg["estimation"]["reps"], seed, args.threads)
         return estimates_from_maxima(*maxima, us, seed)
     nodes, _, tag = dump_header(samples)
     if (nodes, tag) != (g.n1 + g.n2, _dump_tag(cfg)):
@@ -340,15 +318,15 @@ def _excursions(cfg, args, m, g: GridSpec, us, samples) -> list:
     return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
 
 
-def _riemann_checks(cfg, m, d: DomainPair, us, modes) -> list:
-    """riemann_sum_check at each u and cell family, with T and C from the
-    config's verify section, C defaulting to default_delta_constant. Every
-    u is checked against the preconditions and the cell budget before any
-    sum."""
+def _riemann_checks(cfg, m, d: DomainPair, modes) -> list:
+    """riemann_sum_check at each u and cell family, with u, T and C from
+    the config's verify section, C defaulting to default_delta_constant.
+    Every u is checked against the preconditions and the cell budget before
+    any sum."""
     e = local_expansion(m)
-    C = (default_delta_constant(e) if cfg["verify"]["riemann_C"] is None
-         else _number(cfg, "verify.riemann_C"))
-    T = _number(cfg, "verify.riemann_T")
+    us, T, C = (cfg["verify"][k] for k in ("riemann_u", "riemann_T", "riemann_C"))
+    if C is None:
+        C = default_delta_constant(e)
     for u in us:
         riemann_cells(e, d, T, C, u)
     return [
@@ -398,10 +376,10 @@ def cmd_expansion(cfg, args) -> int:
 
 def cmd_simulate(cfg, args) -> int:
     m = build_model(cfg)
-    g = GridSpec(build_domain(cfg, m), _number(cfg, "grid.points_per_axis", int))
-    reps, seed = _reps(cfg, args), _seed(cfg, args)
+    g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
+    reps, seed = cfg["estimation"]["reps"], cfg["estimation"]["seed"]
     L = cholesky_factor(build_covariance(m, g))
-    dump = os.path.join(_out_dir(cfg, args), "samples.bgrf")
+    dump = os.path.join(_out_dir(args), "samples.bgrf")
     write_sample_dump(dump, L, seed, reps, _dump_tag(cfg), args.threads)
     w = Writer(cfg, args, "simulate", ["replicates", "nodes1", "nodes2", "seed", "dump"])
     w.add(reps, g.n1, g.n2, seed, dump)
@@ -427,13 +405,12 @@ def cmd_theorem(cfg, args) -> int:
     e = local_expansion(m)
     d = build_domain(cfg, m)
     M, mes = d.shared_part()
-    us = _thresholds(args.u, cfg, "thresholds.u")
     H1, H2 = _pickands_constants(cfg, m, args)
     case = "overlapping domains" if M == d.dim_N else "touching domains"
     print(f"case: M = {M}, N = {d.dim_N}, mes_M = {mes:.6g} ({case})", file=sys.stderr)
     w = Writer(cfg, args, "theorem",
                ["u", "value", "log_value", "exp_rate", "u_power", "constant"])
-    for u in us:
+    for u in cfg["thresholds"]["u"]:
         r = tail_asymptotic(e, M, mes, H1, H2, u)
         w.add(u, r.value, r.log_value, r.exp_rate, r.u_power, r.constant)
     w.flush()
@@ -442,11 +419,10 @@ def cmd_theorem(cfg, args) -> int:
 
 def cmd_riemann_check(cfg, args) -> int:
     m = build_model(cfg)
-    us = _thresholds(args.u, cfg, "verify.riemann_u")
     modes = ("intersect", "subset") if args.both_cells else ("intersect",)
     w = Writer(cfg, args, "riemann-check",
                ["u", "h_sum", "limit_value", "ratio", "n_pairs", "regime", "cells", "delta"])
-    for chk in _riemann_checks(cfg, m, build_domain(cfg, m), us, modes):
+    for chk in _riemann_checks(cfg, m, build_domain(cfg, m), modes):
         w.add(chk.u, chk.h_sum, chk.limit_value, chk.ratio, chk.n_pairs,
               chk.regime, chk.cells, chk.delta)
     w.flush()
@@ -455,9 +431,8 @@ def cmd_riemann_check(cfg, args) -> int:
 
 def cmd_mc_excursion(cfg, args) -> int:
     m = build_model(cfg)
-    g = GridSpec(build_domain(cfg, m), _number(cfg, "grid.points_per_axis", int))
-    us = _thresholds(args.u, cfg, "thresholds.u")
-    ests = _excursions(cfg, args, m, g, us, args.samples)
+    g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
+    ests = _excursions(cfg, args, m, g, args.samples)
     w = Writer(cfg, args, "mc-excursion",
                ["u", "p_hat", "ci_low", "ci_high", "hits", "reps"])
     w.meta["samples"] = "shared-across-u"  # thresholds reuse one sample set
@@ -475,21 +450,18 @@ def cmd_verify(cfg, args) -> int:
     m = build_model(cfg)
     d = build_domain(cfg, m)
     e = local_expansion(m)
-    g = GridSpec(d, _number(cfg, "grid.points_per_axis", int))
-    rate_tol = _number(cfg, "verify.rate_tol")
-    band = _number(cfg, "verify.riemann_band")
-    reps = _reps(cfg, args)
+    g = GridSpec(d, cfg["grid"]["points_per_axis"])
+    rate_tol, band = cfg["verify"]["rate_tol"], cfg["verify"]["riemann_band"]
+    reps, us = cfg["estimation"]["reps"], cfg["thresholds"]["u"]
     if reps < 1000:
         print(f"verify FAILED: reps = {reps} below the Monte Carlo floor of 1000")
         return 1
     M, mes = d.shared_part()
     # the Riemann checks run before any estimation: the cell budget can
     # fail them
-    riemann = _riemann_checks(cfg, m, d, _thresholds(None, cfg, "verify.riemann_u"),
-                              ("intersect",))
-    us = _thresholds(args.u, cfg, "thresholds.u")
+    riemann = _riemann_checks(cfg, m, d, ("intersect",))
     H1, H2 = _pickands_constants(cfg, m, args)
-    ests = _excursions(cfg, args, m, g, us, None)
+    ests = _excursions(cfg, args, m, g, None)
 
     # p_hat is a maximum over grid nodes; at level u field i's node step in
     # the local Pickands scale is delta_i(u)
@@ -625,13 +597,15 @@ def main(argv=None) -> int:
     if getattr(args, "h_points", 1) < 1:
         parsers[args.command].error(f"--h-points must be at least 1, got {args.h_points}")
 
+    # --u replaces the thresholds a command sums or samples at
+    u_key = ("verify", "riemann_u") if args.command == "riemann-check" else ("thresholds", "u")
+    flags = {("estimation", "seed"): args.seed, ("estimation", "reps"): args.reps,
+             u_key: getattr(args, "u", None)}
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        for (section, key), value in flags.items():
+            if value is not None:
+                cfg[section][key] = _checked(section, key, value)
         return handlers[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -584,6 +584,7 @@ def fbm_grid(horizon_T: float, eta: float) -> np.ndarray:
     n = round(horizon_T / eta)
     if abs(n * eta - horizon_T) > 1e-9 * horizon_T or n < 1:
         raise ValueError(f"eta={eta} does not divide horizon_T={horizon_T}")
+    _check_nodes(n)  # fbm_covariance's nodes, t[1:]
     return np.arange(n + 1) * eta
 
 

@@ -40,12 +40,13 @@ class BivariateMaternModel:
 
     def __post_init__(self):
         for name in ("nu1", "nu2", "nu12", "a1", "a2", "a12", "sigma1", "sigma2"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (-1.0 < self.rho < 1.0):
-            raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
-        if not (isinstance(self.dim_N, int) and self.dim_N >= 1):
-            raise ValueError(f"dim_N must be a positive integer, got {self.dim_N}")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (0 < v < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        if isinstance(self.rho, bool) or not (-1.0 < self.rho < 1.0):
+            raise ValueError(f"rho must be in (-1, 1), got {self.rho!r}")
+        if type(self.dim_N) is not int or self.dim_N < 1:  # a bool is no dim_N
+            raise ValueError(f"dim_N must be a positive integer, got {self.dim_N!r}")
 
     def standardized_violation(self) -> str | None:
         """Name the first violated standardized-mode invariant, if any."""

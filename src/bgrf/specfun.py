@@ -45,10 +45,10 @@ class MaternParams:
     a: float
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        if not (self.a > 0):
-            raise ValueError(f"a must be > 0, got {self.a}")
+        if not (0 < self.nu < math.inf):
+            raise ValueError(f"nu must be finite and > 0, got {self.nu}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"a must be finite and > 0, got {self.a}")
 
 
 def bessel_k(nu: float, x):

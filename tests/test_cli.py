@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from bgrf import asymptotics, cli, fields
 from bgrf.cli import main
 from bgrf.pickands import discrete_pickands_h1, estimate_H_constant
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def src_env():
@@ -71,6 +73,12 @@ class TestValidate:
         p.write_text("{not json")
         assert main(["validate", "--config", str(p)]) == 2
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"model": {"nu1": 0.5\xff}}')
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot parse config")
+
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, extra_section={"x": 1})
         assert main(["validate", "--config", cfg]) == 2
@@ -103,10 +111,9 @@ class TestValidate:
         ("verify", "verify", {"rate_tol": "10%"}, "verify.rate_tol must be a number"),
         ("simulate", "grid", {"points_per_axis": "10"},
          "grid.points_per_axis must be an integer"),
-        ("expansion", "output", {"directory": 3}, "output.directory must be a string"),
     ], ids=["u-scalar", "u-string", "T_list-scalar", "reps-string", "reps-float",
             "eta-string", "seed-bool", "H1-string", "riemann_T-list", "rate_tol-string",
-            "points-string", "directory-int"])
+            "points-string"])
     def test_wrong_value_type_exits_two(self, tmp_path, capsys, command, section,
                                         values, message):
         cfg = write_config(tmp_path, **{section: values})
@@ -114,6 +121,94 @@ class TestValidate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+    # a small config on which every command below would otherwise run
+    SMALL = {
+        "grid": {"points_per_axis": 5},
+        "estimation": {"reps": 1000, "seed": 3, "eta": 0.125, "T_list": [1, 2, 4]},
+        "thresholds": {"u": [1.0, 1.4, 1.8, 2.2]},
+        "verify": {"rate_tol": 0.5, "riemann_u": [25.0]},
+    }
+
+    def small_config(self, tmp_path, section, values):
+        sections = {k: dict(v) for k, v in self.SMALL.items()}
+        sections.setdefault(section, {}).update(values)
+        return write_config(tmp_path, **sections)
+
+    # JSON as Python reads it: NaN and Infinity are accepted, and an
+    # overflowing number is inf
+    @pytest.mark.parametrize("command, section, values, message", [
+        ("verify", "verify", {"riemann_band": math.inf},
+         "verify.riemann_band must be a number, got inf"),
+        ("verify", "verify", {"rate_tol": math.nan}, "verify.rate_tol must be a number, got nan"),
+        ("theorem", "estimation", {"H1": math.nan},
+         "estimation.H1 must be a number or null, got nan"),
+        ("pickands", "estimation", {"T_list": [1, 2, "1e400"]},
+         "estimation.T_list must be a list of numbers, got [1, 2, inf]"),
+        ("riemann-check", "verify", {"riemann_u": [-math.inf]},
+         "verify.riemann_u must be a list of numbers, got [-inf]"),
+        ("theorem", "domain", {"split_M": True}, "domain.split_M must be an integer or null"),
+        ("validate", "thresholds", {"u": 3}, "thresholds.u must be a list of numbers, got 3"),
+        ("expansion", "verify", {"riemann_C": "auto"},
+         "verify.riemann_C must be a number or null"),
+    ], ids=["riemann_band-inf", "rate_tol-nan", "H1-nan", "T_list-inf", "riemann_u-inf",
+            "split_M-bool", "validate-u-scalar", "unread-key"])
+    def test_checked_at_load_for_every_command(self, tmp_path, capsys, command, section,
+                                               values, message):
+        cfg = self.small_config(tmp_path, section, values)
+        Path(cfg).write_text(Path(cfg).read_text().replace('"1e400"', "1e400"))
+        out = tmp_path / "o"
+        code = main([command, "--config", cfg, "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"config error: {message}")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("theorem", ["--u", "nan"], "thresholds.u must be a list of numbers, got [nan]"),
+        ("verify", ["--u", "1", "inf"], "thresholds.u must be a list of numbers, got [1.0, inf]"),
+        ("riemann-check", ["--u=-inf"],
+         "verify.riemann_u must be a list of numbers, got [-inf]"),
+    ], ids=["theorem-nan", "verify-inf", "riemann-check-inf"])
+    def test_flags_pass_the_same_check(self, tmp_path, capsys, command, flags, message):
+        cfg = write_config(tmp_path, **self.SMALL)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out-dir", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_config_error_before_the_riemann_checks(self, tmp_path, monkeypatch, capsys):
+        # a bad estimation.H1 beside a riemann_u over the cell budget: the
+        # config error is found first, and nothing is summed or counted
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Riemann cells counted before the config was checked")
+
+        monkeypatch.setattr(cli, "riemann_cells", unreachable)
+        cfg = write_config(tmp_path, **{
+            **TOUCHING_2D, "estimation": {"reps": 50_000, "H1": "1", "H2": 1.0}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: estimation.H1 must be a number or null, got '1'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, message", [
+        ({"nu1": math.inf}, "nu1 must be finite and > 0, got inf"),
+        ({"a12": math.inf}, "a12 must be finite and > 0, got inf"),
+        ({"dim_N": True}, "dim_N must be a positive integer, got True"),
+        ({"rho": False}, "rho must be in (-1, 1), got False"),
+    ], ids=["nu1-inf", "a12-inf", "dim_N-bool", "rho-bool"])
+    def test_invalid_model_exits_two(self, tmp_path, model, message):
+        # in a subprocess with a timeout: an infinite nu once looped forever
+        cfg = write_config(tmp_path, model={
+            "nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1, **model})
+        proc = subprocess.run(
+            [sys.executable, "-m", "bgrf.cli", "validate", "--config", cfg],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: invalid model: {message}\n"
 
     @pytest.mark.parametrize("command, section, values, path", [
         ("verify", "verify", {"riemann_u": []}, "verify.riemann_u"),
@@ -212,12 +307,9 @@ class TestPickands:
     @pytest.mark.parametrize("command, nu1, estimation, message", [
         ("pickands", 0.5, {"eta": 0}, "eta must be finite and positive, got 0.0"),
         ("pickands", 0.5, {"eta": -0.125}, "eta must be finite and positive, got -0.125"),
-        ("pickands", 0.5, {"T_list": [1, 2, math.inf]},
-         "horizons [1.0, 2.0, inf] must be finite multiples of eta"),
         ("theorem", 0.75, {"eta": 0}, "eta must be finite and positive, got 0.0"),
         ("verify", 0.75, {"eta": 0}, "eta must be finite and positive, got 0.0"),
-    ], ids=["eta-zero", "eta-negative", "horizon-inf", "theorem-eta-zero",
-            "verify-eta-zero"])
+    ], ids=["eta-zero", "eta-negative", "theorem-eta-zero", "verify-eta-zero"])
     def test_bad_eta_or_horizon_exits_one(self, tmp_path, capsys, command, nu1,
                                           estimation, message):
         cfg = write_config(
@@ -227,8 +319,6 @@ class TestPickands:
             estimation={"reps": 1000, "seed": 3, **estimation},
             verify={"riemann_u": [25.0]},
         )
-        # an overflowing JSON number parses to inf, as Infinity does
-        Path(cfg).write_text(Path(cfg).read_text().replace("Infinity", "1e400"))
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
@@ -774,10 +864,32 @@ class TestOutputRouting:
         assert (target / "expansion.csv").exists()
 
     def test_format_is_a_flag_not_a_config_key(self, tmp_path, capsys):
+        # the output directory is a flag or $BGRF_OUT_DIR too: the config
+        # has no output section at all
         cfg = write_config(tmp_path, output={"format": "json"})
         assert main(["expansion", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "config error: unknown keys in 'output': ['format']\n")
+            "config error: unknown top-level keys: ['output']\n")
+
+
+class TestReadmeConfig:
+    # the run.json the README's shell block writes, read from the README
+    @pytest.fixture
+    def config(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        (body,) = re.findall(r"^cat > run\.json <<'EOF'\n(.*?)^EOF$", readme, re.M | re.S)
+        path = tmp_path / "run.json"
+        path.write_text(body)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["validate", "expansion", "theorem"])
+    def test_documented_keys_load_and_run(self, tmp_path, config, command):
+        out = tmp_path / "o"
+        assert main([command, "--config", config, "--out-dir", str(out)]) == 0
+        if command != "validate":
+            # the hash of the values as written, before 20 becomes 20.0
+            first = (out / f"{command}.csv").read_text().splitlines()[0]
+            assert first == "# config_sha256=46420925f37c9f07 seed=1234"
 
 
 class TestConsoleScript:

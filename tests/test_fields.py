@@ -35,6 +35,10 @@ from bgrf.fields import (
 from bgrf.model import BivariateMaternModel, check_assumptions, cross_corr
 from bgrf.specfun import MaternParams, matern
 
+# noise columns per sampled block and output columns per tile product: the
+# tests below are written in these, not in their current values
+BLOCK, TILE = fields._BLOCK, fields._TILE
+
 
 def interval(lo, hi):
     return Rect((float(lo),), (float(hi),))
@@ -355,7 +359,7 @@ class TestCholeskySampling:
         assert digest(1) == digest(4)
 
     def test_one_pool_per_call(self, monkeypatch):
-        # ten blocks (of 4,096 paths, 8,192 replicates) are five chunks at
+        # ten blocks (of BLOCK paths, 2 BLOCK replicates) are five chunks at
         # two threads; every chunk must run on the same pool, and the stream
         # must not depend on the threads
         pools = []
@@ -367,7 +371,7 @@ class TestCholeskySampling:
 
         monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
         L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
-        count = 2 * 9 * 4096 + 1
+        count = 2 * 9 * BLOCK + 1
 
         def stream(threads):
             return np.hstack([m for _, m in sample_blocks(L, 9, count, threads)])
@@ -387,7 +391,7 @@ class TestCholeskySampling:
         monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
-        count = 4 * 4096 + 1
+        count = 4 * BLOCK + 1
         capped = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
         assert workers == [2]
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -405,7 +409,7 @@ def lower_factor(n, seed=0):
 
 
 def untiled_block(L, seed, b):
-    """Block b's paths by one product per 256-row panel across all 4,096
+    """Block b's paths by one product per 256-row panel across all BLOCK
     columns, the inner dimensions of fields._panel_product: the reference
     its tiles must match bit for bit."""
     noise = fields._noise_block(seed, b, L.shape[0])
@@ -425,9 +429,9 @@ class TestPanelProduct:
     @pytest.mark.parametrize("n", [100, 256, 257, 512, 600])
     def test_matches_full_product(self, n):
         L = lower_factor(n)
-        count = 2 * (4096 + 10) - 1  # 4,106 paths: ends on a partial block
+        count = 2 * (BLOCK + 10) - 1  # BLOCK + 10 paths: ends on a partial block
         got = np.hstack([mat for _, mat in sample_blocks(L, 5, count)])
-        want = np.hstack([L @ fields._noise_block(5, b, n) for b in (0, 1)])[:, :4106]
+        want = np.hstack([L @ fields._noise_block(5, b, n) for b in (0, 1)])[:, : BLOCK + 10]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -450,7 +454,7 @@ class TestPanelProduct:
     )
     def test_threads_give_identical_bytes(self, reduce):
         L = lower_factor(600)
-        count = 2 * (3 * 4096) + 7
+        count = 2 * (3 * BLOCK) + 7
 
         def digest(threads):
             h = hashlib.sha256()
@@ -470,14 +474,15 @@ class TestPanelProduct:
 
         def block(blas_threads):
             set_(blas_threads)
-            (_, mat), = sample_blocks(L, 3, 4096)
+            (_, mat), = sample_blocks(L, 3, BLOCK)
             return mat.tobytes()
 
         assert block(1) == block(2)
 
-    # _TILE = 1024: a block that ends one column short of a tile edge, on
-    # it and one past it, beside a whole block
-    @pytest.mark.parametrize("cols", [1023, 1024, 1025, 4096])
+    # a block that ends one column short of a tile edge, on it and one past
+    # it (where that is still one block), beside a whole block
+    @pytest.mark.parametrize("cols", sorted(
+        {c for c in (TILE - 1, TILE, TILE + 1, BLOCK) if c <= BLOCK}))
     @pytest.mark.parametrize("n", [200, 257, 800])
     def test_tile_edges(self, blas, n, cols):
         get, set_ = blas
@@ -498,21 +503,21 @@ class TestPanelProduct:
 
     def test_worker_holds_one_block(self):
         # at 1,024 nodes the product overwrites the block's noise through a
-        # 256 x 1,024 tile, a sixteenth of the block; the reduction keeps
-        # two values per replicate
+        # 256 x TILE tile (a sixteenth of the block at BLOCK = 4 TILE); the
+        # reduction keeps two values per replicate
         L = lower_factor(1024)
-        block = 8 * 1024 * 4096
+        block, tile = 8 * 1024 * BLOCK, 8 * 256 * TILE
         tracemalloc.start()
         try:
-            sample_suprema(L, 1, 2 * 2 * 4096, 1, [(0, 512), (512, 1024)])
+            sample_suprema(L, 1, 2 * 2 * BLOCK, 1, [(0, 512), (512, 1024)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.15 * block
+        assert peak < block + 2.4 * tile
 
     def test_reduce_runs_on_the_worker(self):
         L = lower_factor(300)
-        count = 2 * (2 * 4096) + 5  # 8,195 paths, the last without its mirror
+        count = 2 * (2 * BLOCK) + 5  # 2 BLOCK + 3 paths, the last without its mirror
         workers = set()
 
         def column_sums(mat):
@@ -522,8 +527,8 @@ class TestPanelProduct:
         reduced = list(sample_blocks(L, 4, count, 2, column_sums))
         assert threading.get_ident() not in workers
         plain = list(sample_blocks(L, 4, count))
-        assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 8192, 16384]
-        assert [len(got) for _, got in reduced] == [8192, 8192, 5]
+        assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 2 * BLOCK, 4 * BLOCK]
+        assert [len(got) for _, got in reduced] == [2 * BLOCK, 2 * BLOCK, 5]
         for (_, got), (_, mat) in zip(reduced, plain):
             sums = mat.sum(axis=0)
             assert np.array_equal(got[0::2], sums)  # path j: replicate 2j
@@ -563,10 +568,10 @@ class TestSegmentSuprema:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_gathers_in_replicate_order(self, threads):
-        # 8,195 replicates: a full block, then a partial one whose last
-        # mirror is dropped
+        # 2 BLOCK + 3 replicates: a full block, then a partial one whose
+        # last mirror is dropped
         L = lower_factor(40)
-        count, segments = 8195, [(0, 10), (10, 40)]
+        count, segments = 2 * BLOCK + 3, [(0, 10), (10, 40)]
         got = sample_suprema(L, 6, count, threads, segments)
         rows = draw(L, 6, count)
         want = np.column_stack([rows[:, a:b].max(axis=1) for a, b in segments])
@@ -625,13 +630,13 @@ class TestBlasPin:
             seen.append(get())
             return mat[0], mat[0]
 
-        list(sample_blocks(self.L(), 1, 2 * (3 * 4096), 2, record))
+        list(sample_blocks(self.L(), 1, 2 * (3 * BLOCK), 2, record))
         assert seen == [1, 1, 1]
         assert get() == 2
 
     def test_restored_after_close(self, blas):
         get, _ = blas
-        gen = sample_blocks(self.L(), 1, 5 * 4096, 2)
+        gen = sample_blocks(self.L(), 1, 5 * BLOCK, 2)
         next(gen)
         assert get() == 1
         gen.close()
@@ -644,21 +649,21 @@ class TestBlasPin:
             raise RuntimeError("reduce failed")
 
         with pytest.raises(RuntimeError, match="reduce failed"):
-            list(sample_blocks(self.L(), 1, 3 * 4096, 2, fail))
+            list(sample_blocks(self.L(), 1, 3 * BLOCK, 2, fail))
         assert get() == 2
 
     def test_single_thread_leaves_count_alone(self, monkeypatch):
         fake = FakeBlas()
         monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
-        list(sample_blocks(self.L(), 1, 2 * 4096, 1))
+        list(sample_blocks(self.L(), 1, 2 * BLOCK, 1))
         assert fake.sets == []
 
     def test_overlapping_pools(self, monkeypatch):
         fake = FakeBlas(count=4)
         monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        first = sample_blocks(self.L(), 1, 5 * 4096, 2)
-        second = sample_blocks(self.L(), 2, 5 * 4096, 2)
+        first = sample_blocks(self.L(), 1, 5 * BLOCK, 2)
+        second = sample_blocks(self.L(), 2, 5 * BLOCK, 2)
         next(first)
         next(second)
         assert fake.sets == [1]
@@ -684,7 +689,7 @@ class TestBlasPin:
 
         def consume(seed):
             for _ in range(50):
-                list(sample_blocks(L, seed, 2 * (2 * 4096), 2, record))
+                list(sample_blocks(L, seed, 2 * (2 * BLOCK), 2, record))
 
         consumers = [threading.Thread(target=consume, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
@@ -753,11 +758,12 @@ class TestDump:
         return cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
 
     def test_roundtrip(self, tmp_path):
-        # 8,193 replicates are 4,097 paths: a full block, then one path
-        # without its mirror; 8,793 end part-way through one of the writer's
-        # buffers in the second block, again on a path without its mirror
+        # 2 BLOCK + 1 replicates are BLOCK + 1 paths: a full block, then one
+        # path without its mirror; 600 more end part-way through one of the
+        # writer's buffers in the second block, again on a path without its
+        # mirror
         L = self.L()
-        for count in (8193, 8793):
+        for count in (2 * BLOCK + 1, 2 * BLOCK + 601):
             p = str(tmp_path / f"x{count}.bgrf")
             write_sample_dump(p, L, 6, count, 0xDEADBEEF)
             raw = open(p, "rb").read()
@@ -768,44 +774,45 @@ class TestDump:
             assert raw[16:] == rows.astype("<f8").tobytes()
             # the reader yields the paths, rows 2j, as sample_blocks does
             back = list(read_sample_dump(p))
-            assert [s for s, _ in back] == list(range(0, count, 4096))
+            assert [s for s, _ in back] == list(range(0, count, BLOCK))
             assert np.array_equal(np.hstack([mat for _, mat in back]).T, rows[0::2])
 
     def test_rows_pair_with_their_negation(self, tmp_path):
         p = str(tmp_path / "n.bgrf")
-        write_sample_dump(p, self.L(), 6, 8193, 0)
-        rows = np.fromfile(p, dtype="<u8", offset=16).reshape(8193, 6)
+        write_sample_dump(p, self.L(), 6, 2 * BLOCK + 1, 0)
+        rows = np.fromfile(p, dtype="<u8", offset=16).reshape(2 * BLOCK + 1, 6)
         # bit for bit: row 2j + 1 is row 2j with every sign bit flipped
         assert np.array_equal(rows[1::2], rows[0:-1:2] ^ np.uint64(1 << 63))
 
     def test_writer_frees_each_block(self, tmp_path):
         # six blocks from sample_blocks into the writer: each block must be
         # gone before the next is drawn; at 200 nodes the product's tile is
-        # a quarter block, so the peak is the block, that tile and the
-        # writer's buffer, not a second block
+        # 200 x TILE (a quarter block at BLOCK = 4 TILE), so the peak is the
+        # block, that tile and the writer's buffer, not a second block
         L = lower_factor(200)
-        block = 8 * 200 * 4096
+        block, tile = 8 * 200 * BLOCK, 8 * 200 * TILE
         tracemalloc.start()
         try:
-            write_sample_dump(str(tmp_path / "m.bgrf"), L, 1, 2 * 6 * 4096, 0)
+            write_sample_dump(str(tmp_path / "m.bgrf"), L, 1, 2 * 6 * BLOCK, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block
+        assert peak < block + 2 * tile
 
     def test_writer_holds_one_block(self, tmp_path):
         # at 1,024 nodes the product overwrites the block's noise through a
-        # 256 x 1,024 tile, a sixteenth of the block: the peak is the block,
-        # that tile and the writer's buffer, with no second block beside them
+        # 256 x TILE tile (a sixteenth of the block at BLOCK = 4 TILE): the
+        # peak is the block, that tile and the writer's buffer, with no
+        # second block beside them
         L = lower_factor(1024)
-        block = 8 * 1024 * 4096
+        block, tile = 8 * 1024 * BLOCK, 8 * 256 * TILE
         tracemalloc.start()
         try:
-            write_sample_dump(str(tmp_path / "w.bgrf"), L, 1, 2 * 3 * 4096, 0)
+            write_sample_dump(str(tmp_path / "w.bgrf"), L, 1, 2 * 3 * BLOCK, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block
+        assert peak < block + 8 * tile
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "y.bgrf")
@@ -827,7 +834,7 @@ class TestDump:
         monkeypatch.setattr(fields, "_noise_block", failing)
         p = str(tmp_path / "z.bgrf")
         with pytest.raises(RuntimeError, match="sampling stopped"):
-            write_sample_dump(p, self.L(), 6, 8193, 1)
+            write_sample_dump(p, self.L(), 6, 2 * BLOCK + 1, 1)
         with pytest.raises(ValueError, match="magic"):
             dump_header(p)
 

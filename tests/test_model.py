@@ -263,6 +263,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             BivariateMaternModel(nu1=0.5, nu2=0.5, nu12=1.5, rho=0.4, dim_N=0)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"nu1": math.inf}, "nu1 must be finite and > 0, got inf"),
+        ({"nu12": math.nan}, "nu12 must be finite and > 0, got nan"),
+        ({"a2": math.inf}, "a2 must be finite and > 0, got inf"),
+        ({"sigma1": True}, "sigma1 must be finite and > 0, got True"),
+        ({"rho": False}, r"rho must be in \(-1, 1\), got False"),
+        ({"dim_N": True}, "dim_N must be a positive integer, got True"),
+    ], ids=["nu1-inf", "nu12-nan", "a2-inf", "sigma1-bool", "rho-bool", "dim_N-bool"])
+    def test_non_finite_and_bool_refused(self, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            standard_model(**change)
+
     def test_local_expansion_validation(self):
         with pytest.raises(ValueError):
             LocalExpansion(2.5, 1.0, 1.0, 1.0, 0.5, -0.5, 1)

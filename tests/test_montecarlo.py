@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bgrf import fields
 from bgrf.fields import DomainPair, GridSpec, Rect, cholesky_factor, build_covariance, write_sample_dump
 from bgrf.model import BivariateMaternModel, cross_corr
 from bgrf.montecarlo import (
@@ -142,18 +143,19 @@ class TestMcExcursion:
         assert np.array_equal(d1, l1) and np.array_equal(d2, l2)
 
     def test_dump_reader_holds_one_slab(self, tmp_path):
-        # three slabs of 4,096 rows at 200 nodes: each slab must be gone
-        # before the next is read
+        # three slabs of fields._BLOCK rows at 200 nodes: each slab must be
+        # gone before the next is read
+        rows = fields._BLOCK
         p = str(tmp_path / "samples.bgrf")
-        write_sample_dump(p, np.eye(200), 1, 3 * 4096, 0)
-        slab = 8 * 200 * 4096
+        write_sample_dump(p, np.eye(200), 1, 3 * rows, 0)
+        slab = 8 * 200 * rows
         tracemalloc.start()
         try:
             d1, _ = maxima_from_dump(p, 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(d1) == 3 * 4096
+        assert len(d1) == 3 * rows
         assert peak < 1.5 * slab
 
     @pytest.mark.parametrize("n1", [0, -3, 16, 17])

@@ -284,6 +284,18 @@ class TestGuards:
         with pytest.raises(ValueError, match=r"horizons \[1.0, inf\] must be finite multiples"):
             path_suprema(1.0, [1.0, math.inf], 1 / 16, 10, 0)
 
+    def test_node_budget_before_the_grid(self):
+        # eta = 2^-20 to T = 4 is 4,194,304 nodes, 32 MB per array: the
+        # budget refuses them before any is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="4194304 nodes exceed the node budget"):
+                estimate_H_constant(1.0, [1.0, 2.0, 4.0], 2.0**-20, 10, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_estimate_type_validation(self):
         with pytest.raises(ValueError):
             PickandsEstimate(-1.0, 0.0, 1.0, 1.0, 0.1, 10, ())

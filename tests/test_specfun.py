@@ -287,6 +287,12 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             MaternParams(1.0, -1.0)
 
+    @pytest.mark.parametrize("nu, a", [(math.inf, 1.0), (math.nan, 1.0), (0.5, math.inf)])
+    def test_non_finite_params(self, nu, a):
+        # an infinite nu would send matern's node cutoff loop round forever
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            MaternParams(nu, a)
+
     def test_negative_h(self):
         with pytest.raises(ValueError):
             matern(-0.5, MaternParams(1.0, 1.0))
