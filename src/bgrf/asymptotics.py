@@ -29,7 +29,10 @@ At d1 == d2 the kernel and the band test of two cells the unions cover
 depend on their offset l - k alone: such pairs are counted per offset from
 the cells' indicator arrays, and only the clipped cells on the domains'
 faces are enumerated pair by pair. At d1 != d2 every cell of A1 is
-tested against its window of A2's cells.
+tested against its window of A2's cells. Both unions are clipped by the
+same test: each cell of a pair is cut to its union's boxes where the pair
+is tested, so the clipped cells of A2 go through the call that tests
+those of A1, with the unions swapped.
 """
 
 from __future__ import annotations
@@ -211,53 +214,42 @@ def _cell_range(lo: float, hi: float, d: float) -> range:
     return range(k_min, k_max + 1)
 
 
-def _cells_of_union(
-    boxes: Sequence[Rect], d: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells [k d, (k+1) d] meeting the union, each once, as
-    (k, piece_lo, piece_hi): k is an (n, N) integer array in lexicographic
-    order; the pieces have shape (n, len(boxes), N), piece b being the cell
-    intersect box b, or the empty box (+inf, -inf) where box b misses it."""
+def _cells_of_union(boxes: Sequence[Rect], d: float) -> np.ndarray:
+    """Cells [k d, (k+1) d] meeting the union, each once: an (n, N) integer
+    array k in lexicographic order."""
     per_box = []
     for box in boxes:
         ranges = [_cell_range(box.lo[j], box.hi[j], d) for j in range(box.dim)]
         mesh = np.meshgrid(*(np.arange(r.start, r.stop) for r in ranges), indexing="ij")
         per_box.append(np.column_stack([g.ravel() for g in mesh]))
-    k, inverse = np.unique(np.vstack(per_box), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    shape = (len(k), len(boxes), k.shape[1])
-    piece_lo, piece_hi = np.full(shape, np.inf), np.full(shape, -np.inf)
-    start = 0
-    for b, (box, kb) in enumerate(zip(boxes, per_box)):
-        rows = inverse[start : start + len(kb)]
-        start += len(kb)
-        # _cell_range yields only cells that meet the box: no piece is empty
-        piece_lo[rows, b] = np.maximum(kb * d, box.lo)
-        piece_hi[rows, b] = np.minimum((kb + 1) * d, box.hi)
-    return k, piece_lo, piece_hi
+    return np.unique(np.vstack(per_box), axis=0)
 
 
 def _band_pairs(
     k: np.ndarray,
-    piece_lo: np.ndarray,
-    piece_hi: np.ndarray,
-    l_lo: np.ndarray,
-    l_hi: np.ndarray,
+    A1: Sequence[Rect],
     A2: Sequence[Rect],
     d1: float,
     d2: float,
     delta: float,
     cells: str,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (k, l) index arrays, one row per cell pair in the band.
+    """Yield (k, l) index arrays, one row per cell pair in the band, for
+    the cells k of A1 (side d1) and cells l of A2 (side d2).
 
-    Cell k's candidates are the l with l_lo[k] <= l <= l_hi[k] per axis.
-    A chunk of cells is laid out as one (cells, W_1, ..., W_N) window, slots
-    past each cell's own bound masked off, and tested at once. A chunk holds
-    at most _CHUNK_PAIRS candidates; a window larger than that is split
-    along its first axis.
+    Cell k's candidates are the l within its tau range, widened by the
+    pieces' slack, per axis. A chunk of cells is laid out as one
+    (cells, W_1, ..., W_N) window, slots past each cell's own bound masked
+    off, and tested at once. A chunk holds at most _CHUNK_PAIRS candidates;
+    a window larger than that is split along its first axis.
     """
+    if cells == "subset":
+        # only cells inside A1 (and, below, partners inside A2) take part
+        k = k[union_covers(A1, k * d1, (k + 1) * d1)]
     n, N = k.shape
+    lax = delta + d1 + d2
+    l_lo = np.floor((k * d1 - lax) / d2).astype(np.int64)
+    l_hi = np.floor(((k + 1) * d1 + lax) / d2).astype(np.int64) + 1
     width = (l_hi - l_lo + 1).max(axis=0, initial=0)
     inner = max(math.prod(width[1:]), 1)
     rows = max(1, _CHUNK_PAIRS // max(width[0] * inner, 1))  # cells per chunk
@@ -272,6 +264,14 @@ def _band_pairs(
 
     for c0 in range(0, n, rows):
         c = slice(c0, c0 + rows)
+        s_lo, s_hi = k[c] * d1, (k[c] + 1) * d1
+        # cell k intersect each box of A1, the empty box where the box misses it
+        pieces = []
+        for box1 in A1 if cells == "intersect" else ():
+            p_lo, p_hi = np.maximum(s_lo, box1.lo), np.minimum(s_hi, box1.hi)
+            empty = np.any(p_lo > p_hi, axis=1)
+            p_lo[empty], p_hi[empty] = np.inf, -np.inf
+            pieces.append((p_lo, p_hi))
         for i0 in range(0, width[0], step):
             offs = [np.arange(i0, min(i0 + step, width[0]))]
             offs += [np.arange(w) for w in width[1:]]
@@ -288,11 +288,11 @@ def _band_pairs(
                     tb_lo = [np.maximum(t, lo) for t, lo in zip(t_lo, box2.lo)]
                     tb_hi = [np.minimum(t, hi) for t, hi in zip(t_hi, box2.hi)]
                     valid = all_axes(tb_lo[j] <= tb_hi[j] for j in range(N))
-                    for b in range(piece_lo.shape[1]):
+                    for p_lo, p_hi in pieces:
                         dist2 = sum(
                             np.maximum(
-                                np.maximum(tb_lo[j] - col(piece_hi[c, b, j]),
-                                           col(piece_lo[c, b, j]) - tb_hi[j]),
+                                np.maximum(tb_lo[j] - col(p_hi[:, j]),
+                                           col(p_lo[:, j]) - tb_hi[j]),
                                 0.0,
                             ) ** 2
                             for j in range(N)
@@ -301,8 +301,8 @@ def _band_pairs(
             else:
                 # cell k x cell l lies inside the band
                 dist2 = sum(
-                    np.maximum(np.abs(t_hi[j] - col(k[c, j] * d1)),
-                               np.abs(col((k[c, j] + 1) * d1) - t_lo[j])) ** 2
+                    np.maximum(np.abs(t_hi[j] - col(s_lo[:, j])),
+                               np.abs(col(s_hi[:, j]) - t_lo[j])) ** 2
                     for j in range(N)
                 )
                 near = dist2 <= delta * delta
@@ -315,18 +315,6 @@ def _band_pairs(
                 inside = union_covers(A2, ls * d2, (ls + 1) * d2)
                 ks, ls = ks[inside], ls[inside]
             yield ks, ls
-
-
-def _windows(
-    k: np.ndarray, d1: float, d2: float, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(l_lo, l_hi): the candidate partners of cell k per axis, from the tau
-    range; the slack covers the piece geometry."""
-    lax = delta + d1 + d2
-    return (
-        np.floor((k * d1 - lax) / d2).astype(np.int64),
-        np.floor(((k + 1) * d1 + lax) / d2).astype(np.int64) + 1,
-    )
 
 
 def _correlate(a: np.ndarray, b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -360,8 +348,7 @@ def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.n
     reach = np.abs(o) + (1 if cells == "subset" else -1)
     near = np.sum((np.maximum(reach, 0) * side) ** 2, axis=0) <= delta * delta
 
-    k, k_lo, k_hi = _cells_of_union(d.A1, side)
-    l, l_lo, l_hi = _cells_of_union(d.A2, side)
+    k, l = _cells_of_union(d.A1, side), _cells_of_union(d.A2, side)
     in1 = union_covers(d.A1, k * side, (k + 1) * side)
     in2 = union_covers(d.A2, l * side, (l + 1) * side)
     # per axis, steps between the covered cells' indices cut to R + 1: offsets
@@ -384,13 +371,11 @@ def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.n
         flat[:] += np.bincount(at, minlength=flat.size)
 
     c1, c2 = ~in1, ~in2
-    for ks, ls in _band_pairs(k[c1], k_lo[c1], k_hi[c1], *_windows(k[c1], side, side, delta),
-                              d.A2, side, side, delta, cells):
+    for ks, ls in _band_pairs(k[c1], d.A1, d.A2, side, side, delta, cells):
         add(ks, ls)
     # the piece distance is symmetric at d1 == d2; every partner is a cell
     # of A1, and those not covered were counted above
-    for ls, ks in _band_pairs(l[c2], l_lo[c2], l_hi[c2], *_windows(l[c2], side, side, delta),
-                              d.A1, side, side, delta, cells):
+    for ls, ks in _band_pairs(l[c2], d.A2, d.A1, side, side, delta, cells):
         covered = union_covers(d.A1, ks * side, (ks + 1) * side)
         add(ks[covered], ls[covered])
     return counts
@@ -485,12 +470,7 @@ def riemann_sum_check(
         h_sum = math.fsum(counts[hit] * kernel(offsets * d1))
         n_pairs = int(counts.sum())
     else:
-        k, piece_lo, piece_hi = _cells_of_union(d.A1, d1)
-        if cells == "subset":
-            keep = union_covers(d.A1, k * d1, (k + 1) * d1)
-            k, piece_lo, piece_hi = k[keep], piece_lo[keep], piece_hi[keep]
-        l_lo, l_hi = _windows(k, d1, d2, delta)
-        pairs = _band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, d.A2, d1, d2, delta, cells)
+        pairs = _band_pairs(_cells_of_union(d.A1, d1), d.A1, d.A2, d1, d2, delta, cells)
         sizes: list[int] = []
 
         def kernel_values():

@@ -33,6 +33,7 @@ from .fields import (
     NotPositiveDefiniteError,
     Rect,
     build_covariance,
+    check_reps,
     cholesky_factor,
     dump_header,
     write_sample_dump,
@@ -43,6 +44,7 @@ from .model import (
     check_assumptions,
     cross_corr,
     local_expansion,
+    validity_check,
 )
 from .montecarlo import (
     estimates_from_maxima,
@@ -318,22 +320,31 @@ def _excursions(cfg, args, m, g: GridSpec, samples) -> list:
     return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
 
 
-def _riemann_checks(cfg, m, d: DomainPair, modes) -> list:
-    """riemann_sum_check at each u and cell family, with u, T and C from
-    the config's verify section, C defaulting to default_delta_constant.
-    Every u is checked against the preconditions and the cell budget before
-    any sum."""
+def _riemann_args(cfg, m, d: DomainPair) -> list[tuple]:
+    """riemann_sum_check's arguments but the cell family, one tuple per u,
+    with u, T and C from the config's verify section, C defaulting to
+    default_delta_constant. Every u is checked against the preconditions
+    and the cell budget here, before any sum."""
     e = local_expansion(m)
     us, T, C = (cfg["verify"][k] for k in ("riemann_u", "riemann_T", "riemann_C"))
     if C is None:
         C = default_delta_constant(e)
     for u in us:
         riemann_cells(e, d, T, C, u)
-    return [
-        riemann_sum_check(e, d, lambda h: cross_corr(m, h), T, C, u, mode)
-        for u in us
-        for mode in modes
-    ]
+    return [(e, d, lambda h: cross_corr(m, h), T, C, u) for u in us]
+
+
+def _warn_if_invalid(m: BivariateMaternModel) -> None:
+    """One stderr warning when the model fails validate's validity
+    condition, whose theorem this command evaluates anyway."""
+    check = validity_check(m)
+    if not check.passed:
+        print(
+            f"warning: rho^2 = {m.rho ** 2:.6g} exceeds the validity bound "
+            f"{check.witness:.6g}: no bivariate field has this model, and "
+            "validate rejects it",
+            file=sys.stderr,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +389,7 @@ def cmd_simulate(cfg, args) -> int:
     m = build_model(cfg)
     g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
     reps, seed = cfg["estimation"]["reps"], cfg["estimation"]["seed"]
+    check_reps(reps)
     L = cholesky_factor(build_covariance(m, g))
     dump = os.path.join(_out_dir(args), "samples.bgrf")
     write_sample_dump(dump, L, seed, reps, _dump_tag(cfg), args.threads)
@@ -402,6 +414,7 @@ def cmd_pickands(cfg, args) -> int:
 
 def cmd_theorem(cfg, args) -> int:
     m = build_model(cfg)
+    _warn_if_invalid(m)
     e = local_expansion(m)
     d = build_domain(cfg, m)
     M, mes = d.shared_part()
@@ -419,12 +432,15 @@ def cmd_theorem(cfg, args) -> int:
 
 def cmd_riemann_check(cfg, args) -> int:
     m = build_model(cfg)
+    _warn_if_invalid(m)
     modes = ("intersect", "subset") if args.both_cells else ("intersect",)
     w = Writer(cfg, args, "riemann-check",
                ["u", "h_sum", "limit_value", "ratio", "n_pairs", "regime", "cells", "delta"])
-    for chk in _riemann_checks(cfg, m, build_domain(cfg, m), modes):
-        w.add(chk.u, chk.h_sum, chk.limit_value, chk.ratio, chk.n_pairs,
-              chk.regime, chk.cells, chk.delta)
+    for riemann_args in _riemann_args(cfg, m, build_domain(cfg, m)):
+        for mode in modes:
+            chk = riemann_sum_check(*riemann_args, mode)
+            w.add(chk.u, chk.h_sum, chk.limit_value, chk.ratio, chk.n_pairs,
+                  chk.regime, chk.cells, chk.delta)
     w.flush()
     return 0
 
@@ -448,6 +464,7 @@ def cmd_mc_excursion(cfg, args) -> int:
 
 def cmd_verify(cfg, args) -> int:
     m = build_model(cfg)
+    _warn_if_invalid(m)
     d = build_domain(cfg, m)
     e = local_expansion(m)
     g = GridSpec(d, cfg["grid"]["points_per_axis"])
@@ -456,11 +473,13 @@ def cmd_verify(cfg, args) -> int:
     if reps < 1000:
         print(f"verify FAILED: reps = {reps} below the Monte Carlo floor of 1000")
         return 1
+    check_reps(reps)
     M, mes = d.shared_part()
-    # the Riemann checks run before any estimation: the cell budget can
-    # fail them
-    riemann = _riemann_checks(cfg, m, d, ("intersect",))
+    # every refusal the config decides comes before any sum or estimate:
+    # the Riemann preconditions and cell budget, then the constants' rule
+    riemann_args = _riemann_args(cfg, m, d)
     H1, H2 = _pickands_constants(cfg, m, args)
+    riemann = [riemann_sum_check(*a) for a in riemann_args]
     ests = _excursions(cfg, args, m, g, None)
 
     # p_hat is a maximum over grid nodes; at level u field i's node step in
@@ -616,9 +635,11 @@ def main(argv=None) -> int:
         CellBudgetError,
         ValueError,
         OSError,
+        MemoryError,
     ) as exc:
         # model/domain parsed fine but the requested computation is
-        # semantically impossible with it, or a file it names is unreadable
+        # semantically impossible with it, a file it names is unreadable, or
+        # an array it needs cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 import struct
 import threading
@@ -66,6 +67,7 @@ _PANEL = 256           # rows per panel of the block product L @ noise
 _TILE = 1024           # output columns per product of one panel
 _DUMP_PATHS = 128      # paths per write of the dump writer's row-pair buffer
 _NODE_BUDGET = 8192    # largest node count of a dense covariance
+_MAX_REPS = 2**32 - 1  # most replicates of a run: the dump header's u32 count
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 
 
@@ -213,12 +215,15 @@ class DomainPair:
         return self.split_M, mes
 
 
+def _box_axes(box: Rect, points_per_axis: int) -> list[np.ndarray]:
+    """The box's distinct node coordinates per axis: points_per_axis from
+    lo to hi, one on an axis of zero width."""
+    return [np.unique(np.linspace(lo, hi, points_per_axis))
+            for lo, hi in zip(box.lo, box.hi)]
+
+
 def _box_nodes(box: Rect, points_per_axis: int) -> np.ndarray:
-    axes = [
-        np.linspace(box.lo[j], box.hi[j], points_per_axis)
-        for j in range(box.dim)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = np.meshgrid(*_box_axes(box, points_per_axis), indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
 
 
@@ -236,14 +241,16 @@ class GridSpec:
     nodes2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.points_per_axis, int) and self.points_per_axis >= 1):
+        p = self.points_per_axis
+        if not (isinstance(p, int) and p >= 1):
             raise ValueError("points_per_axis must be a positive integer")
-        object.__setattr__(
-            self, "nodes1", _union_nodes(self.domain.A1, self.points_per_axis)
-        )
-        object.__setattr__(
-            self, "nodes2", _union_nodes(self.domain.A2, self.points_per_axis)
-        )
+        # a union has at least the distinct nodes of its largest box: refuse
+        # on that bound before any node array is built, then on the count
+        _check_nodes(sum(max(math.prod(map(len, _box_axes(b, p))) for b in boxes)
+                         for boxes in (self.domain.A1, self.domain.A2)))
+        object.__setattr__(self, "nodes1", _union_nodes(self.domain.A1, p))
+        object.__setattr__(self, "nodes2", _union_nodes(self.domain.A2, p))
+        _check_nodes(self.n1 + self.n2)
 
     @property
     def n1(self) -> int:
@@ -297,7 +304,6 @@ def build_covariance(m: BivariateMaternModel, g: GridSpec) -> np.ndarray:
     Exactly symmetric; unit diagonal for the standardized model.
     """
     n1 = g.n1
-    _check_nodes(n1 + g.n2)
     s, t = g.nodes1, g.nodes2
     # each block is written into its place: no block is copied
     cov = np.empty((n1 + g.n2,) * 2)
@@ -437,11 +443,22 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def check_reps(reps: int) -> None:
+    """Refuse a replicate count outside 1 .. _MAX_REPS."""
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    if reps > _MAX_REPS:
+        raise ValueError(
+            f"reps = {reps} exceeds the limit {_MAX_REPS} (2**32 - 1), the most "
+            "replicates a sample dump's header can count"
+        )
+
+
 def _check_draw(L: np.ndarray, seed: int, count: int) -> None:
-    """Raise unless count > 0, seed is an integer >= 0 and L is square and
-    lower triangular (the panel product skips entries right of a panel)."""
-    if count <= 0:
-        raise ValueError("count must be positive")
+    """Raise unless check_reps passes count, seed is an integer >= 0 and L
+    is square and lower triangular (the panel product skips entries right
+    of a panel)."""
+    check_reps(count)
     if not (isinstance(seed, int) and seed >= 0):
         raise ValueError("seed must be a nonnegative integer")
     n = L.shape[0]
@@ -624,9 +641,7 @@ def write_sample_dump(
     block. The header goes in last, so a run that stops part-way leaves a
     file whose magic a reader rejects.
     """
-    if reps < 1:  # both checks run before the file at path is truncated
-        raise ValueError("reps must be positive")
-    _check_draw(L, seed, reps)
+    _check_draw(L, seed, reps)  # before the file at path is truncated
     nodes = L.shape[0]
     buf = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
     with open(path, "wb") as fh:

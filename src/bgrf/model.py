@@ -290,18 +290,17 @@ def check_assumptions(m: BivariateMaternModel) -> AssumptionReport:
             )
         )
 
-    bound = validity_bound(m.nu1, m.nu2, m.nu12, m.a1, m.a2, m.a12, m.dim_N)
-    # the condition is rho^2 <= bound; allow ulp-level slack so exactly
-    # boundary-valid models (rho^2 == bound analytically) are not rejected
-    # for the rounding of the Gamma-factor product
-    ok = m.rho * m.rho <= bound * (1.0 + 1e-12)
-    items.append(
-        AssumptionCheck(
-            "validity",
-            ok,
-            bound,
-            f"rho^2 = {m.rho * m.rho:.6g} vs bound {bound:.6g}",
-        )
-    )
-
+    items.append(validity_check(m))
     return AssumptionReport(tuple(items))
+
+
+def validity_check(m: BivariateMaternModel) -> AssumptionCheck:
+    """The validity condition rho^2 <= validity_bound, the bound as witness."""
+    bound = validity_bound(m.nu1, m.nu2, m.nu12, m.a1, m.a2, m.a12, m.dim_N)
+    # allow ulp-level slack so exactly boundary-valid models (rho^2 == bound
+    # analytically) are not rejected for the rounding of the Gamma-factor
+    # product
+    ok = m.rho * m.rho <= bound * (1.0 + 1e-12)
+    return AssumptionCheck(
+        "validity", ok, bound, f"rho^2 = {m.rho * m.rho:.6g} vs bound {bound:.6g}"
+    )

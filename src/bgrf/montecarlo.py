@@ -17,6 +17,7 @@ import numpy as np
 from .fields import (
     GridSpec,
     build_covariance,
+    check_reps,
     cholesky_factor,
     _mirror_pairs,
     dump_header,
@@ -61,8 +62,7 @@ def field_maxima(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate maxima of X1 over the A1 grid and X2 over the A2 grid:
     the suprema of the paths' rows [0, n1) and [n1, n) (fields.sample_suprema)."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    check_reps(reps)
     L = cholesky_factor(build_covariance(m, g))
     sups = sample_suprema(L, seed, reps, threads, [(0, g.n1), (g.n1, L.shape[0])])
     return sups[:, 0], sups[:, 1]

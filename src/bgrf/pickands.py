@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import cholesky_factor, fbm_covariance, fbm_grid, sample_suprema
+from .fields import check_reps, cholesky_factor, fbm_covariance, fbm_grid, sample_suprema
 
 _EXP_GUARD = 700.0  # exp overflows just above 709; abort well before
 _H1_TERMS = 2_000_000  # series terms of discrete_pickands_h1: delta >= 1e-4
@@ -104,8 +104,7 @@ def path_suprema(
     the supremum over [0, T_k] is the running maximum of those segments
     and 0, the path at t = 0.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    check_reps(reps)
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta}")
     ends = [T / eta for T in T_list]

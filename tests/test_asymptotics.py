@@ -413,7 +413,9 @@ def _model(nu2, N):
 # (name, A1, A2, split_M, N, u, T); faces at 0.5317 and 0.6137 fall inside
 # cells, so cells meet two boxes of A1 and straddle the boxes of A2. The
 # gap, the nested interval and the L give cells of A1 whose partners in the
-# band are not one contiguous window of A2's cells
+# band are not one contiguous window of A2's cells. In "2d-three" the faces
+# x = 0.5317 and, right of it, y = 0.4129 cross inside one cell, which
+# meets all three boxes of A1
 ORACLE_DOMAINS = {
     "1d-overlap": (boxes(((0, 1),)), boxes(((0, 1),)), None, 1, 12.0, 1.0),
     "1d-split": (boxes(((0, 1),)), boxes(((1, 2),)), 0, 1, 12.0, 1.0),
@@ -441,6 +443,11 @@ ORACLE_DOMAINS = {
     "1d-sparse": (
         boxes(((0, 0.1),), ((5, 5.1),)), boxes(((0, 0.1),), ((5, 5.1),)),
         None, 1, 12.0, 1.0,
+    ),
+    "2d-three": (
+        boxes(((0, 0.5317), (0, 1)), ((0.5317, 1), (0, 0.4129)), ((0.5317, 1), (0.4129, 1))),
+        boxes(((0, 1), (0, 0.6137)), ((0, 1), (0.6137, 1))),
+        None, 2, 8.0, 4.0,
     ),
 }
 
@@ -487,6 +494,13 @@ class TestRiemannOracle:
     def test_matches_per_cell_loop(self, name, nu2, cells):
         assert_matches_reference(oracle_case(name, nu2), cells)
 
+    def test_one_cell_meets_three_boxes(self):
+        e, d, _, T, _, u = oracle_case("2d-three", 0.5)
+        side = T * u ** (-2.0 / e.alpha1)
+        k = (math.floor(0.5317 / side), math.floor(0.4129 / side))
+        cell = Rect(tuple(kj * side for kj in k), tuple((kj + 1) * side for kj in k))
+        assert all(cell.intersect(box) is not None for box in d.A1)
+
     @pytest.mark.parametrize("N", [1, 2])
     def test_no_subset_cell(self, N):
         # A1 thinner than a cell: no cell lies inside it, so the subset sum
@@ -515,10 +529,10 @@ class TestRiemannOracle:
         received = []
         band_pairs = asymptotics._band_pairs
 
-        def recording(k, piece_lo, piece_hi, l_lo, l_hi, A2, *rest):
+        def recording(k, A1, A2, *rest):
             if A2 == d.A2:
                 received.append(k)
-            return band_pairs(k, piece_lo, piece_hi, l_lo, l_hi, A2, *rest)
+            return band_pairs(k, A1, A2, *rest)
 
         monkeypatch.setattr(asymptotics, "_band_pairs", recording)
         assert_matches_reference(args, "intersect")

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bgrf import asymptotics, cli, fields
@@ -575,10 +576,91 @@ class TestNodeBudget:
         assert "20000 nodes exceed the node budget" in err
         assert "6.4 GB" in err
 
+    def test_verify_refuses_before_any_sum_or_estimate(self, tmp_path, monkeypatch, capsys):
+        # 5000 points on each of A1 = A2 = [0, 1]: 10^4 nodes
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sum or an estimate ran past the node budget")
+
+        for name in ("riemann_sum_check", "estimate_H_constant", "field_maxima"):
+            monkeypatch.setattr(cli, name, unreachable)
+        cfg = write_config(
+            tmp_path, model={"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            grid={"points_per_axis": 5000}, estimation={"reps": 1000},
+        )
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "10000 nodes exceed the node budget" in capsys.readouterr().err
+
     def test_fine_fbm_grid_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, estimation={"eta": 1 / 2048, "alpha": 1.0})
         assert main(["pickands", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
         assert "16384 nodes exceed the node budget" in capsys.readouterr().err
+
+
+class TestRepsCeiling:
+    # 2**32 - 1 replicates fill a dump header's u32 count; more are refused
+    # before a covariance is factored or a dump is opened
+    @pytest.mark.parametrize("command", ["simulate", "mc-excursion", "pickands", "verify"])
+    @pytest.mark.parametrize("reps", [2**32, 10**24])
+    def test_refused_before_sampling(self, tmp_path, monkeypatch, capsys, command, reps):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a covariance was factored past the reps ceiling")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unreachable)
+        cfg = write_config(
+            tmp_path, grid={"points_per_axis": 5},
+            estimation={"reps": reps, "eta": 0.125, "T_list": [1, 2, 4], "H1": 1.0, "H2": 1.0},
+            verify={"riemann_u": [25.0]},
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: reps = {reps} exceeds the limit 4294967295 (2**32 - 1), the most "
+            "replicates a sample dump's header can count\n")
+        assert not (out / "samples.bgrf").exists()
+
+    def test_limit_itself_passes_the_check(self):
+        fields.check_reps(2**32 - 1)
+
+    def test_memory_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(cfg, args):
+            raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_expansion", out_of_memory)
+        assert main(["expansion", "--config", write_config(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 16.0 TiB for an array\n"
+
+
+class TestValidityWarning:
+    # the README model at rho = 0.9: rho^2 = 0.81 against the bound 0.25
+    INVALID = {"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.9, "dim_N": 1}
+    WARNING = "warning: rho^2 = 0.81 exceeds the validity bound 0.25"
+
+    @pytest.mark.parametrize("argv", [["theorem"], ["riemann-check", "--u", "20"]])
+    def test_theorem_commands_warn_once(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, model=self.INVALID,
+                           estimation={"H1": 1.0, "H2": 1.0})
+        assert main(["validate", "--config", cfg]) == 1
+        capsys.readouterr()
+        assert main([*argv, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err.count(self.WARNING) == 1
+
+    def test_verify_warns_once(self, tmp_path, monkeypatch, capsys):
+        def stop(*args, **kwargs):
+            raise ValueError("stopped before sampling")
+
+        monkeypatch.setattr(cli, "field_maxima", stop)
+        cfg = write_config(tmp_path, model=self.INVALID, grid={"points_per_axis": 5},
+                           estimation={"reps": 1000, "H1": 1.0, "H2": 1.0},
+                           verify={"riemann_u": [25.0]})
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.count(self.WARNING) == 1
+
+    def test_boundary_model_does_not_warn(self, tmp_path, capsys):
+        # rho = 0.5 puts rho^2 on the bound 0.25, which validate accepts
+        cfg = write_config(
+            tmp_path, model={**self.INVALID, "rho": 0.5}, estimation={"H1": 1.0, "H2": 1.0})
+        assert main(["theorem", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestPickandsConstantsOncePerAlpha:
@@ -703,6 +785,19 @@ class TestNParameterConstants:
         assert len(checked) == 1
         assert "needs the N-parameter Pickands constants" in capsys.readouterr().err
         assert not (out / "verify.csv").exists()
+
+    def test_verify_refuses_before_any_sum(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a Riemann sum ran at dim_N = 2 with no H given")
+
+        monkeypatch.setattr(asymptotics, "riemann_sum_check", unreachable)
+        monkeypatch.setattr(cli, "riemann_sum_check", unreachable)
+        monkeypatch.setattr(cli, "estimate_H_constant", unreachable)
+        cfg = write_config(tmp_path, **{
+            **TOUCHING_2D, "verify": {"riemann_T": 4.0, "riemann_u": [20.0, 40.0]}})
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: dim_N = 2 needs the N-parameter Pickands constants")
 
 
 class TestVerify:

@@ -224,6 +224,33 @@ class TestGridSpec:
         assert g.n1 == 16
         assert g.nodes1[:, 0].min() == 0.0 and g.nodes1[:, 1].max() == 3.0
 
+    def test_node_budget_refused_before_any_node(self):
+        # 2000 points per axis on two unit squares: 8 x 10^6 nodes, whose
+        # meshgrids alone would take hundreds of MB
+        d = DomainPair(A1=(Rect((0.0, 0.0), (1.0, 1.0)),),
+                       A2=(Rect((0.0, 1.0), (1.0, 2.0)),), dim_N=2, split_M=1)
+        GridSpec(d, 3)  # numpy's lazy imports happen before the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="8000000 nodes exceed the node budget"):
+                GridSpec(d, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_degenerate_axis_holds_one_node(self):
+        # 4000 points on segments of the plane: 8000 nodes fit the budget
+        seg = (Rect((0.0, 0.5), (1.0, 0.5)),)
+        g = GridSpec(DomainPair(A1=seg, A2=seg, dim_N=2), 4000)
+        assert (g.n1, g.n2) == (4000, 4000)
+
+    def test_node_count_checked_once_built(self):
+        # the largest boxes fit the budget, A1's 6000 nodes and A2's 3000 do not
+        d = DomainPair(A1=(interval(0, 1), interval(2, 3)), A2=(interval(0, 1),), dim_N=1)
+        with pytest.raises(ValueError, match="9000 nodes exceed the node budget"):
+            GridSpec(d, 3000)
+
 
 class TestCovariance:
     def test_colocated_pair(self):
