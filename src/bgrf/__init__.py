@@ -10,7 +10,6 @@ from .asymptotics import (
     RiemannCheck,
     default_delta_constant,
     delta_lower_bound,
-    psi,
     riemann_sum_check,
     tail_asymptotic,
 )
@@ -34,7 +33,6 @@ from .model import (
     expansion_coefficient,
     local_expansion,
     validity_bound,
-    validity_bound_equal_scale,
 )
 from .montecarlo import (
     ExcursionEstimate,
@@ -50,10 +48,8 @@ from .pickands import (
 )
 from .specfun import (
     MaternParams,
-    QuadratureError,
     bessel_k,
     matern,
-    matern_cosine_integral,
     matern_d2_at_zero,
 )
 

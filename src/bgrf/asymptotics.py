@@ -69,19 +69,6 @@ def _log_psi_constant(rho: float) -> float:
     )
 
 
-def log_psi(u: float, rho: float) -> float:
-    if not (u > 0):
-        raise ValueError(f"u must be > 0, got {u}")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    return _log_psi_constant(rho) - 2.0 * math.log(u) - u * u / (1.0 + rho)
-
-
-def psi(u: float, rho: float) -> float:
-    """Bivariate normal joint tail factor Psi(u, rho)."""
-    return math.exp(log_psi(u, rho))
-
-
 @dataclass(frozen=True)
 class AsymptoticResult:
     value: float

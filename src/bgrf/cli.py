@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .asymptotics import (
     CellBudgetError,
     default_delta_constant,
@@ -53,7 +51,6 @@ from .montecarlo import (
     rate_fit,
 )
 from .pickands import discrete_pickands_h1, estimate_H_constant
-from .specfun import MaternParams, matern, matern_cosine_integral
 
 
 class ConfigError(ValueError):
@@ -199,8 +196,10 @@ def config_hash(cfg: dict, sections: tuple[str, ...]) -> str:
 
 
 def _dump_tag(cfg: dict) -> int:
-    """32-bit hash of the sections a sample dump's rows depend on."""
-    return int(config_hash(cfg, ("model", "domain", "grid"))[:8], 16)
+    """32-bit hash of what a sample dump's rows depend on: the model,
+    domain and grid sections and the seed."""
+    keyed = {**cfg, "seed": cfg["estimation"]["seed"]}
+    return int(config_hash(keyed, ("model", "domain", "grid", "seed"))[:8], 16)
 
 
 def _fmt(v) -> str:
@@ -314,7 +313,7 @@ def _excursions(cfg, args, m, g: GridSpec, samples) -> list:
     if (nodes, tag) != (g.n1 + g.n2, _dump_tag(cfg)):
         raise ValueError(
             f"{samples} holds {nodes} nodes per replicate under tag {tag:08x}; "
-            f"this config's model, domain and grid give {g.n1} + {g.n2} nodes "
+            f"this config's model, domain, grid and seed give {g.n1} + {g.n2} nodes "
             f"and tag {_dump_tag(cfg):08x}"
         )
     return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
@@ -332,6 +331,14 @@ def _riemann_args(cfg, m, d: DomainPair) -> list[tuple]:
     for u in us:
         riemann_cells(e, d, T, C, u)
     return [(e, d, lambda h: cross_corr(m, h), T, C, u) for u in us]
+
+
+def _check_theorem_thresholds(cfg) -> None:
+    """Refuse, before any sum or estimate, a thresholds.u the theorem
+    cannot take: tail_asymptotic needs u > 0. mc-excursion takes any u."""
+    for u in cfg["thresholds"]["u"]:
+        if not (u > 0):
+            raise ValueError(f"u must be > 0, got {u}")
 
 
 def _warn_if_invalid(m: BivariateMaternModel) -> None:
@@ -359,20 +366,6 @@ def cmd_validate(cfg, args) -> int:
     bound = report["validity"].witness
     print(f"rho^2 = {m.rho ** 2:.6g}, validity bound = {bound:.6g}")
     return 0 if report.passed else 1
-
-
-def cmd_matern_eval(cfg, args) -> int:
-    m = build_model(cfg)
-    w = Writer(cfg, args, "matern-eval", ["nu", "a", "h", "matern", "cosine_integral", "abs_diff"])
-    hs = np.linspace(args.h_min, args.h_max, args.h_points)
-    for nu, a in ((m.nu1, m.a1), (m.nu2, m.a2), (m.nu12, m.a12)):
-        p = MaternParams(nu, a)
-        for h in hs:
-            direct = matern(float(h), p)
-            quad = matern_cosine_integral(float(h), p)
-            w.add(nu, a, float(h), direct, quad, abs(direct - quad))
-    w.flush()
-    return 0
 
 
 def cmd_expansion(cfg, args) -> int:
@@ -414,6 +407,7 @@ def cmd_pickands(cfg, args) -> int:
 
 def cmd_theorem(cfg, args) -> int:
     m = build_model(cfg)
+    _check_theorem_thresholds(cfg)
     _warn_if_invalid(m)
     e = local_expansion(m)
     d = build_domain(cfg, m)
@@ -476,7 +470,9 @@ def cmd_verify(cfg, args) -> int:
     check_reps(reps)
     M, mes = d.shared_part()
     # every refusal the config decides comes before any sum or estimate:
-    # the Riemann preconditions and cell budget, then the constants' rule
+    # the thresholds, the Riemann preconditions and cell budget, then the
+    # constants' rule
+    _check_theorem_thresholds(cfg)
     riemann_args = _riemann_args(cfg, m, d)
     H1, H2 = _pickands_constants(cfg, m, args)
     riemann = [riemann_sum_check(*a) for a in riemann_args]
@@ -584,7 +580,6 @@ def main(argv=None) -> int:
         "expansion": cmd_expansion,
         "simulate": cmd_simulate,
         "pickands": cmd_pickands,
-        "matern-eval": cmd_matern_eval,
         "theorem": cmd_theorem,
         "riemann-check": cmd_riemann_check,
         "mc-excursion": cmd_mc_excursion,
@@ -597,11 +592,6 @@ def main(argv=None) -> int:
         if name in ("theorem", "riemann-check", "mc-excursion", "verify"):
             p.add_argument("--u", type=float, nargs="+", default=None)
 
-    p = parsers["matern-eval"]
-    p.add_argument("--h-min", type=float, default=0.0)
-    p.add_argument("--h-max", type=float, default=5.0)
-    p.add_argument("--h-points", type=int, default=26)
-
     parsers["riemann-check"].add_argument(
         "--both-cells", action="store_true",
         help="also sum over the subset cell family")
@@ -613,8 +603,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.threads < 1:
         parsers[args.command].error(f"--threads must be at least 1, got {args.threads}")
-    if getattr(args, "h_points", 1) < 1:
-        parsers[args.command].error(f"--h-points must be at least 1, got {args.h_points}")
 
     # --u replaces the thresholds a command sums or samples at
     u_key = ("verify", "riemann_u") if args.command == "riemann-check" else ("thresholds", "u")

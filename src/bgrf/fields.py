@@ -222,6 +222,18 @@ def _box_axes(box: Rect, points_per_axis: int) -> list[np.ndarray]:
             for lo, hi in zip(box.lo, box.hi)]
 
 
+def _axis_count(lo: float, hi: float, points_per_axis: int) -> int:
+    """A lower bound on the distinct coordinates _box_axes gives the axis
+    [lo, hi], counted without building them: 1 on an axis of zero width;
+    points_per_axis when the step exceeds two ulps of the ends, so that no
+    two nodes round together; else 2, the ends."""
+    if lo == hi or points_per_axis == 1:
+        return 1
+    if (hi - lo) / (points_per_axis - 1) > 2.0 * math.ulp(max(abs(lo), abs(hi))):
+        return points_per_axis
+    return 2
+
+
 def _box_nodes(box: Rect, points_per_axis: int) -> np.ndarray:
     grids = np.meshgrid(*_box_axes(box, points_per_axis), indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
@@ -246,8 +258,10 @@ class GridSpec:
             raise ValueError("points_per_axis must be a positive integer")
         # a union has at least the distinct nodes of its largest box: refuse
         # on that bound before any node array is built, then on the count
-        _check_nodes(sum(max(math.prod(map(len, _box_axes(b, p))) for b in boxes)
-                         for boxes in (self.domain.A1, self.domain.A2)))
+        _check_nodes(sum(
+            max(math.prod(_axis_count(lo, hi, p) for lo, hi in zip(b.lo, b.hi))
+                for b in boxes)
+            for boxes in (self.domain.A1, self.domain.A2)))
         object.__setattr__(self, "nodes1", _union_nodes(self.domain.A1, p))
         object.__setattr__(self, "nodes2", _union_nodes(self.domain.A2, p))
         _check_nodes(self.n1 + self.n2)

@@ -3,12 +3,13 @@
 The model has marginal correlations M(h | nu_i, a_i), cross covariance
 rho * sigma1 * sigma2 * M(h | nu12, a12), and is a valid covariance iff
 rho^2 stays below a Gamma-function / infimum bound. Theorem evaluation
-uses the standardized case (unit sigmas and scales, nu_1, nu_2 in (0,1),
-nu12 > 1, rho in (0,1)), for which the local expansion inputs are
+uses the standardized case (unit sigmas, nu_1, nu_2 in (0,1), nu12 > 1,
+rho in (0,1)), at any scales a_i: since M(h | nu, a) = M(a h | nu, 1), the
+local expansion inputs are
 
     alpha_i = 2 nu_i,
-    c_i     = Gamma(1 - nu_i) / (2^(2 nu_i) Gamma(1 + nu_i)),
-    r''(0)  = rho * M''(0 | nu12, 1).
+    c_i     = a_i^(2 nu_i) Gamma(1 - nu_i) / (2^(2 nu_i) Gamma(1 + nu_i)),
+    r''(0)  = rho * M''(0 | nu12, a12).
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ class BivariateMaternModel:
         """Name the first violated standardized-mode invariant, if any."""
         if self.sigma1 != 1.0 or self.sigma2 != 1.0:
             return "sigma1 = sigma2 = 1 required"
-        if not (self.a1 == self.a2 == self.a12 == 1.0):
-            return "a1 = a2 = a12 = 1 required"
         if not (0.0 < self.nu1 < 1.0 and 0.0 < self.nu2 < 1.0):
             return "nu1, nu2 in (0, 1) required"
         if not (self.nu12 > 1.0):
@@ -123,25 +122,6 @@ def expansion_coefficient(nu: float) -> float:
     if not (0.0 < nu < 1.0):
         raise ValueError(f"expansion coefficient requires nu in (0, 1), got {nu}")
     return math.gamma(1.0 - nu) / (2.0 ** (2.0 * nu) * math.gamma(1.0 + nu))
-
-
-def validity_bound_equal_scale(nu1: float, nu2: float, nu12: float, N: int) -> float:
-    """Closed-form bound on rho^2 when a1 = a2 = a12; 0.0 when
-    2 nu12 < nu1 + nu2, as validity_bound gives."""
-    for v in (nu1, nu2, nu12):
-        if not (v > 0):
-            raise ValueError("smoothness parameters must be > 0")
-    if 2.0 * nu12 - nu1 - nu2 < 0.0:
-        return 0.0
-    halfN = N / 2.0
-    return math.exp(
-        math.lgamma(nu1 + halfN)
-        + math.lgamma(nu2 + halfN)
-        - math.lgamma(nu1)
-        - math.lgamma(nu2)
-        + 2.0 * math.lgamma(nu12)
-        - 2.0 * math.lgamma(nu12 + halfN)
-    )
 
 
 def validity_bound(
@@ -217,10 +197,10 @@ def local_expansion(m: BivariateMaternModel) -> LocalExpansion:
     return LocalExpansion(
         alpha1=2.0 * m.nu1,
         alpha2=2.0 * m.nu2,
-        c1=expansion_coefficient(m.nu1),
-        c2=expansion_coefficient(m.nu2),
+        c1=expansion_coefficient(m.nu1) * m.a1 ** (2.0 * m.nu1),
+        c2=expansion_coefficient(m.nu2) * m.a2 ** (2.0 * m.nu2),
         rho=m.rho,
-        r2_zero=m.rho * matern_d2_at_zero(MaternParams(m.nu12, 1.0)),
+        r2_zero=m.rho * matern_d2_at_zero(MaternParams(m.nu12, m.a12)),
         dim_N=m.dim_N,
     )
 

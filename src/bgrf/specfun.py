@@ -5,24 +5,14 @@ Matern correlation
 
     M(h | nu, a) = 2^(1-nu) / Gamma(nu) * (a h)^nu * K_nu(a h),
 
-an independent quadrature evaluation of M through its cosine integral
-representation
-
-    M(h | nu, a) = 2 Gamma(nu + 1/2) / (sqrt(pi) Gamma(nu))
-                   * int_0^inf cos(a h r) / (1 + r^2)^(nu + 1/2) dr,
-
-and the second derivative M''(0 | nu, a) = -a^2 / (2 (nu - 1)) for nu > 1,
-the Beta integral that differentiating the representation twice under the
-integral sign gives.
+and the second derivative M''(0 | nu, a) = -a^2 / (2 (nu - 1)) for nu > 1
+in closed form.
 
 K_nu is evaluated here, by the trapezoid rule on
 
     e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt,
 
-so numpy is the only runtime dependency. The cosine-integral quadrature is
-a different representation computed by a different rule, so matern() and
-matern_cosine_integral() remain two genuinely independent ways of
-computing the same quantity.
+so numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -31,10 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; message carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -205,116 +191,13 @@ def _scaled_kv(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, s
 
 
-# ---------------------------------------------------------------------------
-# quadrature machinery
-# ---------------------------------------------------------------------------
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_N_SUBTRACT = 8  # Taylor terms _tail_integral integrates in closed form
-_OSC_TOL = 1e-10  # relative error bound of _oscillatory_integral's tail sum
-
-
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _gl_panel(f, a: float, b: float, n: int) -> float:
-    x, w = _gl_nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
-def _tail_integral(p: float, s: float) -> float:
-    """int_0^1 v^p (1 + v^2)^(-s) dv for p > -1, s > 0.
-
-    The endpoint power v^p (p possibly in (-1, 0)) is handled by
-    subtracting the first _N_SUBTRACT Taylor terms of (1+v^2)^(-s), which are
-    integrable in closed form; the smooth remainder goes to Gauss-Legendre.
-    """
-    coeffs = []
-    c = 1.0
-    for k in range(_N_SUBTRACT):
-        coeffs.append(c)
-        c *= -(s + k) / (k + 1.0)  # binom(-s, k+1) recursion
-    exact = sum(ck / (p + 2 * k + 1.0) for k, ck in enumerate(coeffs))
-
-    def remainder(v):
-        poly = np.zeros_like(v)
-        v2 = v * v
-        for k in reversed(range(_N_SUBTRACT)):
-            poly = poly * v2 + coeffs[k]
-        return v**p * ((1.0 + v2) ** (-s) - poly)
-
-    return exact + _gl_panel(remainder, 0.0, 1.0, 64)
-
-
-def _oscillatory_integral(env, omega: float) -> float:
-    """int_0^inf cos(omega r) env(r) dr, env positive, smooth, decaying.
-
-    Head [0, pi/(2 omega)] by geometrically split Gauss-Legendre panels;
-    the alternating half-period terms beyond are summed with iterated
-    averaging (Euler transformation), which converges fast even when env
-    decays only polynomially.
-    """
-    f = lambda r: np.cos(omega * r) * env(r)
-    z1 = math.pi / (2.0 * omega)
-    head = 0.0
-    lo, step = 0.0, min(z1, 1.0)
-    while lo < z1:
-        hi = min(z1, lo + step)
-        head += _gl_panel(f, lo, hi, 32)
-        lo, step = hi, 2.0 * step
-
-    period = math.pi / omega
-    n_terms = 64
-    terms = np.empty(n_terms)
-    zk = z1
-    for k in range(n_terms):
-        terms[k] = _gl_panel(f, zk, zk + period, 24)
-        zk += period
-
-    def euler(ts):
-        s = np.cumsum(ts)
-        while len(s) > 1:
-            s = 0.5 * (s[:-1] + s[1:])
-        return float(s[0])
-
-    tail_full = euler(terms)
-    tail_short = euler(terms[: n_terms - 16])
-    err = abs(tail_full - tail_short)
-    if err > _OSC_TOL * max(1.0, abs(head + tail_full)):
-        raise QuadratureError(
-            f"oscillatory tail did not converge: omega={omega}, "
-            f"estimated error {err:.3e}"
-        )
-    return head + tail_full
-
-
-def matern_cosine_integral(h: float, p: MaternParams) -> float:
-    """M(h | nu, a) by quadrature of the cosine integral representation.
-
-    Independent oracle for matern(); agrees to well below 1e-6 absolute.
-    """
-    if not (h >= 0) or not math.isfinite(h):
-        raise ValueError("matern_cosine_integral requires finite h >= 0")
-    s = p.nu + 0.5
-    norm = 2.0 * math.exp(math.lgamma(s) - math.lgamma(p.nu)) / math.sqrt(math.pi)
-    omega = p.a * h
-    if omega == 0.0:
-        # no oscillation: split at r = 1, map the tail to [0, 1] via v = 1/r
-        headpart = _gl_panel(lambda r: (1.0 + r * r) ** (-s), 0.0, 1.0, 64)
-        tailpart = _tail_integral(2.0 * p.nu - 1.0, s)
-        return norm * (headpart + tailpart)
-    return norm * _oscillatory_integral(lambda r: (1.0 + r * r) ** (-s), omega)
-
-
 def matern_d2_at_zero(p: MaternParams) -> float:
     """M''(0 | nu, a) = -a^2 / (2 (nu - 1)).
 
-    Differentiating the cosine representation twice gives
-    -a^2 * 2 Gamma(nu+1/2) / (sqrt(pi) Gamma(nu)) times the Beta integral
+    Differentiating the cosine representation
+    M(h) = 2 Gamma(nu+1/2) / (sqrt(pi) Gamma(nu))
+           * int_0^inf cos(a h r) / (1 + r^2)^(nu + 1/2) dr
+    twice at h = 0 gives -a^2 times that prefactor times the Beta integral
     int_0^inf r^2 / (1 + r^2)^(nu + 1/2) dr
         = sqrt(pi) Gamma(nu - 1) / (4 Gamma(nu + 1/2)).
     Requires nu > 1 (the integral diverges otherwise). Always negative.

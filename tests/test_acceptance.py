@@ -46,17 +46,11 @@ from bgrf.model import (
     expansion_coefficient,
     local_expansion,
     validity_bound,
-    validity_bound_equal_scale,
 )
 from bgrf.montecarlo import estimates_from_maxima, field_maxima, rate_fit
 from bgrf.pickands import discrete_pickands_h1, estimate_H_constant
-from bgrf.specfun import (
-    MaternParams,
-    bessel_k,
-    matern,
-    matern_cosine_integral,
-    matern_d2_at_zero,
-)
+from bgrf.specfun import MaternParams, bessel_k, matern, matern_d2_at_zero
+from oracles import matern_cosine_integral, validity_bound_equal_scale
 
 SEED = 1234
 

@@ -26,13 +26,12 @@ from bgrf.asymptotics import (
     CellBudgetError,
     default_delta_constant,
     delta_lower_bound,
-    log_psi,
-    psi,
     riemann_sum_check,
     tail_asymptotic,
 )
 from bgrf.fields import DomainPair, Rect, union_covers
 from bgrf.model import BivariateMaternModel, LocalExpansion, cross_corr, local_expansion
+from oracles import psi
 
 
 def interval(lo, hi):
@@ -637,6 +636,17 @@ class TestSparseUnions:
         assert near.n_pairs == 41_472
         assert (far.n_pairs, far.h_sum) == (near.n_pairs, near.h_sum)
         assert seconds < 2.0
+
+
+class TestUnequalScales:
+    def test_riemann_ratio_converges_at_unequal_scales(self):
+        # the local expansion at a1 != a2 != a12 is the limit the sums reach
+        m = BivariateMaternModel(nu1=0.5, nu2=0.75, nu12=1.5, rho=0.3, a2=2.0, a12=1.5)
+        e, d = local_expansion(m), DomainPair((interval(0, 1),), (interval(0, 1),), 1)
+        C = default_delta_constant(e)
+        dev = [abs(riemann_sum_check(e, d, lambda h: cross_corr(m, h), 1.0, C, u).ratio - 1)
+               for u in (20.0, 40.0, 80.0)]
+        assert dev[0] > dev[1] > dev[2] and dev[2] < 0.005
 
 
 class TestSharedKernelLimit:

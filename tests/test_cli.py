@@ -237,32 +237,6 @@ class TestValidate:
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
 
 
-class TestMaternEval:
-    def test_schema_and_agreement(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main([
-            "matern-eval", "--config", cfg, "--out-dir", str(out),
-            "--h-points", "6",
-        ]) == 0
-        rows = read_rows(out / "matern-eval.csv")
-        assert len(rows) == 18  # three (nu, a) pairs x six lags
-        for r in rows:
-            assert float(r["abs_diff"]) <= 1e-6
-
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_h_points_below_one_is_a_usage_error(self, tmp_path, capsys, points):
-        # zero lags would write a header-only CSV that checks nothing
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exit_:
-            main(["matern-eval", "--config", cfg, "--out-dir", str(out),
-                  "--h-points", points])
-        assert exit_.value.code == 2
-        assert f"--h-points must be at least 1, got {points}" in capsys.readouterr().err
-        assert not (out / "matern-eval.csv").exists()
-
-
 class TestExpansion:
     def test_values(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -471,6 +445,27 @@ class TestSimulateAndReuse:
             "--samples", str(out / "samples.bgrf"),
         ]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
+
+    def test_dump_under_another_seed_rejected(self, tmp_path, capsys):
+        # the rows are replicates of the seed that wrote them; read under
+        # another seed they would be reported as that seed's
+        cfg = write_config(tmp_path, grid={"points_per_axis": 8},
+                           estimation={"reps": 2000, "seed": 1}, thresholds={"u": [1.5]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        tags = [cli._dump_tag(cli.load_config(cfg))]
+        cfg2 = cli.load_config(cfg)
+        cfg2["estimation"]["seed"] = 2
+        tags.append(cli._dump_tag(cfg2))
+        assert tags[0] != tags[1]
+        capsys.readouterr()
+        assert main([
+            "mc-excursion", "--config", cfg, "--out-dir", str(tmp_path / "reuse"),
+            "--samples", str(out / "samples.bgrf"), "--seed", "2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"under tag {tags[0]:08x}" in err and f"and tag {tags[1]:08x}" in err
         assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
@@ -800,6 +795,37 @@ class TestNParameterConstants:
             "error: dim_N = 2 needs the N-parameter Pickands constants")
 
 
+class TestNonPositiveThreshold:
+    # the theorem needs u > 0; theorem and verify refuse any other u before
+    # they estimate, sum or sample anything
+    MODEL = {"nu1": 0.75, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1}
+
+    @pytest.mark.parametrize("command", ["theorem", "verify"])
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work ran before the threshold was refused")
+
+        for name in ("field_maxima", "estimate_H_constant", "riemann_sum_check"):
+            monkeypatch.setattr(cli, name, unreachable)
+        cfg = write_config(tmp_path, model=self.MODEL,
+                           thresholds={"u": [0, 2, 2.4, 2.8]})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: u must be > 0, got 0.0\n")
+        assert not (out / f"{command}.csv").exists()
+        if command == "verify":
+            assert captured.out == ""
+
+    def test_mc_excursion_takes_any_u(self, tmp_path):
+        # P(max X1 > 0, max X2 > 0) is a probability like any other
+        cfg = write_config(tmp_path, model=self.MODEL, grid={"points_per_axis": 10},
+                           estimation={"reps": 2000}, thresholds={"u": [-1, 0, 1]})
+        out = tmp_path / "o"
+        assert main(["mc-excursion", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert [float(r["u"]) for r in read_rows(out / "mc-excursion.csv")] == [-1, 0, 1]
+
+
 class TestVerify:
     def test_quick_verify_passes(self, tmp_path, capsys):
         cfg = write_config(
@@ -987,12 +1013,23 @@ class TestReadmeConfig:
             assert first == "# config_sha256=46420925f37c9f07 seed=1234"
 
 
+class TestReadmeCommands:
+    def test_cli_block_lists_exactly_the_subcommands(self, capsys):
+        readme = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        documented = {m for block in blocks
+                      for m in re.findall(r"^bgrf ([a-z-]+)", block, re.M)}
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert documented == set(choices.split(","))
+
+
 class TestConsoleScript:
     # every command that evaluates a Matern (theorem through its model
     # checks), on a config small enough to pass every gate of verify
     @pytest.mark.parametrize("command", [
-        "validate", "simulate", "mc-excursion", "riemann-check", "theorem",
-        "matern-eval", "verify",
+        "validate", "simulate", "mc-excursion", "riemann-check", "theorem", "verify",
     ])
     def test_runs_without_scipy(self, tmp_path, command):
         cfg = write_config(

@@ -2,6 +2,7 @@
 
 import glob
 import hashlib
+import math
 import os
 import struct
 import sys
@@ -238,6 +239,31 @@ class TestGridSpec:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_node_budget_bound_builds_no_axis(self):
+        # 10^7 points per axis: the bound counts each axis from its ends
+        d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)
+        GridSpec(d, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="20000000 nodes exceed the node budget"):
+                GridSpec(d, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e-6), exp=st.integers(-40, 6),
+           points=st.integers(1, 2000))
+    def test_axis_count_is_a_lower_bound_exact_past_two_ulps(self, lo, width, exp, points):
+        # widths down to a few ulps of the ends, where nodes round together
+        hi = lo + width * 2.0**exp
+        built = len(np.unique(np.linspace(lo, hi, points)))
+        count = fields._axis_count(lo, hi, points)
+        assert count <= built
+        if points > 1 and (hi - lo) / (points - 1) > 2 * math.ulp(max(abs(lo), abs(hi))):
+            assert count == built
 
     def test_degenerate_axis_holds_one_node(self):
         # 4000 points on segments of the plane: 8000 nodes fit the budget

@@ -17,6 +17,8 @@ import math
 import numpy as np
 import pytest
 
+from bgrf.asymptotics import tail_asymptotic
+from bgrf.fields import DomainPair, GridSpec, Rect
 from bgrf.model import (
     AssumptionReport,
     BivariateMaternModel,
@@ -27,8 +29,9 @@ from bgrf.model import (
     expansion_coefficient,
     local_expansion,
     validity_bound,
-    validity_bound_equal_scale,
 )
+from bgrf.montecarlo import field_maxima
+from oracles import validity_bound_equal_scale
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -196,17 +199,53 @@ class TestLocalExpansion:
     def test_rejects_non_standardized(self):
         with pytest.raises(UnsupportedModelError, match="sigma"):
             local_expansion(standard_model(sigma1=2.0))
-        with pytest.raises(UnsupportedModelError, match="a1 = a2"):
-            local_expansion(standard_model(a12=2.0))
         with pytest.raises(UnsupportedModelError, match="nu12"):
             local_expansion(standard_model(nu12=0.8))
         with pytest.raises(UnsupportedModelError, match="nu1, nu2"):
             local_expansion(standard_model(nu1=1.5))
 
+    def test_any_scale_is_accepted(self):
+        # c_i = c(nu_i) a_i^(2 nu_i), r''(0) = rho M''(0 | nu12, a12)
+        e = local_expansion(standard_model(a1=2.0, a2=0.5, a12=2.0, nu2=0.25))
+        assert e.c1 == expansion_coefficient(0.5) * 2.0
+        assert e.c2 == expansion_coefficient(0.25) * 0.5**0.5
+        assert e.r2_zero == 0.4 * -4.0 / (2.0 * 0.5)
+
     def test_r2_negative_whenever_nu12_above_one(self):
         for nu12 in [1.05, 1.5, 2.0, 3.5]:
             e = local_expansion(standard_model(nu12=nu12))
             assert e.r2_zero < 0
+
+
+class TestRangeRescaling:
+    # M(h | nu, a) = M(a h | nu, 1): with a1 = a2 = a12 = a, the field on
+    # [0, 1] at scale a is the field on [0, a] at scale 1
+    @staticmethod
+    def setup(a, scaled):
+        m = standard_model(nu2=0.75, **(dict(a1=a, a2=a, a12=a) if scaled else {}))
+        side = (Rect((0.0,), (1.0 if scaled else a,)),)
+        return m, DomainPair(A1=side, A2=side, dim_N=1)
+
+    @pytest.mark.parametrize("a", [2.0, 0.5, 3.0])
+    def test_theorem_within_a_few_ulps(self, a):
+        for u in (2.0, 3.2, 20.0):
+            got, want = (
+                tail_asymptotic(local_expansion(m), *d.shared_part(), 1.0, 0.9, u)
+                for m, d in (self.setup(a, True), self.setup(a, False))
+            )
+            assert abs(got.log_value - want.log_value) <= 4 * math.ulp(want.log_value)
+            # value = exp(log_value): log_value's error is value's relative error
+            rel = 4 * math.ulp(want.log_value) + 2.0**-52
+            assert got.value == pytest.approx(want.value, rel=rel, abs=0)
+
+    @pytest.mark.parametrize("a", [2.0, 0.5])
+    def test_maxima_bit_identical_at_a_power_of_two(self, a):
+        got, want = (
+            field_maxima(m, GridSpec(d, 100), 2000, seed=11)
+            for m, d in (self.setup(a, True), self.setup(a, False))
+        )
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
 
 class TestCrossCorr:
