@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 # the kinds of config value; a None default also allows null
 _NUMBER, _INTEGER, _NUMBERS, _BOXES = (
-    "a number", "an integer", "a list of numbers", "boxes")
+    "a number", "an integer", "a list of numbers", "a list of boxes of [lo, hi] pairs")
 
 # section -> key -> (default, kind)
 _DEFAULTS = {
@@ -93,11 +93,12 @@ _MODEL_KEYS = {
 
 def _checked(section: str, key: str, value):
     """value for section.key as its kind: a float, an int or a list of
-    floats; boxes pass as given, for build_domain. A config error for a
-    bool, a non-finite number, an empty list or another type."""
+    floats; boxes, a non-empty list of lists of [lo, hi] number pairs, pass
+    as given, for build_domain. A config error for a bool, a non-finite
+    number, an empty list or another type."""
     path = f"{section}.{key}"
     default, kind = _DEFAULTS[section][key]
-    if kind == _BOXES or (value is None and default is None):
+    if value is None and default is None:
         return value
 
     def finite(v) -> bool:
@@ -107,11 +108,19 @@ def _checked(section: str, key: str, value):
         except OverflowError:  # an integer past the float range
             return False
 
+    def pairs(box) -> bool:
+        return isinstance(box, list) and all(
+            isinstance(side, list) and len(side) == 2 and all(map(finite, side))
+            for side in box)
+
     if kind == _NUMBERS:
         if value == []:
             raise ConfigError(f"{path} must not be empty")
         if isinstance(value, list) and all(map(finite, value)):
             return [float(v) for v in value]
+    elif kind == _BOXES:
+        if isinstance(value, list) and value and all(map(pairs, value)):
+            return value
     elif finite(value) and (kind == _NUMBER or isinstance(value, int)):
         return value if kind == _INTEGER else float(value)
     null = " or null" if default is None else ""
@@ -163,28 +172,23 @@ def build_model(cfg: dict) -> BivariateMaternModel:
 
 
 def _boxes(spec, N: int, label: str) -> tuple[Rect, ...]:
+    """The boxes of a checked domain.A1 or A2 value; null is the unit box."""
+    if spec is None:
+        return (Rect((0.0,) * N, (1.0,) * N),)
+    if any(len(box) != N for box in spec):
+        raise ConfigError(f"{label} boxes must have dim_N = {N} sides")
     try:
-        out = []
-        for box in spec:
-            lo = tuple(float(side[0]) for side in box)
-            hi = tuple(float(side[1]) for side in box)
-            out.append(Rect(lo, hi))
-    except (TypeError, ValueError, IndexError) as exc:
+        return tuple(Rect(tuple(float(lo) for lo, _ in box),
+                          tuple(float(hi) for _, hi in box)) for box in spec)
+    except ValueError as exc:  # a negative side
         raise ConfigError(f"invalid {label}: {exc}") from exc
-    for r in out:
-        if r.dim != N:
-            raise ConfigError(f"{label} boxes must have dim_N = {N} sides")
-    return tuple(out)
 
 
 def build_domain(cfg: dict, m: BivariateMaternModel) -> DomainPair:
     dom = cfg["domain"]
-    N = m.dim_N
-    unit = (Rect((0.0,) * N, (1.0,) * N),)
-    A1 = _boxes(dom["A1"], N, "domain.A1") if dom["A1"] is not None else unit
-    A2 = _boxes(dom["A2"], N, "domain.A2") if dom["A2"] is not None else unit
+    A1, A2 = (_boxes(dom[k], m.dim_N, f"domain.{k}") for k in ("A1", "A2"))
     try:
-        return DomainPair(A1=A1, A2=A2, dim_N=N, split_M=dom["split_M"])
+        return DomainPair(A1=A1, A2=A2, dim_N=m.dim_N, split_M=dom["split_M"])
     except ValueError as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
@@ -363,8 +367,6 @@ def cmd_validate(cfg, args) -> int:
     report = check_assumptions(m)
     for line in report.lines():
         print(line)
-    bound = report["validity"].witness
-    print(f"rho^2 = {m.rho ** 2:.6g}, validity bound = {bound:.6g}")
     return 0 if report.passed else 1
 
 
@@ -470,9 +472,12 @@ def cmd_verify(cfg, args) -> int:
     check_reps(reps)
     M, mes = d.shared_part()
     # every refusal the config decides comes before any sum or estimate:
-    # the thresholds, the Riemann preconditions and cell budget, then the
-    # constants' rule
+    # the thresholds and tolerances, the Riemann preconditions and cell
+    # budget, then the constants' rule
     _check_theorem_thresholds(cfg)
+    for key in ("rate_tol", "riemann_band"):
+        if cfg["verify"][key] < 0:
+            raise ValueError(f"verify.{key} must be >= 0, got {cfg['verify'][key]}")
     riemann_args = _riemann_args(cfg, m, d)
     H1, H2 = _pickands_constants(cfg, m, args)
     riemann = [riemann_sum_check(*a) for a in riemann_args]

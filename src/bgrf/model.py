@@ -2,10 +2,11 @@
 
 The model has marginal correlations M(h | nu_i, a_i), cross covariance
 rho * sigma1 * sigma2 * M(h | nu12, a12), and is a valid covariance iff
-rho^2 stays below a Gamma-function / infimum bound. Theorem evaluation
-uses the standardized case (unit sigmas, nu_1, nu_2 in (0,1), nu12 > 1,
-rho in (0,1)), at any scales a_i: since M(h | nu, a) = M(a h | nu, 1), the
-local expansion inputs are
+rho^2 stays below a Gamma-function / infimum bound. check_assumptions
+decides each of the theorems' assumptions on the model by its closed form,
+and local_expansion refuses a model by those same items, or for sigma_i
+other than 1. Since M(h | nu, a) = M(a h | nu, 1), the local expansion
+inputs hold at any scales a_i:
 
     alpha_i = 2 nu_i,
     c_i     = a_i^(2 nu_i) Gamma(1 - nu_i) / (2^(2 nu_i) Gamma(1 + nu_i)),
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .specfun import MaternParams, matern, matern_d2_at_zero
 
@@ -48,18 +47,6 @@ class BivariateMaternModel:
             raise ValueError(f"rho must be in (-1, 1), got {self.rho!r}")
         if type(self.dim_N) is not int or self.dim_N < 1:  # a bool is no dim_N
             raise ValueError(f"dim_N must be a positive integer, got {self.dim_N!r}")
-
-    def standardized_violation(self) -> str | None:
-        """Name the first violated standardized-mode invariant, if any."""
-        if self.sigma1 != 1.0 or self.sigma2 != 1.0:
-            return "sigma1 = sigma2 = 1 required"
-        if not (0.0 < self.nu1 < 1.0 and 0.0 < self.nu2 < 1.0):
-            return "nu1, nu2 in (0, 1) required"
-        if not (self.nu12 > 1.0):
-            return "nu12 > 1 required"
-        if not (0.0 < self.rho < 1.0):
-            return "rho in (0, 1) required"
-        return None
 
 
 @dataclass(frozen=True)
@@ -188,11 +175,16 @@ def cross_corr(m: BivariateMaternModel, h):
 
 
 def local_expansion(m: BivariateMaternModel) -> LocalExpansion:
-    """Extract (alpha_i, c_i, rho, r''(0), N) for the standardized model."""
-    violation = m.standardized_violation()
-    if violation is not None:
+    """Extract (alpha_i, c_i, rho, r''(0), N). A model with sigma_i != 1,
+    or failing any item of check_assumptions but validity (which the
+    theorem commands only warn about), is refused with each failed item."""
+    report = check_assumptions(m)
+    failed = [] if m.sigma1 == m.sigma2 == 1.0 else ["sigma1 = sigma2 = 1 required"]
+    failed += [f"{item.name}: {item.detail}" for item in report.items
+               if not item.passed and item.name != "validity"]
+    if failed:
         raise UnsupportedModelError(
-            f"local_expansion needs the standardized model: {violation}"
+            "local_expansion needs the standardized model: " + "; ".join(failed)
         )
     return LocalExpansion(
         alpha1=2.0 * m.nu1,
@@ -200,78 +192,45 @@ def local_expansion(m: BivariateMaternModel) -> LocalExpansion:
         c1=expansion_coefficient(m.nu1) * m.a1 ** (2.0 * m.nu1),
         c2=expansion_coefficient(m.nu2) * m.a2 ** (2.0 * m.nu2),
         rho=m.rho,
-        r2_zero=m.rho * matern_d2_at_zero(MaternParams(m.nu12, m.a12)),
+        r2_zero=report["second_derivative"].witness,
         dim_N=m.dim_N,
     )
 
 
-_SAMPLING_GRID = np.geomspace(1e-4, 1e2, 400)
-
-
 def check_assumptions(m: BivariateMaternModel) -> AssumptionReport:
-    """Machine-checkable report on the four model assumptions plus the
-    validity condition. Failures are report entries, never errors."""
-    items = []
-
+    """Report on the theorems' four model assumptions plus the validity
+    condition, each decided by its closed form. Failures are report
+    entries, never errors."""
     ok = 0.0 < m.nu1 < 1.0 and 0.0 < m.nu2 < 1.0
-    items.append(
-        AssumptionCheck(
-            "expansion",
-            ok,
-            max(2.0 * m.nu1, 2.0 * m.nu2),
-            f"alpha_i = 2 nu_i = ({2 * m.nu1:g}, {2 * m.nu2:g}) "
-            + ("in (0, 2)" if ok else "not in (0, 2): need nu_i in (0, 1)"),
-        )
+    expansion = AssumptionCheck(
+        "expansion",
+        ok,
+        max(2.0 * m.nu1, 2.0 * m.nu2),
+        f"alpha_i = 2 nu_i = ({2 * m.nu1:g}, {2 * m.nu2:g}) "
+        + ("in (0, 2)" if ok else "not in (0, 2): need nu1, nu2 in (0, 1)"),
     )
-
-    worst = max(
-        float(np.max(matern(_SAMPLING_GRID, MaternParams(m.nu1, m.a1)))),
-        float(np.max(matern(_SAMPLING_GRID, MaternParams(m.nu2, m.a2)))),
+    marginal = AssumptionCheck(
+        "marginal_strict", True, None,
+        "M(h | nu_i, a_i) < 1 for h > 0: M falls strictly from M(0) = 1",
     )
-    ok = worst < 1.0
-    items.append(
-        AssumptionCheck(
-            "marginal_strict",
-            ok,
-            worst,
-            f"max marginal correlation over sampled h > 0 is {worst:.6g} "
-            + ("< 1" if ok else ">= 1"),
-        )
+    isotropy = AssumptionCheck(
+        "isotropy", True, None, "cross correlation depends on |t - s| by construction"
     )
-
-    items.append(
-        AssumptionCheck(
-            "isotropy",
-            True,
-            None,
-            "cross correlation depends on |t - s| by construction",
-        )
-    )
-
     if m.nu12 > 1.0:
-        d2 = matern_d2_at_zero(MaternParams(m.nu12, m.a12))
-        r2 = m.rho * d2
-        sampled = float(np.max(np.abs(cross_corr(m, _SAMPLING_GRID))))
-        ok = r2 < 0.0 and sampled < abs(m.rho)
-        detail = (
-            f"r''(0) = {r2:.6g} < 0; sampled max |r(h)|, h > 0, "
-            f"is {sampled:.12g} < |rho| = {abs(m.rho):g}"
-            if ok
-            else f"r''(0) = {r2:.6g}, sampled max |r(h)| = {sampled:.12g}"
+        # M''(0 | nu12, a12) < 0, so r''(0) < 0 iff rho > 0; then
+        # |r(h)| = rho M(h | nu12, a12) < rho for h > 0
+        r2 = m.rho * matern_d2_at_zero(MaternParams(m.nu12, m.a12))
+        ok = m.rho > 0.0
+        detail = f"r''(0) = {r2:.6g} " + (
+            f"< 0, and |r(h)| < rho = {m.rho:g} for h > 0" if ok else ">= 0: need rho > 0"
         )
-        items.append(AssumptionCheck("second_derivative", ok, r2, detail))
+        second = AssumptionCheck("second_derivative", ok, r2, detail)
     else:
-        items.append(
-            AssumptionCheck(
-                "second_derivative",
-                False,
-                None,
-                f"nu12 <= 1 (got {m.nu12:g}): M''(0) does not exist",
-            )
+        second = AssumptionCheck(
+            "second_derivative", False, None,
+            f"nu12 <= 1 (got {m.nu12:g}): M''(0) does not exist",
         )
-
-    items.append(validity_check(m))
-    return AssumptionReport(tuple(items))
+    return AssumptionReport((expansion, marginal, isotropy, second, validity_check(m)))
 
 
 def validity_check(m: BivariateMaternModel) -> AssumptionCheck:

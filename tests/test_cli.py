@@ -69,6 +69,26 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 1
         assert "validity" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("change, code", [
+        ({"nu1": 0.9, "rho": 0.1, "a1": 1e-6, "a2": 1e-6, "a12": 1e-6}, 0),
+        ({"a1": 1e-3, "a2": 1e-3, "a12": 1e-3, "rho": 0.5}, 0),
+        ({"rho": -0.3}, 1),
+        ({"nu12": 0.8}, 1),
+        ({"nu2": 1.5}, 1),
+    ], ids=["small-scales", "scale-1e-3", "rho-negative", "nu12-below-one",
+            "nu2-above-one"])
+    def test_validate_and_expansion_agree(self, tmp_path, capsys, change, code):
+        # on valid models, validate passes exactly when the theorem
+        # commands evaluate, since both read check_assumptions
+        cfg = write_config(tmp_path, model={
+            "nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1, **change})
+        assert main(["validate", "--config", cfg]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1].startswith("[PASS] validity")
+        assert main(["expansion", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == code
+        failed = [line.split(": ", 1)[1] for line in lines if line.startswith("[FAIL]")]
+        assert all(item in capsys.readouterr().err for item in failed)
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -165,6 +185,21 @@ class TestValidate:
         assert captured.err.startswith(f"config error: {message}")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["A1", "A2"])
+    @pytest.mark.parametrize("box", [
+        [[[0, math.nan]]], [[[0, math.inf]]], [[[False, True]]], [[["0", "1"]]],
+        [[[0, 1, 7]]],
+    ], ids=["nan", "inf", "bool", "string", "three-ends"])
+    def test_domain_boxes_checked_at_load(self, tmp_path, capsys, key, box):
+        domain = {"A1": [[[0, 1]]], "A2": [[[0, 1]]], "split_M": None, key: box}
+        cfg = self.small_config(tmp_path, "domain", domain)
+        out = tmp_path / "o"
+        assert main(["theorem", "--config", cfg, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: domain.{key} must be a list of boxes "
+                                f"of [lo, hi] pairs or null, got {box!r}\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command, flags, message", [
         ("theorem", ["--u", "nan"], "thresholds.u must be a list of numbers, got [nan]"),
@@ -963,6 +998,22 @@ class TestVerify:
         assert captured.out == ""
         assert not (out / "verify.csv").exists()
 
+    @pytest.mark.parametrize("key", ["rate_tol", "riemann_band"])
+    def test_negative_tolerance_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                       capsys, key):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work ran before the tolerance was refused")
+
+        for name in ("field_maxima", "riemann_sum_check"):
+            monkeypatch.setattr(cli, name, unreachable)
+        cfg = write_config(tmp_path, estimation={"reps": 20_000, "H1": 1.0, "H2": 1.0},
+                           verify={key: -0.1})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: verify.{key} must be >= 0, got -0.1\n"
+        assert captured.out == "" and not (out / "verify.csv").exists()
+
     def test_verify_fails_on_tight_band(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -1023,6 +1074,17 @@ class TestReadmeCommands:
             main(["--help"])
         choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
         assert documented == set(choices.split(","))
+
+
+class TestReadmeQuickstart:
+    def test_python_block_runs_as_written(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        script = tmp_path / "quickstart.py"
+        script.write_text(block)
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, env=src_env(), cwd=tmp_path, timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestConsoleScript:

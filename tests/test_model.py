@@ -292,6 +292,36 @@ class TestCheckAssumptions:
         report = check_assumptions(standard_model(rho=0.4))
         assert report["validity"].passed
 
+    def test_small_scales_pass(self):
+        # M(h | nu, a) < 1 at every h > 0 however small a is, though the
+        # float M(1e-4 | 0.9, 1e-6) reads 1
+        m = standard_model(nu1=0.9, rho=0.1, a1=1e-6, a2=1e-6, a12=1e-6)
+        report = check_assumptions(m)
+        assert report.passed
+        assert report["second_derivative"].witness == pytest.approx(-1e-13, rel=1e-15)
+
+    @pytest.mark.parametrize("change, failed", [
+        ({"rho": -0.3}, ["second_derivative"]),
+        ({"rho": 0.0}, ["second_derivative"]),
+        ({"nu12": 0.8}, ["second_derivative"]),
+        ({"nu1": 1.5}, ["expansion"]),
+        ({"nu2": 1.0, "nu12": 1.0}, ["expansion", "second_derivative"]),
+    ], ids=["rho-negative", "rho-zero", "nu12-below-one", "nu1-above-one", "two-items"])
+    def test_local_expansion_refuses_by_the_report(self, change, failed):
+        m = standard_model(**change)
+        report = check_assumptions(m)
+        assert [i.name for i in report.items if not i.passed] == failed
+        with pytest.raises(UnsupportedModelError) as exc:
+            local_expansion(m)
+        assert str(exc.value) == "local_expansion needs the standardized model: " + "; ".join(
+            f"{name}: {report[name].detail}" for name in failed)
+
+    def test_local_expansion_takes_an_invalid_model(self):
+        # the theorem commands warn about validity and evaluate anyway
+        m = standard_model(rho=0.6)
+        assert not check_assumptions(m)["validity"].passed
+        assert local_expansion(m).rho == 0.6
+
 
 class TestTypes:
     def test_model_validation(self):

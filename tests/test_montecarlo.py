@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from bgrf import fields
 from bgrf.fields import DomainPair, GridSpec, Rect, cholesky_factor, build_covariance, write_sample_dump
@@ -88,6 +89,31 @@ class TestMcExcursion:
         for maxima in (field_maxima(m, g, reps, seed), maxima_from_dump(p, g.n1)):
             for est in estimates_from_maxima(*maxima, [1.0, 2.0, 3.0], seed):
                 want = orthant(est.u, r)
+                assert abs(est.p_hat - want) <= 4 * math.sqrt(want * (1 - want) / reps)
+
+    def test_two_nodes_per_field_against_the_exact_excursion(self, tmp_path):
+        # the README model at A1 = A2 = {0, 1}: with Phi_d(u; S) the normal
+        # cdf at (u, ..., u), P(max X1 > u, max X2 > u) is
+        # 1 - Phi_2(u; S11) - Phi_2(u; S22) + Phi_4(u; S)
+        side = (interval(0, 1),)
+        g = GridSpec(DomainPair(A1=side, A2=side, dim_N=1), 2)
+        m = model(0.5)
+        cov = build_covariance(m, g)
+
+        def cdf(u, s):
+            dim = len(s)
+            return multivariate_normal.cdf(
+                np.full(dim, u), cov=s, maxpts=100_000 * dim, abseps=1e-10, releps=0,
+                rng=np.random.default_rng(1))
+
+        exact = {u: 1 - cdf(u, cov[:2, :2]) - cdf(u, cov[2:, 2:]) + cdf(u, cov)
+                 for u in (1.0, 2.0, 3.0)}
+        reps, seed = 200_000, 13
+        p = str(tmp_path / "samples.bgrf")
+        write_sample_dump(p, cholesky_factor(cov), seed, reps, 0)
+        for maxima in (field_maxima(m, g, reps, seed), maxima_from_dump(p, g.n1)):
+            for est in estimates_from_maxima(*maxima, list(exact), seed):
+                want = exact[est.u]
                 assert abs(est.p_hat - want) <= 4 * math.sqrt(want * (1 - want) / reps)
 
     def test_monotone_in_u_on_shared_samples(self):
