@@ -12,6 +12,7 @@ same config and seed is byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -199,11 +200,16 @@ def config_hash(cfg: dict, sections: tuple[str, ...]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _dump_tag(cfg: dict) -> int:
-    """32-bit hash of what a sample dump's rows depend on: the model,
-    domain and grid sections and the seed."""
-    keyed = {**cfg, "seed": cfg["estimation"]["seed"]}
-    return int(config_hash(keyed, ("model", "domain", "grid", "seed"))[:8], 16)
+def _dump_tag(m: BivariateMaternModel, g: GridSpec, seed: int) -> int:
+    """32-bit hash of what a sample dump's rows depend on, as values: the
+    model's parameters, both fields' node coordinates and the seed. Two
+    spellings of one config (1 or 1.0, a default stated or left out) give
+    one tag; split_M, which no row depends on, is not hashed."""
+    h = hashlib.sha256(repr(([float(v) for v in dataclasses.astuple(m)], seed)).encode())
+    for nodes in (g.nodes1, g.nodes2):
+        h.update(repr(nodes.shape).encode())
+        h.update(nodes.tobytes())
+    return int(h.hexdigest()[:8], 16)
 
 
 def _fmt(v) -> str:
@@ -314,11 +320,12 @@ def _excursions(cfg, args, m, g: GridSpec, samples) -> list:
         maxima = field_maxima(m, g, cfg["estimation"]["reps"], seed, args.threads)
         return estimates_from_maxima(*maxima, us, seed)
     nodes, _, tag = dump_header(samples)
-    if (nodes, tag) != (g.n1 + g.n2, _dump_tag(cfg)):
+    want = _dump_tag(m, g, seed)
+    if (nodes, tag) != (g.n1 + g.n2, want):
         raise ValueError(
             f"{samples} holds {nodes} nodes per replicate under tag {tag:08x}; "
             f"this config's model, domain, grid and seed give {g.n1} + {g.n2} nodes "
-            f"and tag {_dump_tag(cfg):08x}"
+            f"and tag {want:08x}"
         )
     return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
 
@@ -387,7 +394,7 @@ def cmd_simulate(cfg, args) -> int:
     check_reps(reps)
     L = cholesky_factor(build_covariance(m, g))
     dump = os.path.join(_out_dir(args), "samples.bgrf")
-    write_sample_dump(dump, L, seed, reps, _dump_tag(cfg), args.threads)
+    write_sample_dump(dump, L, seed, reps, _dump_tag(m, g, seed), args.threads)
     w = Writer(cfg, args, "simulate", ["replicates", "nodes1", "nodes2", "seed", "dump"])
     w.add(reps, g.n1, g.n2, seed, dump)
     w.flush()
@@ -566,8 +573,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override estimation.seed")
     p.add_argument("--reps", type=int, default=None, help="override estimation.reps")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, at most the CPU count; while they run, "
-                   "BLAS uses one thread (never changes outputs)")
+                   help="worker threads, at most the CPUs this process may use; "
+                   "with two or more, BLAS runs one thread while they run "
+                   "(never changes outputs)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out-dir", default=None,
                    help="output directory (default $BGRF_OUT_DIR or ./bgrf-out)")

@@ -19,18 +19,24 @@ count reproduces identical streams. Every consumer of the sampler gets
 the pairs from _mirror_pairs, the one place that orders them.
 
 sample_blocks yields the stream as (start, block) pairs, start being the
-index of the block's first replicate: either the (nodes, cols) paths of
-the block, or, given a reduction of the paths and of their mirrors, its
-values for replicates start .. start + take - 1 in order, reduced on the
-worker thread that drew the block. A worker holds one block: the panel
-product overwrites the block's noise with its paths through one reused
-tile of _PANEL rows and _TILE columns. write_sample_dump stores the paths
-and their mirrors as one row per replicate, and read_sample_dump yields
-the paths back as sample_blocks does, one slab read at a time.
+index of the block's first replicate: either a fresh (nodes, cols) array
+of the block's paths, or, given row segments and a drift, the segment
+suprema of replicates start .. start + take - 1 in order. The block
+product runs one tile of _PANEL rows and _TILE columns at a time
+(_tile_products). For paths each tile is copied back over the block's
+noise; for suprema it is folded into running per-column segment maxima
+and minima while it is in cache (_suprema) and never stored. Each worker
+draws its noise into one buffer for the whole call, and blocks run as a
+sliding window over the workers (block_map), so at most one block per
+worker is alive. write_sample_dump stores the paths and
+their mirrors as one row per replicate, and read_sample_dump yields the
+paths back as sample_blocks does, one slab read at a time.
 
-The one Monte Carlo reduction, segment_suprema, takes sup (X - drift) over
-row segments for each path X and its mirror; sample_suprema runs it on the
-workers, for montecarlo's grid maxima and pickands' set suprema alike.
+The one Monte Carlo reduction takes sup (X - drift) over row segments for
+each path X and its mirror; sample_suprema gathers it from the sampler,
+for montecarlo's grid maxima and pickands' set suprema alike, and
+segment_suprema folds whole paths, such as a dump's slab, through the same
+_suprema, so fresh and stored paths give the same bits.
 
 While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
 pool's workers own the cores; every panel product has an inner dimension
@@ -40,17 +46,19 @@ block do not depend on the BLAS thread count either.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import glob
 import math
 import os
+import queue
 import struct
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -347,22 +355,48 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def _noise_block(seed: int, block: int, n: int) -> np.ndarray:
-    return np.random.default_rng([seed, block]).standard_normal((n, _BLOCK))
+def _noise_block(seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Fill the (n, _BLOCK) array out with block's normals and return it."""
+    return np.random.default_rng([seed, block]).standard_normal(out=out)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (taskset, a cpuset), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def block_map(
-    n_blocks: int, fn: Callable[[int], object], pool: Executor | None = None
-) -> list:
-    """Apply fn to block indices 0..n_blocks-1, on the pool's threads when
-    one is given.
+    n_blocks: int, fn: Callable[[int], object], pool: Executor | None, window: int
+) -> Iterator:
+    """Yield fn(b) for b = 0 .. n_blocks - 1 in block order, on the pool's
+    threads when one is given, so reductions downstream are independent of
+    the worker count.
 
-    Results come back in block order, so reductions downstream are
-    independent of the worker count.
+    A sliding window: blocks 0 .. window - 1 start at once, and block
+    b + window is submitted when the consumer comes back for the block after
+    b, so no block waits for a slower neighbour before the next one starts,
+    and at most window blocks are alive, the one the consumer holds among
+    them. Blocks not yet started when the consumer stops are cancelled.
     """
     if pool is None:
-        return [fn(b) for b in range(n_blocks)]
-    return list(pool.map(fn, range(n_blocks)))
+        for b in range(n_blocks):
+            yield fn(b)
+        return
+    pending = collections.deque(pool.submit(fn, b) for b in range(min(window, n_blocks)))
+    try:
+        for b in range(n_blocks):
+            block = pending.popleft().result()
+            yield block
+            # let go of block b before block b + window is drawn
+            del block
+            if b + window < n_blocks:
+                pending.append(pool.submit(fn, b + window))
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _panels(n: int) -> list[tuple[int, int]]:
@@ -370,33 +404,34 @@ def _panels(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _PANEL, n)) for a in range(0, n, _PANEL)]
 
 
-def _panel_product(L: np.ndarray, noise: np.ndarray) -> None:
-    """noise = L @ noise in place for lower-triangular L, one row panel at
-    a time from the bottom up: L[a:b, :b] @ noise[:b] goes into rows
-    [a, b) one tile of at most _TILE columns at a time, through one reused
-    tile buffer copied back over the tile's own noise columns, and the
-    rows above b still hold noise.
+def _tile_products(L: np.ndarray, noise: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (a, c, tile), tile being rows [a, a + len(tile)) and columns
+    [c, c + tile.shape[1]) of L @ noise for lower-triangular L: one row
+    panel at a time from the bottom up, L[a:b, :b] @ noise[:b], one tile of
+    at most _TILE columns at a time, through one reused tile buffer that
+    the next tile overwrites. Panel [a, b) reads only rows below b of
+    noise, so a consumer may write each tile over its own rows of noise.
 
     OpenBLAS splits an inner dimension K > 384 differently at one thread
     than at several, which moves the last bits, but K below 256 and K a
     multiple of 256 come out the same. A full panel's K is a multiple of
-    256; a short last panel [a, n) is taken as K = n - a plus K = a. The
-    tiles split only the output columns: a whole tile's columns come out
-    as they do in a product across the block, but OpenBLAS may give the
+    256; a short last panel [a, n) is taken as K = n - a, then plus K = a.
+    The tiles split only the output columns: a whole tile's columns come
+    out as they do in a product across the block, but OpenBLAS may give the
     edge columns of a narrower tile other last bits.
     """
     n, cols = noise.shape
     tile = np.empty((min(n, _PANEL), min(cols, _TILE)))
     for a, b in reversed(_panels(n)):
         cut = a if b - a < _PANEL else 0
+        part = np.empty((b - a, tile.shape[1])) if cut else None
         for c in range(0, cols, _TILE):
             d = min(c + _TILE, cols)
             rows = tile[: b - a, : d - c]
             np.matmul(L[a:b, cut:b], noise[cut:b, c:d], out=rows)
-            noise[a:b, c:d] = rows
             if cut:
-                np.matmul(L[a:b, :cut], noise[:cut, c:d], out=rows)
-                noise[a:b, c:d] += rows
+                rows += np.matmul(L[a:b, :cut], noise[:cut, c:d], out=part[:, : d - c])
+            yield a, c, rows
 
 
 @functools.cache
@@ -507,35 +542,40 @@ def sample_blocks(
     seed: int,
     count: int,
     threads: int = 1,
-    reduce: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    segments: Sequence[tuple[int, int]] | None = None,
+    drift: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, block) for count replicates drawn as mirror pairs,
     start being the index of the block's first replicate (2 _BLOCK per
     block).
 
-    Without reduce, block is the (n, cols) array of the block's paths:
-    column j is replicate start + 2j, and its negation is replicate
-    start + 2j + 1 when that is below count. With reduce, reduce(paths)
-    runs on the worker that computed the block and returns two arrays
-    with one row per path, the reduction of the paths and that of their
-    mirrors; block is then the reduction of replicates start ..
-    start + take - 1, in order along axis 0 (_mirror_pairs), so the
-    consumer receives only what the reduction keeps. reduce may overwrite
-    paths.
+    Without segments, block is the (n, cols) array of the block's paths,
+    a fresh array each time: column j is replicate start + 2j, and its
+    negation is replicate start + 2j + 1 when that is below count. With
+    segments, block is the (take, len(segments)) array of the segment
+    suprema (segment_suprema, with drift) of replicates start ..
+    start + take - 1, in order along axis 0 (_mirror_pairs): each tile of
+    the product is folded into them while it is in cache and the paths are
+    never stored, so the consumer receives only the suprema.
 
     L must be lower triangular: the product L @ noise is taken one row
     panel at a time, L[a:b, :b] @ noise[:b], which skips the zero upper
     triangle, over the tiles that hold the columns the block keeps.
 
-    threads is capped at os.cpu_count(), since each worker holds a block
-    and a tile. With more than one, OpenBLAS runs one thread until the
-    generator finishes, is closed or raises.
+    threads is capped at the CPUs the process may use (_cpus), since each
+    worker holds a block and a tile. With segments, each worker draws into
+    one noise buffer for the whole call. With more than one thread,
+    OpenBLAS runs one thread until the generator finishes, is closed or
+    raises.
     """
     _check_draw(L, seed, count)
     n = L.shape[0]
     columns = (count + 1) // 2
     n_blocks = (columns + _BLOCK - 1) // _BLOCK
-    threads = min(threads, os.cpu_count() or 1)
+    threads = min(threads, _cpus())
+    # noise buffers of finished blocks: a block takes one or makes one, so
+    # there are no more buffers than blocks that run at once
+    free = queue.SimpleQueue()
 
     def one(b: int) -> np.ndarray:
         take = min(_BLOCK, columns - b * _BLOCK)
@@ -543,30 +583,61 @@ def sample_blocks(
         # and only the tiles that hold kept columns are multiplied: whole
         # tiles, since OpenBLAS gives the edge columns of a narrower product
         # other last bits
-        paths = _noise_block(seed, b, n)[:, : _TILE * -(-take // _TILE)]
-        _panel_product(L, paths)
-        paths = paths[:, :take]
-        if reduce is None:
-            return paths
-        return _mirror_pairs(*reduce(paths), count - 2 * b * _BLOCK)
+        cols = _TILE * -(-take // _TILE)
+        if segments is None:
+            paths = _noise_block(seed, b, np.empty((n, _BLOCK)))[:, :cols]
+            # each tile over its own rows: the noise becomes the paths
+            for a, c, rows in _tile_products(L, paths):
+                paths[a : a + len(rows), c : c + rows.shape[1]] = rows
+            return paths[:, :take]
+        try:
+            noise = free.get_nowait()
+        except queue.Empty:
+            noise = np.empty((n, _BLOCK))
+        tiles = _tile_products(L, _noise_block(seed, b, noise)[:, :cols])
+        top, bottom = _suprema(tiles, cols, segments, drift)
+        free.put(noise)
+        return _mirror_pairs(top[:, :take].T, np.negative(bottom[:, :take]).T,
+                             count - 2 * b * _BLOCK)
 
-    # a chunk is one block per thread: no more blocks are held than run at
-    # once; one pool serves every chunk of the call
-    chunk = max(threads, 1)
     parallel = threads > 1
     # the pin is entered first, so the BLAS count comes back only after the
     # pool's workers have joined
     with (_one_blas_thread if parallel else nullcontext()), (
         ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext()
     ) as pool:
-        for lo in range(0, n_blocks, chunk):
-            for i, out in enumerate(block_map(
-                min(chunk, n_blocks - lo), lambda i, lo=lo: one(lo + i), pool
-            )):
-                yield 2 * (lo + i) * _BLOCK, out
-            # the chunk's list is gone; drop its last block as well before
-            # the next chunk is drawn
+        start = 0
+        for out in block_map(n_blocks, one, pool, threads):
+            yield start, out
+            # drop the block before block_map draws the next one
             del out
+            start += 2 * _BLOCK
+
+
+def _suprema(
+    tiles: Iterable[tuple[int, int, np.ndarray]], cols: int,
+    segments: Sequence[tuple[int, int]], drift: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(top, bottom): the (len(segments), cols) maxima of X - drift and
+    minima of (X - drift) + 2 drift over each row segment [s, e) of the
+    paths X, folded in from tiles (a, c, rows), rows holding rows a ..
+    and columns c .. of X, in any order. A drift, an (n, 1) column, is
+    applied to each tile in place; without one, tiles are only read."""
+    shape = (len(segments), cols)
+    top, bottom = np.full(shape, -np.inf), np.full(shape, np.inf)
+    for a, c, rows in tiles:
+        b, cs = a + len(rows), slice(c, c + rows.shape[1])
+        parts = [(k, max(s, a) - a, min(e, b) - a)
+                 for k, (s, e) in enumerate(segments) if max(s, a) < min(e, b)]
+        if drift is not None:
+            rows -= drift[a:b]
+        for k, s, e in parts:
+            np.maximum(top[k, cs], rows[s:e].max(axis=0), out=top[k, cs])
+        if drift is not None:
+            rows += 2.0 * drift[a:b]
+        for k, s, e in parts:
+            np.minimum(bottom[k, cs], rows[s:e].min(axis=0), out=bottom[k, cs])
+    return top, bottom
 
 
 def segment_suprema(
@@ -574,19 +645,13 @@ def segment_suprema(
     drift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sup (X - drift) over each row segment [a, b) for each column X of the
-    (n, cols) paths and for its mirror -X, as -min(X + drift): two (cols,
-    len(segments)) arrays, a reduce of sample_blocks. A drift, an (n, 1)
-    column, is applied to paths in place; without one, paths is only read."""
-    path, mirror = np.empty((2, len(segments), paths.shape[1]))
-    if drift is not None:
-        paths -= drift
-    for k, (a, b) in enumerate(segments):
-        np.max(paths[a:b], axis=0, out=path[k])
-    if drift is not None:
-        paths += 2.0 * drift
-    for k, (a, b) in enumerate(segments):
-        np.min(paths[a:b], axis=0, out=mirror[k])
-    return path.T, np.negative(mirror, out=mirror).T
+    (n, cols) paths and for its mirror -X, as -min((X - drift) + 2 drift):
+    two (cols, len(segments)) arrays, the whole paths folded as one tile
+    of _suprema, as sample_blocks folds each tile of a block. A drift, an
+    (n, 1) column, is applied to paths in place; without one, paths is
+    only read."""
+    top, bottom = _suprema([(0, 0, paths)], paths.shape[1], segments, drift)
+    return top.T, np.negative(bottom, out=bottom).T
 
 
 def sample_suprema(
@@ -594,12 +659,10 @@ def sample_suprema(
     segments: Sequence[tuple[int, int]], drift: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, len(segments)) segment suprema of the count replicates of
-    sample_blocks, in replicate order, each block reduced by
-    segment_suprema on the worker that sampled it."""
+    sample_blocks, in replicate order, each block folded on the worker
+    that sampled it."""
     out = np.empty((count, len(segments)))
-    # looked up per call, so a timing wrapper set on the module gets a span
-    reduce = functools.partial(segment_suprema, segments=segments, drift=drift)
-    for start, sups in sample_blocks(L, seed, count, threads, reduce):
+    for start, sups in sample_blocks(L, seed, count, threads, segments, drift):
         out[start : start + len(sups)] = sups
     return out
 
@@ -636,8 +699,8 @@ def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
 # binary dump: a 16-byte header (magic "BGRF", then little-endian u32 node
 # count, u32 replicate count and u32 tag), then row-major float64
 # little-endian, one replicate per row. The tag identifies what the rows
-# were drawn from: the CLI stores a 32-bit hash of the config's model,
-# domain and grid sections there and refuses a dump whose tag differs.
+# were drawn from: the CLI stores a 32-bit hash of the model's parameters,
+# both fields' nodes and the seed there and refuses a dump whose tag differs.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIII")

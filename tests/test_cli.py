@@ -48,6 +48,13 @@ TOUCHING_2D = {
 }
 
 
+def dump_tag(cfg):
+    """The tag simulate writes for the loaded config cfg."""
+    m = cli.build_model(cfg)
+    g = fields.GridSpec(cli.build_domain(cfg, m), cfg["grid"]["points_per_axis"])
+    return cli._dump_tag(m, g, cfg["estimation"]["seed"])
+
+
 def read_rows(path):
     lines = open(path).read().splitlines()
     assert lines[0].startswith("# config_sha256=")
@@ -482,6 +489,33 @@ class TestSimulateAndReuse:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
 
+    @pytest.mark.parametrize("spelling", [
+        {"domain": {"A1": [[[0.0, 1.0]]], "A2": [[[1.0, 2.0]]]}},
+        {"model": {"nu1": 0.5, "nu2": 0.5, "nu12": 1.5, "rho": 0.4, "dim_N": 1, "a1": 1}},
+        {"domain": {"A1": [[[0, 1]]], "A2": [[[1, 2]]], "split_M": 0}},
+    ], ids=["floats", "stated-default", "split_M"])
+    def test_dump_tag_hashes_values(self, tmp_path, capsys, spelling):
+        # a dump is what its rows depend on: the model's values, the nodes
+        # and the seed, however the config spells them
+        sections = {
+            "domain": {"A1": [[[0, 1]]], "A2": [[[1, 2]]]},
+            "grid": {"points_per_axis": 8},
+            "estimation": {"reps": 2000, "seed": 5},
+            "thresholds": {"u": [1.5]},
+        }
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        main(["mc-excursion", "--config", cfg, "--out-dir", str(tmp_path / "live")])
+        other = write_config(tmp_path, name="other.json", **{**sections, **spelling})
+        reuse = tmp_path / "reuse"
+        assert main([
+            "mc-excursion", "--config", other, "--out-dir", str(reuse),
+            "--samples", str(out / "samples.bgrf"),
+        ]) == 0, capsys.readouterr().err
+        want = (tmp_path / "live" / "mc-excursion.csv").read_bytes().split(b"\n", 1)[1]
+        assert (reuse / "mc-excursion.csv").read_bytes().split(b"\n", 1)[1] == want
+
     def test_dump_under_another_seed_rejected(self, tmp_path, capsys):
         # the rows are replicates of the seed that wrote them; read under
         # another seed they would be reported as that seed's
@@ -489,10 +523,10 @@ class TestSimulateAndReuse:
                            estimation={"reps": 2000, "seed": 1}, thresholds={"u": [1.5]})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
-        tags = [cli._dump_tag(cli.load_config(cfg))]
+        tags = [dump_tag(cli.load_config(cfg))]
         cfg2 = cli.load_config(cfg)
         cfg2["estimation"]["seed"] = 2
-        tags.append(cli._dump_tag(cfg2))
+        tags.append(dump_tag(cfg2))
         assert tags[0] != tags[1]
         capsys.readouterr()
         assert main([
@@ -521,7 +555,7 @@ class TestSimulateAndReuse:
         cfg = write_config(tmp_path, grid={"points_per_axis": 40})
         dump = tmp_path / "empty.bgrf"
         dump.write_bytes(struct.pack("<4sIII", b"BGRF", 80, 0,
-                                     cli._dump_tag(cli.load_config(cfg))))
+                                     dump_tag(cli.load_config(cfg))))
         out = tmp_path / "o"
         assert main([
             "mc-excursion", "--config", cfg, "--out-dir", str(out), "--samples", str(dump),

@@ -64,6 +64,19 @@ def paths(L, seed, count):
     return np.hstack([mat for _, mat in sample_blocks(L, seed, count)]).T
 
 
+def noise(seed, b, n):
+    """Block b's (n, BLOCK) normals, as the sampler draws them."""
+    return fields._noise_block(seed, b, np.empty((n, BLOCK)))
+
+
+def usable_cpus(monkeypatch, count):
+    """Let the sampler see count CPUs, by os.cpu_count and by the affinity
+    set where the platform has one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 def draw(L, seed, count):
     """(count, nodes) array of replicates, one per row: row 2j is path j,
     row 2j + 1 its negation, and an odd count drops the last negation."""
@@ -412,9 +425,9 @@ class TestCholeskySampling:
         assert digest(1) == digest(4)
 
     def test_one_pool_per_call(self, monkeypatch):
-        # ten blocks (of BLOCK paths, 2 BLOCK replicates) are five chunks at
-        # two threads; every chunk must run on the same pool, and the stream
-        # must not depend on the threads
+        # ten blocks (of BLOCK paths, 2 BLOCK replicates) pass through a
+        # two-block window at two threads; every block must run on the same
+        # pool, and the stream must not depend on the threads
         pools = []
 
         class CountingPool(fields.ThreadPoolExecutor):
@@ -433,7 +446,9 @@ class TestCholeskySampling:
         assert len(pools) == 1
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # --threads 64 must not start 64 workers each holding two blocks
+        # --threads 64 must not start 64 workers each holding a block: the
+        # pool is capped at the CPUs the process may use, by os.cpu_count
+        # where the platform reports no affinity set
         workers = []
 
         class CountingPool(fields.ThreadPoolExecutor):
@@ -442,15 +457,40 @@ class TestCholeskySampling:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
         count = 4 * BLOCK + 1
         capped = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
         assert workers == [2]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        capped_by_count = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
+        assert workers == [2, 2]
+        usable_cpus(monkeypatch, 1)
         single = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
-        assert workers == [2]  # one CPU: no pool at all
+        assert workers == [2, 2]  # one CPU: no pool at all
         assert np.array_equal(capped, single)
+        assert np.array_equal(capped_by_count, single)
+
+    def test_one_cpu_affinity_starts_no_pool(self, monkeypatch):
+        # under taskset -c 0 on a two-CPU host, os.cpu_count() is 2 but the
+        # process may run on one CPU: --threads 2 must start no pool
+        pools = []
+
+        class CountingPool(fields.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        L = lower_factor(40)
+        count, segments = 2 * BLOCK + 3, [(0, 10), (10, 40)]
+        got = sample_suprema(L, 6, count, 2, segments)
+        assert pools == []
+        usable_cpus(monkeypatch, 2)
+        assert np.array_equal(got, sample_suprema(L, 6, count, 2, segments))
+        assert len(pools) == 1
 
 
 def lower_factor(n, seed=0):
@@ -463,16 +503,16 @@ def lower_factor(n, seed=0):
 
 def untiled_block(L, seed, b):
     """Block b's paths by one product per 256-row panel across all BLOCK
-    columns, the inner dimensions of fields._panel_product: the reference
+    columns, the inner dimensions of fields._tile_products: the reference
     its tiles must match bit for bit."""
-    noise = fields._noise_block(seed, b, L.shape[0])
-    out = np.empty_like(noise)
+    z = noise(seed, b, L.shape[0])
+    out = np.empty_like(z)
     for a in range(0, len(L), 256):
         e = min(a + 256, len(L))
         cut = a if e - a < 256 else 0
-        out[a:e] = L[a:e, cut:e] @ noise[cut:e]
+        out[a:e] = L[a:e, cut:e] @ z[cut:e]
         if cut:
-            out[a:e] += L[a:e, :cut] @ noise[:cut]
+            out[a:e] += L[a:e, :cut] @ z[:cut]
     return out
 
 
@@ -484,7 +524,7 @@ class TestPanelProduct:
         L = lower_factor(n)
         count = 2 * (BLOCK + 10) - 1  # BLOCK + 10 paths: ends on a partial block
         got = np.hstack([mat for _, mat in sample_blocks(L, 5, count)])
-        want = np.hstack([L @ fields._noise_block(5, b, n) for b in (0, 1)])[:, : BLOCK + 10]
+        want = np.hstack([L @ noise(5, b, n) for b in (0, 1)])[:, : BLOCK + 10]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -502,16 +542,17 @@ class TestPanelProduct:
             next(sample_blocks(np.zeros((3, 2)), 0, 10))
 
     @pytest.mark.parametrize(
-        "reduce", [None, lambda mat: (mat.max(axis=0), -mat.min(axis=0))],
+        "segments", [None, [(0, 600), (250, 600), (599, 600)]],
         ids=["blocks", "reduced"],
     )
-    def test_threads_give_identical_bytes(self, reduce):
+    def test_threads_give_identical_bytes(self, monkeypatch, segments):
+        usable_cpus(monkeypatch, 2)
         L = lower_factor(600)
         count = 2 * (3 * BLOCK) + 7
 
         def digest(threads):
             h = hashlib.sha256()
-            for start, out in sample_blocks(L, 9, count, threads, reduce):
+            for start, out in sample_blocks(L, 9, count, threads, segments):
                 h.update(np.int64(start).tobytes())
                 h.update(np.ascontiguousarray(out).tobytes())
             return h.hexdigest()
@@ -548,7 +589,7 @@ class TestPanelProduct:
 
         got = block(1)
         assert got.shape == (n, cols)
-        want = L @ fields._noise_block(2, 0, n)[:, :cols]
+        want = L @ noise(2, 0, n)[:, :cols]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # the bytes of the whole block's panel products, at any BLAS count
         assert np.array_equal(got, untiled_block(L, 2, 0)[:, :cols])
@@ -568,24 +609,70 @@ class TestPanelProduct:
             tracemalloc.stop()
         assert peak < block + 2.4 * tile
 
-    def test_reduce_runs_on_the_worker(self):
+    def test_reduce_runs_on_the_worker(self, monkeypatch):
+        # every tile is folded into the suprema on a pool thread, and only
+        # the suprema reach the consumer, in replicate order
+        usable_cpus(monkeypatch, 2)
         L = lower_factor(300)
         count = 2 * (2 * BLOCK) + 5  # 2 BLOCK + 3 paths, the last without its mirror
+        segments = [(0, 300), (100, 101)]
         workers = set()
+        fold = fields._suprema
 
-        def column_sums(mat):
+        def record(*args):
             workers.add(threading.get_ident())
-            return mat.sum(axis=0), -2.0 * mat.sum(axis=0)
+            return fold(*args)
 
-        reduced = list(sample_blocks(L, 4, count, 2, column_sums))
-        assert threading.get_ident() not in workers
+        monkeypatch.setattr(fields, "_suprema", record)
+        reduced = list(sample_blocks(L, 4, count, 2, segments))
+        assert len(workers) >= 1 and threading.get_ident() not in workers
         plain = list(sample_blocks(L, 4, count))
         assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 2 * BLOCK, 4 * BLOCK]
         assert [len(got) for _, got in reduced] == [2 * BLOCK, 2 * BLOCK, 5]
         for (_, got), (_, mat) in zip(reduced, plain):
-            sums = mat.sum(axis=0)
-            assert np.array_equal(got[0::2], sums)  # path j: replicate 2j
-            assert np.array_equal(got[1::2], -2.0 * sums[: len(got) // 2])
+            path, mirror = segment_suprema(mat, segments)
+            assert np.array_equal(got[0::2], path)  # path j: replicate 2j
+            assert np.array_equal(got[1::2], mirror[: len(got) // 2])
+
+    def test_one_noise_buffer_per_worker(self, monkeypatch):
+        # five blocks at two threads draw into at most two buffers, each
+        # reused for the whole call, so no more than two blocks are alive
+        usable_cpus(monkeypatch, 2)
+        buffers = []
+        noise_block = fields._noise_block
+
+        def record(seed, b, out):
+            if not any(out is buf for buf in buffers):
+                buffers.append(out)
+            return noise_block(seed, b, out)
+
+        monkeypatch.setattr(fields, "_noise_block", record)
+        L = lower_factor(40)
+        got = sample_suprema(L, 1, 2 * 5 * BLOCK, 2, [(0, 40)])
+        assert 1 <= len(buffers) <= 2
+        assert np.array_equal(got[:, 0], draw(L, 1, 2 * 5 * BLOCK).max(axis=1))
+
+    # segments that cross panel edges (every 256 rows), on replicates that
+    # cross tile edges (every TILE columns); the count is odd and ends
+    # part-way through a tile of a second block
+    @pytest.mark.parametrize("n", [200, 257, 600, 800, 1024])
+    def test_fused_suprema_equal_the_paths_suprema(self, monkeypatch, n):
+        usable_cpus(monkeypatch, 2)
+        L = lower_factor(n)
+        count = 2 * (BLOCK + TILE + 7) - 1
+        segments = [(0, n), (0, 1), (n // 3, n - 1), (min(250, n - 2), min(520, n)),
+                    (n - 1, n)]
+        drift = np.linspace(0.1, 3.3, n)[:, None]
+        blocks = list(sample_blocks(L, 8, count))
+        for d in (None, drift):
+            want = np.vstack([
+                fields._mirror_pairs(*segment_suprema(mat.copy(), segments, d), count - start)
+                for start, mat in blocks
+            ])
+            assert want.shape == (count, len(segments))
+            for threads in (1, 2):
+                got = sample_suprema(L, 8, count, threads, segments, d)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSegmentSuprema:
@@ -641,7 +728,7 @@ def blas(monkeypatch):
     get, set_ = handle
     old = get()
     set_(2)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     yield handle
     set_(old)
 
@@ -675,15 +762,18 @@ class TestBlasPin:
         assert handle is not None
         assert handle[0]() >= 1
 
-    def test_one_blas_thread_inside_reduce(self, blas):
+    def test_one_blas_thread_inside_reduce(self, blas, monkeypatch):
+        # read on the worker as it draws each block the suprema come from
         get, _ = blas
         seen = []
+        noise_block = fields._noise_block
 
-        def record(mat):
+        def record(seed, b, out):
             seen.append(get())
-            return mat[0], mat[0]
+            return noise_block(seed, b, out)
 
-        list(sample_blocks(self.L(), 1, 2 * (3 * BLOCK), 2, record))
+        monkeypatch.setattr(fields, "_noise_block", record)
+        list(sample_blocks(self.L(), 1, 2 * (3 * BLOCK), 2, [(0, 300)]))
         assert seen == [1, 1, 1]
         assert get() == 2
 
@@ -695,14 +785,15 @@ class TestBlasPin:
         gen.close()
         assert get() == 2
 
-    def test_restored_after_reduce_raises(self, blas):
+    def test_restored_after_reduce_raises(self, blas, monkeypatch):
         get, _ = blas
 
-        def fail(mat):
+        def fail(*args):
             raise RuntimeError("reduce failed")
 
+        monkeypatch.setattr(fields, "_suprema", fail)
         with pytest.raises(RuntimeError, match="reduce failed"):
-            list(sample_blocks(self.L(), 1, 3 * BLOCK, 2, fail))
+            list(sample_blocks(self.L(), 1, 3 * BLOCK, 2, [(0, 300)]))
         assert get() == 2
 
     def test_single_thread_leaves_count_alone(self, monkeypatch):
@@ -714,7 +805,7 @@ class TestBlasPin:
     def test_overlapping_pools(self, monkeypatch):
         fake = FakeBlas(count=4)
         monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         first = sample_blocks(self.L(), 1, 5 * BLOCK, 2)
         second = sample_blocks(self.L(), 2, 5 * BLOCK, 2)
         next(first)
@@ -732,17 +823,20 @@ class TestBlasPin:
         # pool still runs
         fake = FakeBlas(count=4)
         monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         L = lower_factor(8)
         seen = []
+        noise_block = fields._noise_block
 
-        def record(mat):
+        def record(seed, b, out):
             seen.append(fake.count)
-            return mat[0], mat[0]
+            return noise_block(seed, b, out)
+
+        monkeypatch.setattr(fields, "_noise_block", record)
 
         def consume(seed):
             for _ in range(50):
-                list(sample_blocks(L, seed, 2 * (2 * BLOCK), 2, record))
+                list(sample_blocks(L, seed, 2 * (2 * BLOCK), 2, [(0, 8)]))
 
         consumers = [threading.Thread(target=consume, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
@@ -867,6 +961,22 @@ class TestDump:
             tracemalloc.stop()
         assert peak < block + 8 * tile
 
+    def test_writer_holds_one_block_per_worker(self, tmp_path, monkeypatch):
+        # three blocks at two threads: the block being written and the one
+        # the other worker draws, each with its tile (200 x TILE, a quarter
+        # block at BLOCK = 4 TILE), and the writer's buffer; a third block
+        # drawn while one is written would pass the bound
+        usable_cpus(monkeypatch, 2)
+        L = lower_factor(200)
+        block, tile = 8 * 200 * BLOCK, 8 * 200 * TILE
+        tracemalloc.start()
+        try:
+            write_sample_dump(str(tmp_path / "w2.bgrf"), L, 1, 2 * 3 * BLOCK, 0, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block + 3 * tile
+
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "y.bgrf")
         with open(p, "wb") as fh:
@@ -879,10 +989,10 @@ class TestDump:
     def test_interrupted_write_leaves_no_header(self, tmp_path, monkeypatch):
         noise_block = fields._noise_block
 
-        def failing(seed, block, n):
+        def failing(seed, block, out):
             if block == 1:
                 raise RuntimeError("sampling stopped")
-            return noise_block(seed, block, n)
+            return noise_block(seed, block, out)
 
         monkeypatch.setattr(fields, "_noise_block", failing)
         p = str(tmp_path / "z.bgrf")

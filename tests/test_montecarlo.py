@@ -168,6 +168,23 @@ class TestMcExcursion:
         l1, l2 = field_maxima(m, g, reps=reps, seed=8)
         assert np.array_equal(d1, l1) and np.array_equal(d2, l2)
 
+    def test_dump_maxima_equal_live_maxima_on_600_nodes(self, tmp_path):
+        # the benchmark's dump.maxima check in small: live maxima, folded
+        # tile by tile as each block is sampled, equal the maxima of the
+        # stored paths bit for bit. 300 + 300 nodes end on an 88-row panel;
+        # 2 BLOCK + 1 replicates end on a path whose mirror is dropped
+        d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 2),), dim_N=1)
+        g = GridSpec(d, 300)
+        m = BivariateMaternModel(nu1=0.5, nu2=0.75, nu12=1.5, rho=0.4)
+        L = cholesky_factor(build_covariance(m, g))
+        reps = 2 * fields._BLOCK + 1
+        p = str(tmp_path / "samples.bgrf")
+        write_sample_dump(p, L, 5, reps, 0)
+        stored = np.column_stack(maxima_from_dump(p, g.n1))
+        for threads in (1, 2):
+            live = np.column_stack(field_maxima(m, g, reps, 5, threads))
+            assert live.tobytes() == stored.tobytes()
+
     def test_dump_reader_holds_one_slab(self, tmp_path):
         # three slabs of fields._BLOCK rows at 200 nodes: each slab must be
         # gone before the next is read
