@@ -112,10 +112,12 @@ def tail_asymptotic(
         raise ValueError("mes_0 is identically 1 by convention")
     if not (mes_M > 0):
         raise ValueError(f"measure must be > 0, got {mes_M}")
-    if not (H1 > 0 and H2 > 0):
-        raise ValueError("Pickands constants must be > 0")
+    if not (0 < H1 < math.inf and 0 < H2 < math.inf):
+        raise ValueError(f"Pickands constants must be positive and finite, got {H1}, {H2}")
     if not (u > 0):
         raise ValueError(f"u must be > 0, got {u}")
+    if u == math.inf:
+        raise ValueError("u must be finite")
     log_k, power = _kernel_limit(e, M, mes_M)
     log_constant = (
         log_k

@@ -15,28 +15,30 @@ replicates draws ceil(count / 2) columns and, for an odd count, drops the
 last mirror. Columns are drawn in fixed blocks of _BLOCK; block b draws
 its noise from default_rng([seed, b]) regardless of how many replicates
 are requested or how many worker threads process blocks, so any thread
-count reproduces identical streams. Every consumer of the sampler gets
-the pairs from _mirror_pairs, the one place that orders them.
+count reproduces identical streams.
 
-sample_blocks yields the stream as (start, block) pairs, start being the
-index of the block's first replicate: either a fresh (nodes, cols) array
-of the block's paths, or, given row segments and a drift, the segment
-suprema of replicates start .. start + take - 1 in order. The block
-product runs one tile of _PANEL rows and _TILE columns at a time
-(_tile_products). For paths each tile is copied back over the block's
-noise; for suprema it is folded into running per-column segment maxima
-and minima while it is in cache (_suprema) and never stored. Each worker
-draws its noise into one buffer for the whole call, and blocks run as a
-sliding window over the workers (block_map), so at most one block per
-worker is alive. write_sample_dump stores the paths and
-their mirrors as one row per replicate, and read_sample_dump yields the
-paths back as sample_blocks does, one slab read at a time.
+sample_blocks hands each block to a fold on the worker that drew it:
+fold(start, take, block, tiles) for replicates start .. start + take - 1,
+block being the worker's noise buffer, reused for every block it draws,
+and tiles the block's product L @ noise, one tile of _PANEL rows and
+_TILE columns at a time (_tile_products). A fold may write each tile back
+over its own rows of the noise, which turns the noise into the paths;
+what it returns is what the consumer receives, as (start, result). Blocks
+run as a sliding window over the workers (block_map), so at most one
+block per worker is alive.
 
-The one Monte Carlo reduction takes sup (X - drift) over row segments for
-each path X and its mirror; sample_suprema gathers it from the sampler,
+The one Monte Carlo reduction, _suprema, is such a fold: it takes
+sup (X - drift) over row segments for each path X and its mirror, folding
+each tile into running per-column maxima and minima while it is in cache,
+and orders them by replicate (_mirror_pairs). sample_suprema gathers it,
 for montecarlo's grid maxima and pickands' set suprema alike, and
 segment_suprema folds whole paths, such as a dump's slab, through the same
 _suprema, so fresh and stored paths give the same bits.
+
+write_sample_dump is a fold as well: it writes the tiles back over the
+noise, then the block's paths and their mirrors, one row per replicate, at
+the block's own offset in the file. read_sample_dump yields the paths back
+one slab read at a time.
 
 While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
 pool's workers own the cores; every panel product has an inner dimension
@@ -74,6 +76,7 @@ _BLOCK = 4096          # noise columns per block; part of the determinism contra
 _PANEL = 256           # rows per panel of the block product L @ noise
 _TILE = 1024           # output columns per product of one panel
 _DUMP_PATHS = 128      # paths per write of the dump writer's row-pair buffer
+_DUMP_NODES = 64       # nodes per copy of the writer's paths into its row pairs
 _NODE_BUDGET = 8192    # largest node count of a dense covariance
 _MAX_REPS = 2**32 - 1  # most replicates of a run: the dump header's u32 count
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
@@ -262,7 +265,7 @@ class GridSpec:
 
     def __post_init__(self):
         p = self.points_per_axis
-        if not (isinstance(p, int) and p >= 1):
+        if not (type(p) is int and p >= 1):  # a bool is no count
             raise ValueError("points_per_axis must be a positive integer")
         # a union has at least the distinct nodes of its largest box: refuse
         # on that bound before any node array is built, then on the count
@@ -493,7 +496,9 @@ _one_blas_thread = _OneBlasThread()
 
 
 def check_reps(reps: int) -> None:
-    """Refuse a replicate count outside 1 .. _MAX_REPS."""
+    """Refuse a replicate count outside 1 .. _MAX_REPS, and a bool."""
+    if isinstance(reps, bool):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be positive")
     if reps > _MAX_REPS:
@@ -518,87 +523,64 @@ def _check_draw(L: np.ndarray, seed: int, count: int) -> None:
             raise ValueError("factor must be lower triangular")
 
 
-def _mirror_pairs(
-    of_paths: np.ndarray,
-    of_mirrors: np.ndarray,
-    take: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _mirror_pairs(of_paths: np.ndarray, of_mirrors: np.ndarray, take: int) -> np.ndarray:
     """Values of replicates in replicate order along axis 0: row 2j from
     path j (of_paths[j]), row 2j + 1 from its mirror (of_mirrors[j]), the
-    first take rows of them, so an odd take drops the last mirror.
-
-    out, when given, holds 2 len(of_paths) rows and receives the pairs.
-    """
-    if out is None:
-        out = np.empty((2 * len(of_paths), *of_paths.shape[1:]), of_paths.dtype)
+    first take rows of them, so an odd take drops the last mirror."""
+    out = np.empty((2 * len(of_paths), *of_paths.shape[1:]), of_paths.dtype)
     out[0::2] = of_paths
     out[1::2] = of_mirrors
     return out[:take]
 
 
 def sample_blocks(
-    L: np.ndarray,
-    seed: int,
-    count: int,
-    threads: int = 1,
-    segments: Sequence[tuple[int, int]] | None = None,
-    drift: np.ndarray | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, block) for count replicates drawn as mirror pairs,
-    start being the index of the block's first replicate (2 _BLOCK per
-    block).
+    L: np.ndarray, seed: int, count: int, threads: int, fold: Callable[..., object]
+) -> Iterator[tuple[int, object]]:
+    """Yield (start, fold(start, take, block, tiles)) for each block of the
+    count replicates drawn as mirror pairs, in block order: the block holds
+    replicates start .. start + take - 1 (2 _BLOCK, fewer in the last).
 
-    Without segments, block is the (n, cols) array of the block's paths,
-    a fresh array each time: column j is replicate start + 2j, and its
-    negation is replicate start + 2j + 1 when that is below count. With
-    segments, block is the (take, len(segments)) array of the segment
-    suprema (segment_suprema, with drift) of replicates start ..
-    start + take - 1, in order along axis 0 (_mirror_pairs): each tile of
-    the product is folded into them while it is in cache and the paths are
-    never stored, so the consumer receives only the suprema.
+    fold runs on the worker that drew the block. block is the (n, cols)
+    noise of the block's paths, cols being the ceil(take / 2) paths rounded
+    up to whole tiles: column j gives replicate start + 2j, the path, and
+    replicate start + 2j + 1, its negation. It lies in the worker's one
+    noise buffer, which the worker's next block overwrites, so a fold
+    returns nothing that views it. tiles yields (a, c, rows), rows holding
+    rows a .. and columns c .. of L @ block through one reused tile buffer
+    (_tile_products); a fold takes them in order and may write each over its
+    own rows of block, which then holds the paths.
 
-    L must be lower triangular: the product L @ noise is taken one row
-    panel at a time, L[a:b, :b] @ noise[:b], which skips the zero upper
-    triangle, over the tiles that hold the columns the block keeps.
+    L must be lower triangular: the product is taken one row panel at a
+    time, L[a:b, :b] @ noise[:b], which skips the zero upper triangle.
 
     threads is capped at the CPUs the process may use (_cpus), since each
-    worker holds a block and a tile. With segments, each worker draws into
-    one noise buffer for the whole call. With more than one thread,
+    worker holds a noise buffer and a tile. With more than one thread,
     OpenBLAS runs one thread until the generator finishes, is closed or
     raises.
     """
     _check_draw(L, seed, count)
     n = L.shape[0]
-    columns = (count + 1) // 2
-    n_blocks = (columns + _BLOCK - 1) // _BLOCK
+    n_blocks = -(-count // (2 * _BLOCK))
     threads = min(threads, _cpus())
     # noise buffers of finished blocks: a block takes one or makes one, so
     # there are no more buffers than blocks that run at once
     free = queue.SimpleQueue()
 
-    def one(b: int) -> np.ndarray:
-        take = min(_BLOCK, columns - b * _BLOCK)
-        # the noise is drawn in full, so the stream does not follow count,
-        # and only the tiles that hold kept columns are multiplied: whole
-        # tiles, since OpenBLAS gives the edge columns of a narrower product
-        # other last bits
-        cols = _TILE * -(-take // _TILE)
-        if segments is None:
-            paths = _noise_block(seed, b, np.empty((n, _BLOCK)))[:, :cols]
-            # each tile over its own rows: the noise becomes the paths
-            for a, c, rows in _tile_products(L, paths):
-                paths[a : a + len(rows), c : c + rows.shape[1]] = rows
-            return paths[:, :take]
+    def one(b: int) -> tuple[int, object]:
+        start = 2 * b * _BLOCK
+        take = min(2 * _BLOCK, count - start)
         try:
             noise = free.get_nowait()
         except queue.Empty:
             noise = np.empty((n, _BLOCK))
-        tiles = _tile_products(L, _noise_block(seed, b, noise)[:, :cols])
-        top, bottom = _suprema(tiles, cols, segments, drift)
+        # the noise is drawn in full, so the stream does not follow count,
+        # and only the tiles that hold the block's paths are multiplied:
+        # whole tiles, since OpenBLAS gives the edge columns of a narrower
+        # product other last bits
+        block = _noise_block(seed, b, noise)[:, : _TILE * -(-take // (2 * _TILE))]
+        out = fold(start, take, block, _tile_products(L, block))
         free.put(noise)
-        return _mirror_pairs(top[:, :take].T, np.negative(bottom[:, :take]).T,
-                             count - 2 * b * _BLOCK)
+        return start, out
 
     parallel = threads > 1
     # the pin is entered first, so the BLAS count comes back only after the
@@ -606,24 +588,23 @@ def sample_blocks(
     with (_one_blas_thread if parallel else nullcontext()), (
         ThreadPoolExecutor(max_workers=threads) if parallel else nullcontext()
     ) as pool:
-        start = 0
-        for out in block_map(n_blocks, one, pool, threads):
-            yield start, out
-            # drop the block before block_map draws the next one
-            del out
-            start += 2 * _BLOCK
+        yield from block_map(n_blocks, one, pool, threads)
 
 
 def _suprema(
-    tiles: Iterable[tuple[int, int, np.ndarray]], cols: int,
+    start: int, take: int, block: np.ndarray,
+    tiles: Iterable[tuple[int, int, np.ndarray]],
     segments: Sequence[tuple[int, int]], drift: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(top, bottom): the (len(segments), cols) maxima of X - drift and
-    minima of (X - drift) + 2 drift over each row segment [s, e) of the
-    paths X, folded in from tiles (a, c, rows), rows holding rows a ..
-    and columns c .. of X, in any order. A drift, an (n, 1) column, is
-    applied to each tile in place; without one, tiles are only read."""
-    shape = (len(segments), cols)
+) -> np.ndarray:
+    """A fold of sample_blocks: the (take, len(segments)) suprema of
+    X - drift over each row segment [s, e), for path X and for its mirror -X
+    as -min((X - drift) + 2 drift), of the paths X in the columns of block,
+    in replicate order (_mirror_pairs). The tiles (a, c, rows), rows holding
+    rows a .. and columns c .. of the paths, are folded in any order into
+    running per-column maxima and minima; of block only its width is read.
+    A drift, an (n, 1) column, is applied to each tile in place; without
+    one, tiles are only read."""
+    shape = (len(segments), block.shape[1])
     top, bottom = np.full(shape, -np.inf), np.full(shape, np.inf)
     for a, c, rows in tiles:
         b, cs = a + len(rows), slice(c, c + rows.shape[1])
@@ -637,21 +618,20 @@ def _suprema(
             rows += 2.0 * drift[a:b]
         for k, s, e in parts:
             np.minimum(bottom[k, cs], rows[s:e].min(axis=0), out=bottom[k, cs])
-    return top, bottom
+    return _mirror_pairs(top.T, np.negative(bottom, out=bottom).T, take)
 
 
 def segment_suprema(
-    paths: np.ndarray, segments: Sequence[tuple[int, int]],
+    paths: np.ndarray, segments: Sequence[tuple[int, int]], count: int,
     drift: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """sup (X - drift) over each row segment [a, b) for each column X of the
-    (n, cols) paths and for its mirror -X, as -min((X - drift) + 2 drift):
-    two (cols, len(segments)) arrays, the whole paths folded as one tile
-    of _suprema, as sample_blocks folds each tile of a block. A drift, an
-    (n, 1) column, is applied to paths in place; without one, paths is
-    only read."""
-    top, bottom = _suprema([(0, 0, paths)], paths.shape[1], segments, drift)
-    return top.T, np.negative(bottom, out=bottom).T
+) -> np.ndarray:
+    """The (count, len(segments)) suprema of X - drift over each row segment
+    [a, b) for the first count replicates of the (n, cols) paths, replicate
+    2j being column j and 2j + 1 its mirror (all 2 cols of them when count
+    is larger): the whole paths folded as one tile of _suprema, as
+    sample_blocks folds each tile of a block. A drift, an (n, 1) column, is
+    applied to paths in place; without one, paths is only read."""
+    return _suprema(0, count, paths, [(0, 0, paths)], segments, drift)
 
 
 def sample_suprema(
@@ -659,10 +639,11 @@ def sample_suprema(
     segments: Sequence[tuple[int, int]], drift: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, len(segments)) segment suprema of the count replicates of
-    sample_blocks, in replicate order, each block folded on the worker
-    that sampled it."""
+    sample_blocks, in replicate order, each block folded by _suprema on the
+    worker that sampled it."""
     out = np.empty((count, len(segments)))
-    for start, sups in sample_blocks(L, seed, count, threads, segments, drift):
+    fold = functools.partial(_suprema, segments=segments, drift=drift)
+    for start, sups in sample_blocks(L, seed, count, threads, fold):
         out[start : start + len(sups)] = sups
     return out
 
@@ -673,8 +654,8 @@ def sample_suprema(
 # ---------------------------------------------------------------------------
 
 def fbm_grid(horizon_T: float, eta: float) -> np.ndarray:
-    if not (horizon_T > 0 and eta > 0):
-        raise ValueError("horizon_T and eta must be positive")
+    if not (horizon_T > 0 and eta > 0 and horizon_T / eta < math.inf):
+        raise ValueError("horizon_T and eta must be positive, with a finite ratio")
     n = round(horizon_T / eta)
     if abs(n * eta - horizon_T) > 1e-9 * horizon_T or n < 1:
         raise ValueError(f"eta={eta} does not divide horizon_T={horizon_T}")
@@ -713,25 +694,38 @@ def write_sample_dump(
     """Sample reps replicates with sample_blocks and store them in a dump,
     one row per replicate: path j in row 2j, its negation in row 2j + 1.
 
-    Each block of paths goes out _DUMP_PATHS paths at a time through one
-    reused buffer of their row pairs, so the writer holds no copy of a
-    block. The header goes in last, so a run that stops part-way leaves a
-    file whose magic a reader rejects.
+    Each block is written by a fold on the worker that drew it, at the
+    block's own offset in the file: the tiles go back over the noise, which
+    becomes the paths, and the paths go out _DUMP_PATHS at a time through a
+    buffer of their row pairs, so the writer holds no copy of a block. The
+    header goes in last, so a run that stops part-way leaves a file whose
+    magic a reader rejects.
     """
     _check_draw(L, seed, reps)  # before the file at path is truncated
     nodes = L.shape[0]
-    buf = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
+    lock = threading.Lock()  # workers share the file's position
+
     with open(path, "wb") as fh:
-        fh.seek(_HEADER.size)
-        for start, paths in sample_blocks(L, seed, reps, threads):
+        def write(start: int, take: int, block: np.ndarray, tiles) -> None:
+            for a, c, rows in tiles:
+                block[a : a + len(rows), c : c + rows.shape[1]] = rows
+            paths = block[:, : (take + 1) // 2]
+            pairs = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
             for j in range(0, paths.shape[1], _DUMP_PATHS):
-                part = paths[:, j : j + _DUMP_PATHS].T
-                fh.write(_mirror_pairs(
-                    part, -part, reps - start - 2 * j, buf[: 2 * len(part)]
-                ))
-            # part is a view of the block: drop both before the sampler
-            # draws the next block
-            del paths, part
+                part = paths[:, j : j + _DUMP_PATHS]
+                width = 2 * part.shape[1]
+                even = pairs[0:width:2]
+                # a row of the block spans _BLOCK columns: the transposing
+                # copy reads _DUMP_NODES rows at a time, so they stay in cache
+                for i in range(0, nodes, _DUMP_NODES):
+                    even[:, i : i + _DUMP_NODES] = part[i : i + _DUMP_NODES].T
+                np.negative(even, out=pairs[1:width:2])
+                with lock:
+                    fh.seek(_HEADER.size + 8 * nodes * (start + 2 * j))
+                    fh.write(pairs[: min(width, take - 2 * j)])
+
+        for _ in sample_blocks(L, seed, reps, threads, write):
+            pass
         fh.seek(0)
         fh.write(_HEADER.pack(_MAGIC, nodes, reps, tag))
 
@@ -753,8 +747,9 @@ def dump_header(path: str) -> tuple[int, int, int]:
 
 
 def read_sample_dump(path: str) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, paths) as sample_blocks does without reduce: the
-    path rows 2j of each slab of at most _BLOCK replicates of the dump.
+    """Yield (start, paths) for each slab of at most _BLOCK replicates of
+    the dump: start is the slab's first replicate, and paths the
+    (nodes, ceil(take / 2)) array of its path rows 2j.
 
     Each slab is a fresh read-only array, never reused, so paths a caller
     keeps stay as read. The reader drops its own reference before the next

@@ -19,7 +19,6 @@ from .fields import (
     build_covariance,
     check_reps,
     cholesky_factor,
-    _mirror_pairs,
     dump_header,
     read_sample_dump,
     sample_suprema,
@@ -77,7 +76,7 @@ def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
                          f"for {nodes} stored nodes")
     out = np.empty((reps, 2))
     for start, paths in read_sample_dump(path):
-        sups = _mirror_pairs(*segment_suprema(paths, [(0, n1), (n1, nodes)]), reps - start)
+        sups = segment_suprema(paths, [(0, n1), (n1, nodes)], reps - start)
         out[start : start + len(sups)] = sups
         # drop the slab before the reader reads the next one
         del paths
@@ -88,6 +87,8 @@ def estimates_from_maxima(
     max1: np.ndarray, max2: np.ndarray, u_list, seed: int
 ) -> list[ExcursionEstimate]:
     reps = len(max1)
+    if reps == 0:
+        raise ValueError("no replicates to estimate from")
     out = []
     for u in u_list:
         hits = int(np.count_nonzero((max1 > u) & (max2 > u)))

@@ -65,8 +65,8 @@ def discrete_pickands_h1(delta: float) -> float:
     H_1 = 1 as delta -> 0; a delta whose 200 / delta terms exceed _H1_TERMS
     raises ValueError.
     """
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     terms = 200.0 / delta  # terms beyond are < 1e-20
     if terms > _H1_TERMS:
         raise ValueError(f"delta = {delta:.6g} needs {terms:.3g} terms, over {_H1_TERMS:.3g}")

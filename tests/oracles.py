@@ -17,6 +17,9 @@ computes, by another route.
   a1 = a2 = a12, against bgrf.model.validity_bound's general infimum.
 - psi: the bivariate normal tail factor Psi(u, rho) written out as its
   closed form, independent of bgrf.asymptotics' log-space constant.
+- path_fold: a bgrf.fields.sample_blocks fold that hands out a block's
+  paths themselves, the reference the library's folds (the segment
+  suprema, the dump writer) are checked against.
 """
 
 from __future__ import annotations
@@ -163,3 +166,12 @@ def psi(u: float, rho: float) -> float:
         / (2.0 * math.pi * u * u * math.sqrt(1.0 - rho * rho))
         * math.exp(-u * u / (1.0 + rho))
     )
+
+
+def path_fold(start: int, take: int, block: np.ndarray, tiles) -> np.ndarray:
+    """The (nodes, ceil(take / 2)) paths of a sample_blocks block: each tile
+    written back over its own rows of the noise, then the paths copied out,
+    since the sampler reuses the noise buffer for the worker's next block."""
+    for a, c, rows in tiles:
+        block[a : a + len(rows), c : c + rows.shape[1]] = rows
+    return block[:, : (take + 1) // 2].copy()

@@ -186,6 +186,16 @@ class TestTheorem2:
         with pytest.raises(ValueError, match="convention"):
             tail_asymptotic(e, 0, 0.5, 1.0, 1.0, 2.0)
 
+    # u = inf gave value 0.0 beside log_value nan, and H = inf gave inf
+    @pytest.mark.parametrize("H1, H2, u, match", [
+        (1.0, 1.0, math.inf, "u must be finite"),
+        (math.inf, 1.0, 2.0, "Pickands constants must be positive and finite"),
+        (1.0, math.inf, 2.0, "Pickands constants must be positive and finite"),
+    ])
+    def test_refuses_infinite_inputs(self, H1, H2, u, match):
+        with pytest.raises(ValueError, match=match):
+            tail_asymptotic(expansion(), 1, 1.0, H1, H2, u)
+
 
 def matern_tail(m, M, u):
     """Tail asymptotic of the standardized Matern field on unit domains."""

@@ -50,6 +50,11 @@ HOOKS = {
             "montecarlo.maxima_from_dump",
         },
     ),
+    # the dump writer's fold runs on the pool's worker threads
+    "simulate-threads": (
+        [["simulate", "--threads", "2"]],
+        SAMPLING | {"fields.write_sample_dump"},
+    ),
     "riemann-check": (
         [["riemann-check", "--u", "25"]],
         {"asymptotics.riemann_sum_check", "model.cross_corr", "specfun.matern"},

@@ -1,5 +1,6 @@
 """Tests for domains, grids, covariance assembly, and samplers."""
 
+import functools
 import glob
 import hashlib
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import path_fold
 
 from bgrf import fields
 from bgrf.fields import (
@@ -61,7 +63,7 @@ def model(rho=0.4, nu12=1.5, **kw):
 def paths(L, seed, count):
     """(ceil(count / 2), nodes) array of the independent paths behind count
     replicates, one per row, from sample_blocks."""
-    return np.hstack([mat for _, mat in sample_blocks(L, seed, count)]).T
+    return np.hstack([mat for _, mat in sample_blocks(L, seed, count, 1, path_fold)]).T
 
 
 def noise(seed, b, n):
@@ -227,6 +229,11 @@ class TestGridSpec:
         assert g.n1 == 5
         assert g.node_steps() == (0.5, 1.0)
         assert all(np.isnan(GridSpec(d, 1).node_steps()))
+
+    def test_refuses_a_bool_point_count(self):
+        # True once passed as one node per axis, with nan node steps
+        with pytest.raises(ValueError, match="points_per_axis must be a positive integer"):
+            GridSpec(unit_overlap().domain, True)
 
     def test_nodes_inside_boxes(self):
         d = DomainPair(
@@ -418,7 +425,7 @@ class TestCholeskySampling:
 
         def digest(threads):
             h = hashlib.sha256()
-            for _, mat in sample_blocks(L, seed=9, count=20_000, threads=threads):
+            for _, mat in sample_blocks(L, 9, 20_000, threads, path_fold):
                 h.update(np.ascontiguousarray(mat).tobytes())
             return h.hexdigest()
 
@@ -440,7 +447,7 @@ class TestCholeskySampling:
         count = 2 * 9 * BLOCK + 1
 
         def stream(threads):
-            return np.hstack([m for _, m in sample_blocks(L, 9, count, threads)])
+            return np.hstack([m for _, m in sample_blocks(L, 9, count, threads, path_fold)])
 
         assert np.array_equal(stream(1), stream(2))
         assert len(pools) == 1
@@ -460,13 +467,13 @@ class TestCholeskySampling:
         usable_cpus(monkeypatch, 2)
         L = cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
         count = 4 * BLOCK + 1
-        capped = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
+        capped = np.hstack([m for _, m in sample_blocks(L, 9, count, 64, path_fold)])
         assert workers == [2]
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        capped_by_count = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
+        capped_by_count = np.hstack([m for _, m in sample_blocks(L, 9, count, 64, path_fold)])
         assert workers == [2, 2]
         usable_cpus(monkeypatch, 1)
-        single = np.hstack([m for _, m in sample_blocks(L, 9, count, 64)])
+        single = np.hstack([m for _, m in sample_blocks(L, 9, count, 64, path_fold)])
         assert workers == [2, 2]  # one CPU: no pool at all
         assert np.array_equal(capped, single)
         assert np.array_equal(capped_by_count, single)
@@ -491,6 +498,12 @@ class TestCholeskySampling:
         usable_cpus(monkeypatch, 2)
         assert np.array_equal(got, sample_suprema(L, 6, count, 2, segments))
         assert len(pools) == 1
+
+    def test_check_reps_refuses_a_bool(self):
+        # True once passed as one replicate
+        fields.check_reps(1)
+        with pytest.raises(ValueError, match="reps must be an integer, got True"):
+            fields.check_reps(True)
 
 
 def lower_factor(n, seed=0):
@@ -523,7 +536,7 @@ class TestPanelProduct:
     def test_matches_full_product(self, n):
         L = lower_factor(n)
         count = 2 * (BLOCK + 10) - 1  # BLOCK + 10 paths: ends on a partial block
-        got = np.hstack([mat for _, mat in sample_blocks(L, 5, count)])
+        got = np.hstack([mat for _, mat in sample_blocks(L, 5, count, 1, path_fold)])
         want = np.hstack([L @ noise(5, b, n) for b in (0, 1)])[:, : BLOCK + 10]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -535,24 +548,25 @@ class TestPanelProduct:
         L = lower_factor(600)
         L[i, j] = 1e-300
         with pytest.raises(ValueError, match="lower triangular"):
-            next(sample_blocks(L, 0, 10))
+            next(sample_blocks(L, 0, 10, 1, path_fold))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            next(sample_blocks(np.zeros((3, 2)), 0, 10))
+            next(sample_blocks(np.zeros((3, 2)), 0, 10, 1, path_fold))
 
-    @pytest.mark.parametrize(
-        "segments", [None, [(0, 600), (250, 600), (599, 600)]],
-        ids=["blocks", "reduced"],
-    )
-    def test_threads_give_identical_bytes(self, monkeypatch, segments):
+    @pytest.mark.parametrize("fold", [
+        path_fold,
+        functools.partial(fields._suprema, segments=[(0, 600), (250, 600), (599, 600)],
+                          drift=None),
+    ], ids=["blocks", "reduced"])
+    def test_threads_give_identical_bytes(self, monkeypatch, fold):
         usable_cpus(monkeypatch, 2)
         L = lower_factor(600)
         count = 2 * (3 * BLOCK) + 7
 
         def digest(threads):
             h = hashlib.sha256()
-            for start, out in sample_blocks(L, 9, count, threads, segments):
+            for start, out in sample_blocks(L, 9, count, threads, fold):
                 h.update(np.int64(start).tobytes())
                 h.update(np.ascontiguousarray(out).tobytes())
             return h.hexdigest()
@@ -568,7 +582,7 @@ class TestPanelProduct:
 
         def block(blas_threads):
             set_(blas_threads)
-            (_, mat), = sample_blocks(L, 3, BLOCK)
+            (_, mat), = sample_blocks(L, 3, BLOCK, 1, path_fold)
             return mat.tobytes()
 
         assert block(1) == block(2)
@@ -584,7 +598,7 @@ class TestPanelProduct:
 
         def block(blas_threads):
             set_(blas_threads)
-            (_, mat), = sample_blocks(L, 2, 2 * cols)
+            (_, mat), = sample_blocks(L, 2, 2 * cols, 1, path_fold)
             return mat
 
         got = block(1)
@@ -619,20 +633,25 @@ class TestPanelProduct:
         workers = set()
         fold = fields._suprema
 
-        def record(*args):
+        def record(*args, **kwargs):
             workers.add(threading.get_ident())
-            return fold(*args)
+            return fold(*args, **kwargs)
 
         monkeypatch.setattr(fields, "_suprema", record)
-        reduced = list(sample_blocks(L, 4, count, 2, segments))
+        reduced = list(sample_blocks(L, 4, count, 2, functools.partial(
+            fields._suprema, segments=segments, drift=None)))
         assert len(workers) >= 1 and threading.get_ident() not in workers
-        plain = list(sample_blocks(L, 4, count))
+        plain = list(sample_blocks(L, 4, count, 2, path_fold))
         assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 2 * BLOCK, 4 * BLOCK]
         assert [len(got) for _, got in reduced] == [2 * BLOCK, 2 * BLOCK, 5]
         for (_, got), (_, mat) in zip(reduced, plain):
-            path, mirror = segment_suprema(mat, segments)
-            assert np.array_equal(got[0::2], path)  # path j: replicate 2j
-            assert np.array_equal(got[1::2], mirror[: len(got) // 2])
+            for k, (a, b) in enumerate(segments):
+                assert np.array_equal(got[0::2, k], mat[a:b].max(axis=0))  # path j: replicate 2j
+                assert np.array_equal(got[1::2, k], (-mat[a:b]).max(axis=0)[: len(got) // 2])
+        workers.clear()
+        assert np.array_equal(sample_suprema(L, 4, count, 2, segments),
+                              np.vstack([got for _, got in reduced]))
+        assert len(workers) >= 1 and threading.get_ident() not in workers
 
     def test_one_noise_buffer_per_worker(self, monkeypatch):
         # five blocks at two threads draw into at most two buffers, each
@@ -663,11 +682,10 @@ class TestPanelProduct:
         segments = [(0, n), (0, 1), (n // 3, n - 1), (min(250, n - 2), min(520, n)),
                     (n - 1, n)]
         drift = np.linspace(0.1, 3.3, n)[:, None]
-        blocks = list(sample_blocks(L, 8, count))
+        blocks = list(sample_blocks(L, 8, count, 1, path_fold))
         for d in (None, drift):
             want = np.vstack([
-                fields._mirror_pairs(*segment_suprema(mat.copy(), segments, d), count - start)
-                for start, mat in blocks
+                segment_suprema(mat.copy(), segments, count - start, d) for start, mat in blocks
             ])
             assert want.shape == (count, len(segments))
             for threads in (1, 2):
@@ -684,7 +702,8 @@ class TestSegmentSuprema:
         rng = np.random.default_rng(3)
         X = rng.integers(-40, 40, size=(9, 50)) / 8.0
         d = (np.arange(1, 10) / 4.0)[:, None]
-        path, mirror = segment_suprema(X.copy(), self.SEGMENTS, d)
+        got = segment_suprema(X.copy(), self.SEGMENTS, 2 * 50, d)
+        path, mirror = got[0::2], got[1::2]
         for k, (a, b) in enumerate(self.SEGMENTS):
             assert np.array_equal(path[:, k], (X - d)[a:b].max(axis=0))
             assert np.array_equal(mirror[:, k], (-X - d)[a:b].max(axis=0))
@@ -694,7 +713,8 @@ class TestSegmentSuprema:
         X = np.random.default_rng(4).standard_normal((9, 30))
         rows = np.frombuffer(X.tobytes()).reshape(X.shape)
         assert not rows.flags.writeable
-        path, mirror = segment_suprema(rows, self.SEGMENTS)
+        got = segment_suprema(rows, self.SEGMENTS, 2 * 30)
+        path, mirror = got[0::2], got[1::2]
         assert np.array_equal(rows, X)
         for k, (a, b) in enumerate(self.SEGMENTS):
             assert np.array_equal(path[:, k], X[a:b].max(axis=0))
@@ -702,9 +722,11 @@ class TestSegmentSuprema:
 
     def test_one_row_segment(self):
         X = np.random.default_rng(5).standard_normal((4, 7))
-        path, mirror = segment_suprema(X, [(2, 3)])
-        assert path.shape == mirror.shape == (7, 1)
-        assert np.array_equal(path[:, 0], X[2]) and np.array_equal(mirror[:, 0], -X[2])
+        # an odd count drops the last mirror
+        got = segment_suprema(X, [(2, 3)], 13)
+        path, mirror = got[0::2], got[1::2]
+        assert path.shape == (7, 1) and mirror.shape == (6, 1)
+        assert np.array_equal(path[:, 0], X[2]) and np.array_equal(mirror[:, 0], -X[2, :6])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_gathers_in_replicate_order(self, threads):
@@ -773,13 +795,13 @@ class TestBlasPin:
             return noise_block(seed, b, out)
 
         monkeypatch.setattr(fields, "_noise_block", record)
-        list(sample_blocks(self.L(), 1, 2 * (3 * BLOCK), 2, [(0, 300)]))
+        sample_suprema(self.L(), 1, 2 * (3 * BLOCK), 2, [(0, 300)])
         assert seen == [1, 1, 1]
         assert get() == 2
 
     def test_restored_after_close(self, blas):
         get, _ = blas
-        gen = sample_blocks(self.L(), 1, 5 * BLOCK, 2)
+        gen = sample_blocks(self.L(), 1, 5 * BLOCK, 2, path_fold)
         next(gen)
         assert get() == 1
         gen.close()
@@ -788,26 +810,26 @@ class TestBlasPin:
     def test_restored_after_reduce_raises(self, blas, monkeypatch):
         get, _ = blas
 
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise RuntimeError("reduce failed")
 
         monkeypatch.setattr(fields, "_suprema", fail)
         with pytest.raises(RuntimeError, match="reduce failed"):
-            list(sample_blocks(self.L(), 1, 3 * BLOCK, 2, [(0, 300)]))
+            sample_suprema(self.L(), 1, 3 * BLOCK, 2, [(0, 300)])
         assert get() == 2
 
     def test_single_thread_leaves_count_alone(self, monkeypatch):
         fake = FakeBlas()
         monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
-        list(sample_blocks(self.L(), 1, 2 * BLOCK, 1))
+        list(sample_blocks(self.L(), 1, 2 * BLOCK, 1, path_fold))
         assert fake.sets == []
 
     def test_overlapping_pools(self, monkeypatch):
         fake = FakeBlas(count=4)
         monkeypatch.setattr(fields, "_openblas", lambda: (fake.get, fake.set))
         usable_cpus(monkeypatch, 2)
-        first = sample_blocks(self.L(), 1, 5 * BLOCK, 2)
-        second = sample_blocks(self.L(), 2, 5 * BLOCK, 2)
+        first = sample_blocks(self.L(), 1, 5 * BLOCK, 2, path_fold)
+        second = sample_blocks(self.L(), 2, 5 * BLOCK, 2, path_fold)
         next(first)
         next(second)
         assert fake.sets == [1]
@@ -836,7 +858,7 @@ class TestBlasPin:
 
         def consume(seed):
             for _ in range(50):
-                list(sample_blocks(L, seed, 2 * (2 * BLOCK), 2, [(0, 8)]))
+                sample_suprema(L, seed, 2 * (2 * BLOCK), 2, [(0, 8)])
 
         consumers = [threading.Thread(target=consume, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
@@ -858,6 +880,12 @@ class TestFbm:
         with pytest.raises(ValueError, match="divide"):
             fbm_grid(1.0, 0.3)
         assert len(fbm_grid(8.0, 1 / 64)) == 513
+
+    # an infinite span or one whose node count overflows raised OverflowError
+    @pytest.mark.parametrize("T, eta", [(math.inf, 0.1), (1e308, 1e-10)])
+    def test_grid_refuses_an_infinite_ratio(self, T, eta):
+        with pytest.raises(ValueError, match="finite ratio"):
+            fbm_grid(T, eta)
 
     def test_variance_is_twice_t_alpha(self):
         alpha, T, eta, n = 0.8, 2.0, 1 / 4, 100_000
@@ -904,32 +932,41 @@ class TestDump:
     def L(self):
         return cholesky_factor(build_covariance(model(rho=0.3), unit_overlap(3)))
 
-    def test_roundtrip(self, tmp_path):
-        # 2 BLOCK + 1 replicates are BLOCK + 1 paths: a full block, then one
-        # path without its mirror; 600 more end part-way through one of the
-        # writer's buffers in the second block, again on a path without its
-        # mirror
-        L = self.L()
-        for count in (2 * BLOCK + 1, 2 * BLOCK + 601):
-            p = str(tmp_path / f"x{count}.bgrf")
-            write_sample_dump(p, L, 6, count, 0xDEADBEEF)
+    # the writer copies 64 nodes at a time into its row pairs: a factor of
+    # 6, 7, 65 or 257 nodes ends part-way through a copy. 2 BLOCK + 1
+    # replicates are BLOCK + 1 paths: a full block, then one path without
+    # its mirror; 600 more end part-way through one of the writer's buffers
+    # in the second block, again on a path without its mirror. At two
+    # threads the blocks are written by two workers.
+    def dumps(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        for n in (6, 7, 65, 257):
+            L = self.L() if n == 6 else lower_factor(n)
+            for count in (2 * BLOCK + 1, 2 * BLOCK + 601):
+                for threads in (1, 2):
+                    p = str(tmp_path / f"x{n}-{count}-{threads}.bgrf")
+                    write_sample_dump(p, L, 6, count, 0xDEADBEEF, threads)
+                    yield p, L, count
+
+    def test_roundtrip(self, tmp_path, monkeypatch):
+        for p, L, count in self.dumps(tmp_path, monkeypatch):
+            n = len(L)
             raw = open(p, "rb").read()
             assert raw[:4] == b"BGRF"
-            assert dump_header(p) == (6, count, 0xDEADBEEF)
-            assert len(raw) == 16 + 8 * count * 6
+            assert dump_header(p) == (n, count, 0xDEADBEEF)
+            assert len(raw) == 16 + 8 * count * n
             rows = draw(L, 6, count)
             assert raw[16:] == rows.astype("<f8").tobytes()
-            # the reader yields the paths, rows 2j, as sample_blocks does
+            # the reader yields the paths, rows 2j, slab by slab
             back = list(read_sample_dump(p))
             assert [s for s, _ in back] == list(range(0, count, BLOCK))
             assert np.array_equal(np.hstack([mat for _, mat in back]).T, rows[0::2])
 
-    def test_rows_pair_with_their_negation(self, tmp_path):
-        p = str(tmp_path / "n.bgrf")
-        write_sample_dump(p, self.L(), 6, 2 * BLOCK + 1, 0)
-        rows = np.fromfile(p, dtype="<u8", offset=16).reshape(2 * BLOCK + 1, 6)
-        # bit for bit: row 2j + 1 is row 2j with every sign bit flipped
-        assert np.array_equal(rows[1::2], rows[0:-1:2] ^ np.uint64(1 << 63))
+    def test_rows_pair_with_their_negation(self, tmp_path, monkeypatch):
+        for p, L, count in self.dumps(tmp_path, monkeypatch):
+            rows = np.fromfile(p, dtype="<u8", offset=16).reshape(count, len(L))
+            # bit for bit: row 2j + 1 is row 2j with every sign bit flipped
+            assert np.array_equal(rows[1::2], rows[0:-1:2] ^ np.uint64(1 << 63))
 
     def test_writer_frees_each_block(self, tmp_path):
         # six blocks from sample_blocks into the writer: each block must be

@@ -148,6 +148,11 @@ class TestMcExcursion:
         )
         assert abs(pj - p1 * p2) < 3 * se
 
+    def test_zero_replicates_refused(self):
+        # they divided by zero
+        with pytest.raises(ValueError, match="no replicates"):
+            estimates_from_maxima(np.empty(0), np.empty(0), [1.0], 0)
+
     def test_zero_hits_warning(self):
         est = excursion(model(0.4), point_grid(), u=20.0, reps=1000, seed=7)
         assert est.p_hat == 0.0

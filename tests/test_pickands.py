@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from bgrf.fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
+from oracles import path_fold
 from bgrf.pickands import (
     PickandsEstimate,
     _check_exponent_guard,
@@ -67,7 +68,7 @@ class TestDiscretePickandsConstant:
             )
             assert abs(growth / delta - discrete_pickands_h1(delta)) <= 1e-5
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
     def test_needs_positive_step(self, delta):
         with pytest.raises(ValueError, match="delta must be positive"):
             discrete_pickands_h1(delta)
@@ -172,7 +173,7 @@ def reference_suprema(alpha, T_list, eta, reps, seed):
     ends = [round(T / eta) for T in T_list]
     drift = t**alpha
     out = np.empty((reps + 1, len(T_list)))
-    for start, mat in sample_blocks(L, seed, reps):
+    for start, mat in sample_blocks(L, seed, reps, 1, path_fold):
         stop = start + 2 * mat.shape[1]
         vals = mat - drift[1:, None]  # drifted path on t[1:]
         shifted = vals + 2.0 * drift[1:, None]  # X + d, for the mirror
@@ -222,7 +223,7 @@ class TestMirrorPairs:
         alpha, eta, reps = 1.4, 1 / 64, 601
         t = fbm_grid(self.T_LIST[-1], eta)
         L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-        ((_, X),) = sample_blocks(L, 37, reps)
+        ((_, X),) = sample_blocks(L, 37, reps, 1, path_fold)
         mirror = -X - (t**alpha)[1:, None]  # -X - d, built directly
         want = np.stack([  # each horizon holds the origin, where the path is 0
             np.maximum(mirror[:32].max(axis=0), 0.0),  # [0, 0.5]
