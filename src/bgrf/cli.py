@@ -12,7 +12,6 @@ same config and seed is byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -31,11 +30,7 @@ from .fields import (
     GridSpec,
     NotPositiveDefiniteError,
     Rect,
-    build_covariance,
     check_reps,
-    cholesky_factor,
-    dump_header,
-    write_sample_dump,
 )
 from .model import (
     BivariateMaternModel,
@@ -48,8 +43,9 @@ from .model import (
 from .montecarlo import (
     estimates_from_maxima,
     field_maxima,
-    maxima_from_dump,
     rate_fit,
+    recorded_maxima,
+    write_record,
 )
 from .pickands import discrete_pickands_h1, estimate_H_constant
 
@@ -158,7 +154,8 @@ def load_config(path: str) -> dict:
         if unknown:
             raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
         cfg[name] = {key: given.get(key, default) for key, (default, _) in keys.items()}
-    sha = config_hash(cfg, ("model", *_DEFAULTS))[:16]
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    sha = hashlib.sha256(blob.encode()).hexdigest()[:16]
     for name in _DEFAULTS:
         cfg[name] = {key: _checked(name, key, v) for key, v in cfg[name].items()}
     cfg["config_sha256"] = sha
@@ -194,24 +191,6 @@ def build_domain(cfg: dict, m: BivariateMaternModel) -> DomainPair:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
 
-def config_hash(cfg: dict, sections: tuple[str, ...]) -> str:
-    payload = {k: cfg[k] for k in sections}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _dump_tag(m: BivariateMaternModel, g: GridSpec, seed: int) -> int:
-    """32-bit hash of what a sample dump's rows depend on, as values: the
-    model's parameters, both fields' node coordinates and the seed. Two
-    spellings of one config (1 or 1.0, a default stated or left out) give
-    one tag; split_M, which no row depends on, is not hashed."""
-    h = hashlib.sha256(repr(([float(v) for v in dataclasses.astuple(m)], seed)).encode())
-    for nodes in (g.nodes1, g.nodes2):
-        h.update(repr(nodes.shape).encode())
-        h.update(nodes.tobytes())
-    return int(h.hexdigest()[:8], 16)
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -232,7 +211,7 @@ class Writer:
             raise ValueError("row width mismatch")
         self.rows.append(list(values))
 
-    def flush(self) -> str:
+    def flush(self) -> None:
         if self.fmt == "csv":
             lines = [
                 "# " + " ".join(f"{k}={v}" for k, v in self.meta.items()),
@@ -254,7 +233,6 @@ class Writer:
         with open(self.path, "w") as fh:
             fh.write(text)
         sys.stdout.write(text)
-        return self.path
 
 
 def _out_dir(args) -> str:
@@ -268,11 +246,7 @@ def _out_dir(args) -> str:
 def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
     if cfg["estimation"]["alpha"] is not None:
         return [cfg["estimation"]["alpha"]]
-    seen = []
-    for a in (2.0 * m.nu1, 2.0 * m.nu2):
-        if a not in seen:
-            seen.append(a)
-    return seen
+    return list(dict.fromkeys((2.0 * m.nu1, 2.0 * m.nu2)))  # distinct, in order
 
 
 def _estimate_H(cfg, args, alpha: float):
@@ -309,25 +283,6 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
             source = f"estimated, se {r.std_error:.3g}, T = {r.horizon_T:g}, eta = {r.eta:g}"
         print(f"{label} = {H[label]:.6g} ({source})", file=sys.stderr)
     return H["H1"], H["H2"]
-
-
-def _excursions(cfg, args, m, g: GridSpec, samples) -> list:
-    """Joint excursion estimates at every thresholds.u on shared maxima,
-    read from the dump at `samples` when one is named, else sampled
-    afresh."""
-    us, seed = cfg["thresholds"]["u"], cfg["estimation"]["seed"]
-    if not samples:
-        maxima = field_maxima(m, g, cfg["estimation"]["reps"], seed, args.threads)
-        return estimates_from_maxima(*maxima, us, seed)
-    nodes, _, tag = dump_header(samples)
-    want = _dump_tag(m, g, seed)
-    if (nodes, tag) != (g.n1 + g.n2, want):
-        raise ValueError(
-            f"{samples} holds {nodes} nodes per replicate under tag {tag:08x}; "
-            f"this config's model, domain, grid and seed give {g.n1} + {g.n2} nodes "
-            f"and tag {want:08x}"
-        )
-    return estimates_from_maxima(*maxima_from_dump(samples, g.n1), us, seed)
 
 
 def _riemann_args(cfg, m, d: DomainPair) -> list[tuple]:
@@ -391,10 +346,8 @@ def cmd_simulate(cfg, args) -> int:
     m = build_model(cfg)
     g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
     reps, seed = cfg["estimation"]["reps"], cfg["estimation"]["seed"]
-    check_reps(reps)
-    L = cholesky_factor(build_covariance(m, g))
     dump = os.path.join(_out_dir(args), "samples.bgrf")
-    write_sample_dump(dump, L, seed, reps, _dump_tag(m, g, seed), args.threads)
+    write_record(dump, m, g, reps, seed, args.threads)
     w = Writer(cfg, args, "simulate", ["replicates", "nodes1", "nodes2", "seed", "dump"])
     w.add(reps, g.n1, g.n2, seed, dump)
     w.flush()
@@ -451,7 +404,10 @@ def cmd_riemann_check(cfg, args) -> int:
 def cmd_mc_excursion(cfg, args) -> int:
     m = build_model(cfg)
     g = GridSpec(build_domain(cfg, m), cfg["grid"]["points_per_axis"])
-    ests = _excursions(cfg, args, m, g, args.samples)
+    est = cfg["estimation"]
+    maxima = (recorded_maxima(args.samples, m, g, est["reps"], est["seed"]) if args.samples
+              else field_maxima(m, g, est["reps"], est["seed"], args.threads))
+    ests = estimates_from_maxima(*maxima, cfg["thresholds"]["u"], est["seed"])
     w = Writer(cfg, args, "mc-excursion",
                ["u", "p_hat", "ci_low", "ci_high", "hits", "reps"])
     w.meta["samples"] = "shared-across-u"  # thresholds reuse one sample set
@@ -488,7 +444,8 @@ def cmd_verify(cfg, args) -> int:
     riemann_args = _riemann_args(cfg, m, d)
     H1, H2 = _pickands_constants(cfg, m, args)
     riemann = [riemann_sum_check(*a) for a in riemann_args]
-    ests = _excursions(cfg, args, m, g, None)
+    maxima = field_maxima(m, g, reps, cfg["estimation"]["seed"], args.threads)
+    ests = estimates_from_maxima(*maxima, us, cfg["estimation"]["seed"])
 
     # p_hat is a maximum over grid nodes; at level u field i's node step in
     # the local Pickands scale is delta_i(u)
@@ -611,7 +568,9 @@ def main(argv=None) -> int:
 
     parsers["mc-excursion"].add_argument(
         "--samples", default=None,
-        help="reuse a binary sample dump instead of sampling")
+        help="read the maxima from the sample dump simulate wrote instead of "
+             "sampling: a dump of R replicates stands in for any run of reps <= R "
+             "of its model, grid and seed, and is refused above R")
 
     args = ap.parse_args(argv)
     if args.threads < 1:

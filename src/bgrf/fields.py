@@ -4,8 +4,8 @@ Domains are finite unions of axis-aligned rectangles; grids place nodes on
 uniform per-axis lattices that include rectangle corners, so maxima on
 boundaries stay representable. The joint covariance of (X1 at A1 nodes,
 X2 at A2 nodes) is assembled densely and factorised by Cholesky with an
-escalating-jitter policy; a factorisation failure beyond 1e-10 jitter is
-reported as such, since it usually witnesses an invalid cross-correlation.
+escalating-jitter policy that warns of any jitter it adds; failure past 1e-10
+jitter is reported, since it usually witnesses an invalid cross-correlation.
 
 Determinism contract: replicate r of a run is a function of (seed, r)
 only. Replicates come in mirror pairs: noise column j gives replicate 2j,
@@ -38,7 +38,7 @@ _suprema, so fresh and stored paths give the same bits.
 write_sample_dump is a fold as well: it writes the tiles back over the
 noise, then the block's paths and their mirrors, one row per replicate, at
 the block's own offset in the file. read_sample_dump yields the paths back
-one slab read at a time.
+one slab read at a time; what the tag means, montecarlo decides (record_tag).
 
 While a worker pool runs, numpy's OpenBLAS is held at one thread, so the
 pool's workers own the cores; every panel product has an inner dimension
@@ -57,6 +57,7 @@ import os
 import queue
 import struct
 import threading
+import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -102,13 +103,6 @@ class Rect:
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    def intersect(self, other: "Rect") -> "Rect | None":
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        if any(h < l for l, h in zip(lo, hi)):
-            return None
-        return Rect(lo, hi)
 
 
 def _atoms(unions: Sequence[Sequence[Rect]]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -344,13 +338,18 @@ def build_covariance(m: BivariateMaternModel, g: GridSpec) -> np.ndarray:
 
 
 def cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with jitter escalating 1e-14 .. 1e-10."""
+    """Lower Cholesky factor with jitter escalating 1e-14 .. 1e-10; a jitter
+    it adds is named in a RuntimeWarning."""
     for eps in _JITTERS:
         try:
             c = cov if eps == 0.0 else cov + eps * np.eye(cov.shape[0])
-            return np.linalg.cholesky(c)
+            L = np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
             continue
+        if eps:
+            warnings.warn(f"Cholesky factor took jitter {eps:g} on the diagonal",
+                          RuntimeWarning)
+        return L
     raise NotPositiveDefiniteError(
         "covariance is not positive semidefinite within jitter 1e-10; "
         "for a bivariate Matern model this usually means rho exceeds the "
@@ -622,16 +621,14 @@ def _suprema(
 
 
 def segment_suprema(
-    paths: np.ndarray, segments: Sequence[tuple[int, int]], count: int,
-    drift: np.ndarray | None = None,
+    paths: np.ndarray, segments: Sequence[tuple[int, int]], count: int
 ) -> np.ndarray:
-    """The (count, len(segments)) suprema of X - drift over each row segment
-    [a, b) for the first count replicates of the (n, cols) paths, replicate
-    2j being column j and 2j + 1 its mirror (all 2 cols of them when count
-    is larger): the whole paths folded as one tile of _suprema, as
-    sample_blocks folds each tile of a block. A drift, an (n, 1) column, is
-    applied to paths in place; without one, paths is only read."""
-    return _suprema(0, count, paths, [(0, 0, paths)], segments, drift)
+    """The (count, len(segments)) suprema over each row segment [a, b) of
+    the first count replicates of the (n, cols) paths, replicate 2j being
+    column j and 2j + 1 its mirror (all 2 cols of them when count is
+    larger): the whole paths folded as one tile of _suprema, as
+    sample_blocks folds each tile of a block. paths is only read."""
+    return _suprema(0, count, paths, [(0, 0, paths)], segments, None)
 
 
 def sample_suprema(
@@ -679,9 +676,8 @@ def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # binary dump: a 16-byte header (magic "BGRF", then little-endian u32 node
 # count, u32 replicate count and u32 tag), then row-major float64
-# little-endian, one replicate per row. The tag identifies what the rows
-# were drawn from: the CLI stores a 32-bit hash of the model's parameters,
-# both fields' nodes and the seed there and refuses a dump whose tag differs.
+# little-endian, one replicate per row. The tag, montecarlo.record_tag,
+# identifies what the rows were drawn from.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIII")

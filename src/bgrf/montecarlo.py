@@ -1,16 +1,18 @@
 """Brute-force joint excursion probabilities and the rate-fit diagnostic.
 
-Per-replicate field maxima are computed once and compared against every
-threshold, so a multi-u run shares samples (common random numbers); this
-induces cross-u dependence, which is fine for trend fitting and is noted
-in CLI metadata. Intervals are Wilson score at 95%, which stays sane for
-rare hits.
+Per-replicate field maxima, sampled (field_maxima) or read from the record
+write_record stores (recorded_maxima), are computed once and compared
+against every threshold, so a multi-u run shares samples (common random
+numbers); this induces cross-u dependence, which is fine for trend fitting
+and is noted in CLI metadata. Intervals are Wilson score at 95%, which
+stays sane for rare hits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .fields import (
     read_sample_dump,
     sample_suprema,
     segment_suprema,
+    write_sample_dump,
 )
 from .model import BivariateMaternModel
 
@@ -81,6 +84,48 @@ def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
         # drop the slab before the reader reads the next one
         del paths
     return out[:, 0], out[:, 1]
+
+
+def record_tag(m: BivariateMaternModel, g: GridSpec, seed: int) -> int:
+    """32-bit hash of what a sample dump's rows depend on, as values: the
+    model's parameters, both fields' node coordinates and the seed. Two
+    spellings of one config (1 or 1.0, a default stated or left out) give
+    one tag; split_M, which no row depends on, is not hashed."""
+    h = hashlib.sha256(repr(([float(v) for v in astuple(m)], seed)).encode())
+    for nodes in (g.nodes1, g.nodes2):
+        h.update(repr(nodes.shape).encode())
+        h.update(nodes.tobytes())
+    return int(h.hexdigest()[:8], 16)
+
+
+def write_record(
+    path: str, m: BivariateMaternModel, g: GridSpec, reps: int, seed: int, threads: int = 1
+) -> None:
+    """Sample reps replicates into a record at path, tagged by record_tag."""
+    check_reps(reps)
+    L = cholesky_factor(build_covariance(m, g))
+    write_sample_dump(path, L, seed, reps, record_tag(m, g, seed), threads)
+
+
+def recorded_maxima(
+    path: str, m: BivariateMaternModel, g: GridSpec, reps: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """field_maxima(m, g, reps, seed) as the first reps of the R replicates of
+    the record at path (replicate r depends only on (seed, r)); refused when
+    reps > R or the record's node count or tag differs from the config's."""
+    check_reps(reps)
+    nodes, held, tag = dump_header(path)
+    want = record_tag(m, g, seed)
+    if (nodes, tag) != (g.n1 + g.n2, want):
+        raise ValueError(
+            f"{path} holds {nodes} nodes per replicate under tag {tag:08x}; "
+            f"this config's model, domain, grid and seed give {g.n1} + {g.n2} nodes "
+            f"and tag {want:08x}"
+        )
+    if held < reps:
+        raise ValueError(f"{path} holds {held} replicates; this run needs reps = {reps}")
+    max1, max2 = maxima_from_dump(path, g.n1)
+    return max1[:reps], max2[:reps]
 
 
 def estimates_from_maxima(

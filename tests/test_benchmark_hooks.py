@@ -44,7 +44,9 @@ HOOKS = {
         },
     ),
     "simulate": (
-        [["simulate"], ["mc-excursion", "--samples", "{out}/samples.bgrf"]],
+        # the record read whole, then read at fewer replicates than it holds
+        [["simulate"], ["mc-excursion", "--samples", "{out}/samples.bgrf"],
+         ["mc-excursion", "--samples", "{out}/samples.bgrf", "--reps", "1001"]],
         SAMPLING | {
             "fields.write_sample_dump", "fields.read_sample_dump",
             "montecarlo.maxima_from_dump",

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bgrf import asymptotics, cli, fields
+from bgrf import asymptotics, cli, fields, montecarlo
 from bgrf.cli import main
 from bgrf.pickands import discrete_pickands_h1, estimate_H_constant
 
@@ -52,7 +52,7 @@ def dump_tag(cfg):
     """The tag simulate writes for the loaded config cfg."""
     m = cli.build_model(cfg)
     g = fields.GridSpec(cli.build_domain(cfg, m), cfg["grid"]["points_per_axis"])
-    return cli._dump_tag(m, g, cfg["estimation"]["seed"])
+    return montecarlo.record_tag(m, g, cfg["estimation"]["seed"])
 
 
 def read_rows(path):
@@ -464,6 +464,41 @@ class TestSimulateAndReuse:
         out3 = tmp_path / "live"
         main(["mc-excursion", "--config", cfg, "--out-dir", str(out3)])
         assert (out2 / "mc-excursion.csv").read_bytes() == (out3 / "mc-excursion.csv").read_bytes()
+
+    # a record of R replicates stands in for any run of reps <= R: an odd
+    # reps, a reps one replicate into the second block, and 300 + 300 nodes,
+    # whose last panel is short
+    @pytest.mark.parametrize("points, held, reps", [
+        (10, 5000, 2001), (10, 20_001, 8193), (300, 9000, 8193),
+    ], ids=["odd", "second-block", "600-nodes"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_record_read_at_fewer_reps_matches_fresh(self, tmp_path, points, held, reps,
+                                                     threads):
+        cfg = write_config(tmp_path, grid={"points_per_axis": points},
+                           estimation={"reps": held, "seed": 5}, thresholds={"u": [1.0, 2.0]})
+        common = ["--config", cfg, "--threads", threads]
+        assert main(["simulate", *common, "--out-dir", str(tmp_path / "out")]) == 0
+        for route, extra in (("reuse", ["--samples", str(tmp_path / "out" / "samples.bgrf")]),
+                             ("live", [])):
+            assert main(["mc-excursion", *common, "--reps", str(reps),
+                         "--out-dir", str(tmp_path / route), *extra]) == 0
+        got = (tmp_path / "reuse" / "mc-excursion.csv").read_bytes()
+        assert got == (tmp_path / "live" / "mc-excursion.csv").read_bytes()
+        assert [row["reps"] for row in read_rows(tmp_path / "reuse" / "mc-excursion.csv")] == [
+            str(reps)] * 2
+
+    def test_record_refused_above_its_reps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid={"points_per_axis": 6},
+                           estimation={"reps": 2000, "seed": 5}, thresholds={"u": [1.5]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        dump = out / "samples.bgrf"
+        assert main(["mc-excursion", "--config", cfg, "--out-dir", str(tmp_path / "reuse"),
+                     "--samples", str(dump), "--reps", "2001"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dump} holds 2000 replicates; this run needs reps = 2001\n")
+        assert not (tmp_path / "reuse" / "mc-excursion.csv").exists()
 
     @pytest.mark.parametrize("change, message", [
         # 5 + 5 nodes: the old reader would mix 3 X1 nodes into max2

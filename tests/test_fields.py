@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
+
+
+def drifted_suprema(paths, segments, count, drift):
+    """segment_suprema of X - drift, for an (n, 1) drift or None: the whole
+    paths folded as one tile of the sampler's fold, as sample_suprema folds
+    each tile of a block. A drift is applied to paths in place."""
+    return fields._suprema(0, count, paths, [(0, 0, paths)], segments, drift)
 
 
 def draw(L, seed, count):
@@ -374,6 +382,23 @@ class TestCovariance:
             tracemalloc.stop()
         assert cov.shape == (3200, 3200)
         assert peak < 2 * cov.nbytes
+
+    def test_jitter_is_named_in_one_warning(self):
+        # ones((4, 4)) is positive semidefinite of rank 1: only a jitter
+        # factors it, and the factor is that of cov + eps I
+        cov = np.ones((4, 4))
+        with pytest.warns(RuntimeWarning, match=r"jitter 1e-1[0-4] on the diagonal") as rec:
+            L = cholesky_factor(cov)
+        assert len(rec) == 1
+        eps = float(str(rec[0].message).split("jitter ")[1].split()[0])
+        assert eps in fields._JITTERS[1:]
+        assert np.array_equal(L, np.linalg.cholesky(cov + eps * np.eye(4)))
+
+    def test_no_jitter_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = cholesky_factor(build_covariance(model(), unit_overlap(8)))
+        assert L.shape == (16, 16)
 
     def test_not_psd_raises(self):
         bad = np.array([[1.0, 1.5], [1.5, 1.0]])
@@ -685,7 +710,7 @@ class TestPanelProduct:
         blocks = list(sample_blocks(L, 8, count, 1, path_fold))
         for d in (None, drift):
             want = np.vstack([
-                segment_suprema(mat.copy(), segments, count - start, d) for start, mat in blocks
+                drifted_suprema(mat.copy(), segments, count - start, d) for start, mat in blocks
             ])
             assert want.shape == (count, len(segments))
             for threads in (1, 2):
@@ -702,7 +727,7 @@ class TestSegmentSuprema:
         rng = np.random.default_rng(3)
         X = rng.integers(-40, 40, size=(9, 50)) / 8.0
         d = (np.arange(1, 10) / 4.0)[:, None]
-        got = segment_suprema(X.copy(), self.SEGMENTS, 2 * 50, d)
+        got = drifted_suprema(X.copy(), self.SEGMENTS, 2 * 50, d)
         path, mirror = got[0::2], got[1::2]
         for k, (a, b) in enumerate(self.SEGMENTS):
             assert np.array_equal(path[:, k], (X - d)[a:b].max(axis=0))

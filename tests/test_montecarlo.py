@@ -21,7 +21,10 @@ from bgrf.montecarlo import (
     field_maxima,
     maxima_from_dump,
     rate_fit,
+    record_tag,
+    recorded_maxima,
     wilson_interval,
+    write_record,
 )
 
 ORTHANT_2_HALF = 0.00405294623516
@@ -205,6 +208,36 @@ class TestMcExcursion:
             tracemalloc.stop()
         assert len(d1) == 3 * rows
         assert peak < 1.5 * slab
+
+    # a record of R replicates read at reps < R: an odd reps in the first
+    # block, a reps one replicate into the second, and 300 + 300 nodes,
+    # whose last panel is short
+    @pytest.mark.parametrize("points, held, reps", [
+        (8, 5000, 2001), (8, 20_001, 2 * fields._BLOCK + 1), (300, 9000, 2 * fields._BLOCK + 1),
+    ], ids=["odd", "second-block", "600-nodes"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_record_prefix_equals_fresh_maxima(self, tmp_path, points, held, reps, threads):
+        g = GridSpec(DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1), points)
+        m = model(0.4)
+        p = str(tmp_path / "samples.bgrf")
+        write_record(p, m, g, held, 7, threads)
+        assert fields.dump_header(p) == (g.n1 + g.n2, held, record_tag(m, g, 7))
+        stored = np.column_stack(recorded_maxima(p, m, g, reps, 7))
+        live = np.column_stack(field_maxima(m, g, reps, 7, threads))
+        assert stored.shape == (reps, 2) and stored.tobytes() == live.tobytes()
+
+    def test_record_refuses_more_replicates_than_it_holds(self, tmp_path):
+        g = GridSpec(DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1), 8)
+        m = model(0.4)
+        p = str(tmp_path / "samples.bgrf")
+        write_record(p, m, g, 2000, 7)
+        assert len(recorded_maxima(p, m, g, 2000, 7)[0]) == 2000
+        with pytest.raises(ValueError, match="holds 2000 replicates; this run needs reps = 2001"):
+            recorded_maxima(p, m, g, 2001, 7)
+        with pytest.raises(ValueError, match="reps must be positive"):
+            recorded_maxima(p, m, g, -3, 7)
+        with pytest.raises(ValueError, match="holds 16 nodes per replicate under tag"):
+            recorded_maxima(p, m, g, 2000, 8)
 
     @pytest.mark.parametrize("n1", [0, -3, 16, 17])
     def test_dump_split_must_leave_both_fields_nodes(self, tmp_path, n1):
