@@ -32,7 +32,9 @@ faces are enumerated pair by pair. At d1 != d2 every cell of A1 is
 tested against its window of A2's cells. Both unions are clipped by the
 same test: each cell of a pair is cut to its union's boxes where the pair
 is tested, so the clipped cells of A2 go through the call that tests
-those of A1, with the unions swapped.
+those of A1, with the unions swapped. The subset family (cell products
+inside D, each cell inside its union) is part of the intersect family: at
+d1 != d2 it is the intersect pairs that pass that test.
 """
 
 from __future__ import annotations
@@ -221,10 +223,10 @@ def _band_pairs(
     d1: float,
     d2: float,
     delta: float,
-    cells: str,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (k, l) index arrays, one row per cell pair in the band, for
-    the cells k of A1 (side d1) and cells l of A2 (side d2).
+    the cells k of A1 (side d1) and cells l of A2 (side d2): the pairs with
+    (cell k intersect A1) x (cell l intersect A2) meeting the band.
 
     Cell k's candidates are the l within its tau range, widened by the
     pieces' slack, per axis. A chunk of cells is laid out as one
@@ -232,9 +234,6 @@ def _band_pairs(
     off, and tested at once. A chunk holds at most _CHUNK_PAIRS candidates;
     a window larger than that is split along its first axis.
     """
-    if cells == "subset":
-        # only cells inside A1 (and, below, partners inside A2) take part
-        k = k[union_covers(A1, k * d1, (k + 1) * d1)]
     n, N = k.shape
     lax = delta + d1 + d2
     l_lo = np.floor((k * d1 - lax) / d2).astype(np.int64)
@@ -256,7 +255,7 @@ def _band_pairs(
         s_lo, s_hi = k[c] * d1, (k[c] + 1) * d1
         # cell k intersect each box of A1, the empty box where the box misses it
         pieces = []
-        for box1 in A1 if cells == "intersect" else ():
+        for box1 in A1:
             p_lo, p_hi = np.maximum(s_lo, box1.lo), np.minimum(s_hi, box1.hi)
             empty = np.any(p_lo > p_hi, axis=1)
             p_lo[empty], p_hi[empty] = np.inf, -np.inf
@@ -270,40 +269,24 @@ def _band_pairs(
             member = all_axes(l[j] <= col(l_hi[c, j]) for j in range(N))
             t_lo = [lj * d2 for lj in l]
             t_hi = [(lj + 1) * d2 for lj in l]
-            if cells == "intersect":
-                # (cell k intersect A1) x (cell l intersect A2) meets the band
-                near = np.zeros_like(member)
-                for box2 in A2:
-                    tb_lo = [np.maximum(t, lo) for t, lo in zip(t_lo, box2.lo)]
-                    tb_hi = [np.minimum(t, hi) for t, hi in zip(t_hi, box2.hi)]
-                    valid = all_axes(tb_lo[j] <= tb_hi[j] for j in range(N))
-                    for p_lo, p_hi in pieces:
-                        dist2 = sum(
-                            np.maximum(
-                                np.maximum(tb_lo[j] - col(p_hi[:, j]),
-                                           col(p_lo[:, j]) - tb_hi[j]),
-                                0.0,
-                            ) ** 2
-                            for j in range(N)
-                        )
-                        near |= valid & (dist2 <= delta * delta)
-            else:
-                # cell k x cell l lies inside the band
-                dist2 = sum(
-                    np.maximum(np.abs(t_hi[j] - col(s_lo[:, j])),
-                               np.abs(col(s_hi[:, j]) - t_lo[j])) ** 2
-                    for j in range(N)
-                )
-                near = dist2 <= delta * delta
-            member &= near
-            hit = np.nonzero(member)
-            ks = k[c][hit[0]]
+            near = np.zeros_like(member)
+            for box2 in A2:
+                tb_lo = [np.maximum(t, lo) for t, lo in zip(t_lo, box2.lo)]
+                tb_hi = [np.minimum(t, hi) for t, hi in zip(t_hi, box2.hi)]
+                valid = all_axes(tb_lo[j] <= tb_hi[j] for j in range(N))
+                for p_lo, p_hi in pieces:
+                    dist2 = sum(
+                        np.maximum(
+                            np.maximum(tb_lo[j] - col(p_hi[:, j]),
+                                       col(p_lo[:, j]) - tb_hi[j]),
+                            0.0,
+                        ) ** 2
+                        for j in range(N)
+                    )
+                    near |= valid & (dist2 <= delta * delta)
+            hit = np.nonzero(member & near)
             ls = l_lo[c][hit[0]] + np.column_stack([o[h] for o, h in zip(offs, hit[1:])])
-            if cells == "subset":
-                # and cell l lies inside A2
-                inside = union_covers(A2, ls * d2, (ls + 1) * d2)
-                ks, ls = ks[inside], ls[inside]
-            yield ks, ls
+            yield k[c][hit[0]], ls
 
 
 def _correlate(a: np.ndarray, b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -360,11 +343,11 @@ def _offset_counts(d: DomainPair, side: float, delta: float, cells: str) -> np.n
         flat[:] += np.bincount(at, minlength=flat.size)
 
     c1, c2 = ~in1, ~in2
-    for ks, ls in _band_pairs(k[c1], d.A1, d.A2, side, side, delta, cells):
+    for ks, ls in _band_pairs(k[c1], d.A1, d.A2, side, side, delta):
         add(ks, ls)
     # the piece distance is symmetric at d1 == d2; every partner is a cell
     # of A1, and those not covered were counted above
-    for ls, ks in _band_pairs(l[c2], d.A2, d.A1, side, side, delta, cells):
+    for ls, ks in _band_pairs(l[c2], d.A2, d.A1, side, side, delta):
         covered = union_covers(d.A1, ks * side, (ks + 1) * side)
         add(ks[covered], ls[covered])
     return counts
@@ -436,7 +419,8 @@ def riemann_sum_check(
     closed-form limit at the domain pair's shared_part().
 
     cells = "intersect" uses pairs whose cell product meets the band D;
-    cells = "subset" restricts to cell products contained in D. Both
+    cells = "subset" keeps those whose cell product lies inside D, each cell
+    inside its union (at d1 != d2, a filter on the intersect pairs). Both
     converge to the same limit.
     """
     if cells not in ("intersect", "subset"):
@@ -459,11 +443,21 @@ def riemann_sum_check(
         h_sum = math.fsum(counts[hit] * kernel(offsets * d1))
         n_pairs = int(counts.sum())
     else:
-        pairs = _band_pairs(_cells_of_union(d.A1, d1), d.A1, d.A2, d1, d2, delta, cells)
+        pairs = _band_pairs(_cells_of_union(d.A1, d1), d.A1, d.A2, d1, d2, delta)
         sizes: list[int] = []
 
         def kernel_values():
             for ks, ls in pairs:
+                if cells == "subset":
+                    # keep the pairs whose cell product lies inside the band,
+                    # each cell inside its union
+                    s_lo, s_hi, t_lo, t_hi = ks * d1, (ks + 1) * d1, ls * d2, (ls + 1) * d2
+                    dist2 = sum(np.maximum(np.abs(t_hi[:, j] - s_lo[:, j]),
+                                           np.abs(s_hi[:, j] - t_lo[:, j])) ** 2
+                                for j in range(d.dim_N))
+                    keep = (dist2 <= delta * delta) & union_covers(d.A1, s_lo, s_hi)
+                    keep &= union_covers(d.A2, t_lo, t_hi)
+                    ks, ls = ks[keep], ls[keep]
                 sizes.append(len(ks))
                 yield kernel(ls * d2 - ks * d1).tolist()
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .asymptotics import (
     CellBudgetError,
@@ -191,12 +192,6 @@ def build_domain(cfg: dict, m: BivariateMaternModel) -> DomainPair:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 class Writer:
     def __init__(self, cfg: dict, args, command: str, columns: list[str]):
         self.columns = columns
@@ -217,7 +212,8 @@ class Writer:
                 "# " + " ".join(f"{k}={v}" for k, v in self.meta.items()),
                 ",".join(self.columns),
             ]
-            lines += [",".join(_fmt(v) for v in row) for row in self.rows]
+            # str of a float is its shortest round-trip repr
+            lines += [",".join(map(str, row)) for row in self.rows]
         else:
             # JSON has no NaN or Infinity: a non-finite float is written as null
             lines = [json.dumps({"_meta": self.meta}, sort_keys=True)]
@@ -580,6 +576,9 @@ def main(argv=None) -> int:
     u_key = ("verify", "riemann_u") if args.command == "riemann-check" else ("thresholds", "u")
     flags = {("estimation", "seed"): args.seed, ("estimation", "reps"): args.reps,
              u_key: getattr(args, "u", None)}
+    # a library warning (a Cholesky jitter) prints as one line, like the CLI's own
+    fmt = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         cfg = load_config(args.config)
         for (section, key), value in flags.items():
@@ -602,6 +601,8 @@ def main(argv=None) -> int:
         # an array it needs cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = fmt
 
 
 if __name__ == "__main__":

@@ -246,8 +246,7 @@ def _box_nodes(box: Rect, points_per_axis: int) -> np.ndarray:
 
 def _union_nodes(boxes: Sequence[Rect], points_per_axis: int) -> np.ndarray:
     nodes = np.vstack([_box_nodes(b, points_per_axis) for b in boxes])
-    nodes = np.unique(nodes, axis=0)  # dedupe shared corners; sorts rows
-    return nodes
+    return np.unique(nodes, axis=0)  # dedupe shared corners; sorts rows
 
 
 @dataclass(frozen=True)

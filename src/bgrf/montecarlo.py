@@ -70,19 +70,27 @@ def field_maxima(
     return sups[:, 0], sups[:, 1]
 
 
-def maxima_from_dump(path: str, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute per-replicate maxima from a stored sample dump, whose
-    mirror rows negate its paths exactly: the paths reduced as fresh ones."""
-    nodes, reps, _ = dump_header(path)
+def maxima_from_dump(
+    path: str, n1: int, reps: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima of the first reps replicates (all by default) of a stored
+    sample dump, whose mirror rows negate its paths exactly, reduced as
+    fresh paths are; reading stops after the slab holding replicate reps - 1."""
+    nodes, held, _ = dump_header(path)
+    reps = held if reps is None else reps
     if not 0 < n1 < nodes:
         raise ValueError(f"n1 = {n1} must lie in 1 .. {nodes - 1}, "
                          f"for {nodes} stored nodes")
+    if held < reps:
+        raise ValueError(f"{path} holds {held} replicates; this run needs reps = {reps}")
     out = np.empty((reps, 2))
     for start, paths in read_sample_dump(path):
         sups = segment_suprema(paths, [(0, n1), (n1, nodes)], reps - start)
         out[start : start + len(sups)] = sups
-        # drop the slab before the reader reads the next one
+        # drop the slab before the reader reads the next one, if one is needed
         del paths
+        if start + len(sups) == reps:
+            break
     return out[:, 0], out[:, 1]
 
 
@@ -114,7 +122,7 @@ def recorded_maxima(
     the record at path (replicate r depends only on (seed, r)); refused when
     reps > R or the record's node count or tag differs from the config's."""
     check_reps(reps)
-    nodes, held, tag = dump_header(path)
+    nodes, _, tag = dump_header(path)
     want = record_tag(m, g, seed)
     if (nodes, tag) != (g.n1 + g.n2, want):
         raise ValueError(
@@ -122,10 +130,7 @@ def recorded_maxima(
             f"this config's model, domain, grid and seed give {g.n1} + {g.n2} nodes "
             f"and tag {want:08x}"
         )
-    if held < reps:
-        raise ValueError(f"{path} holds {held} replicates; this run needs reps = {reps}")
-    max1, max2 = maxima_from_dump(path, g.n1)
-    return max1[:reps], max2[:reps]
+    return maxima_from_dump(path, g.n1, reps)
 
 
 def estimates_from_maxima(

@@ -57,8 +57,9 @@ HOOKS = {
         [["simulate", "--threads", "2"]],
         SAMPLING | {"fields.write_sample_dump"},
     ),
+    # both cell families, as the touching-2d workload sums them
     "riemann-check": (
-        [["riemann-check", "--u", "25"]],
+        [["riemann-check", "--both-cells", "--u", "25"]],
         {"asymptotics.riemann_sum_check", "model.cross_corr", "specfun.matern"},
     ),
 }

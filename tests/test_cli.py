@@ -443,6 +443,30 @@ class TestMcExcursion:
         rows = [json.loads(ln) for ln in lines[1:]]
         assert len(rows) == 2 and rows[0]["u"] == 1.0
 
+    def test_cholesky_jitter_is_one_warning_line(self, tmp_path):
+        # 400 nodes on [0, 1e-4] at nu = 0.99: the covariance factors only
+        # with jitter, which the CLI names in one line of its own style. In
+        # a subprocess, since pytest records warnings instead of printing
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": 0.99, "nu2": 0.99, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            domain={"A1": [[[0, 1e-4]]], "A2": [[[0, 1e-4]]]},
+            grid={"points_per_axis": 400},
+            estimation={"reps": 2000},
+            thresholds={"u": [0.5, 1.0, 1.5]},
+        )
+        argv = ["mc-excursion", "--config", cfg, "--out-dir", str(tmp_path / "o")]
+        proc = subprocess.run([sys.executable, "-m", "bgrf.cli", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: Cholesky factor took jitter 1e-13 on the diagonal\n"
+        # in process the warning stays a warning, and main leaves the
+        # formatting as it found it
+        before = warnings.formatwarning
+        with pytest.warns(RuntimeWarning, match="jitter 1e-13 on the diagonal"):
+            assert main(argv) == 0
+        assert warnings.formatwarning is before
+
 
 class TestSimulateAndReuse:
     def test_simulate_then_mc_from_dump(self, tmp_path):

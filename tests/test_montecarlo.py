@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from bgrf import fields
+from bgrf import fields, montecarlo
 from bgrf.fields import DomainPair, GridSpec, Rect, cholesky_factor, build_covariance, write_sample_dump
 from bgrf.model import BivariateMaternModel, cross_corr
 from bgrf.montecarlo import (
@@ -225,6 +225,24 @@ class TestMcExcursion:
         stored = np.column_stack(recorded_maxima(p, m, g, reps, 7))
         live = np.column_stack(field_maxima(m, g, reps, 7, threads))
         assert stored.shape == (reps, 2) and stored.tobytes() == live.tobytes()
+
+    def test_record_read_stops_at_the_slab_holding_reps(self, tmp_path, monkeypatch):
+        # a record of three slabs read at reps = 1 reads its first slab only
+        g = GridSpec(DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1), 8)
+        m = model(0.4)
+        p = str(tmp_path / "samples.bgrf")
+        write_record(p, m, g, 2 * fields._BLOCK + 1, 7)
+        slabs = []
+
+        def counting(path):
+            for slab in fields.read_sample_dump(path):
+                slabs.append(slab[0])
+                yield slab
+
+        monkeypatch.setattr(montecarlo, "read_sample_dump", counting)
+        stored = np.column_stack(recorded_maxima(p, m, g, 1, 7))
+        assert slabs == [0]
+        assert stored.tobytes() == np.column_stack(field_maxima(m, g, 1, 7)).tobytes()
 
     def test_record_refuses_more_replicates_than_it_holds(self, tmp_path):
         g = GridSpec(DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1), 8)

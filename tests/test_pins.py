@@ -100,6 +100,22 @@ def test_riemann_rows_at_equal_cell_sides(tmp_path, name, cfg, us):
     assert rows(out / "riemann-check.csv") == (PINS / f"{name}.riemann-check.csv").read_bytes()
 
 
+def test_riemann_rows_of_touching_domains(tmp_path):
+    # the touching-2d benchmark's model and domains, a split pair at
+    # d1 != d2: every cell of A1 is tested against its window of A2's
+    # cells, and the subset rows sum the intersect pairs inside the band
+    cfg = {
+        "model": {"nu1": 0.5, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 2},
+        "domain": {"A1": [[[0, 1], [0, 1]]], "A2": [[[0, 1], [1, 2]]], "split_M": 1},
+        "verify": {"riemann_T": 4.0},
+    }
+    out = tmp_path / "o"
+    run("riemann-check", "--config", write(tmp_path / "cfg.json", cfg),
+        "--out-dir", out, "--both-cells", "--u", 20)
+    want = (PINS / "touching2d.riemann-check.csv").read_bytes()
+    assert rows(out / "riemann-check.csv") == want
+
+
 @pytest.mark.parametrize("name, cfg, us", [
     # a 2-D pair at d1 = d2 whose unions cover cells no single box holds
     ("multi2d", {
