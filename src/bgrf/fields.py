@@ -13,19 +13,20 @@ the path L z_j, and replicate 2j + 1, its mirror -L z_j, which has the
 same law (antithetic variates, Glasserman 2004, sec. 4.2). A run of count
 replicates draws ceil(count / 2) columns and, for an odd count, drops the
 last mirror. Columns are drawn in fixed blocks of _BLOCK; block b draws
-its noise from default_rng([seed, b]) regardless of how many replicates
-are requested or how many worker threads process blocks, so any thread
-count reproduces identical streams.
+its noise from Generator(SFC64([seed, b])) regardless of how many
+replicates are requested or how many worker threads process blocks, so
+any thread count reproduces identical streams. STREAM names that
+generator and block width, and a sample record's tag hashes it.
 
 sample_blocks hands each block to a fold on the worker that drew it:
 fold(start, take, block, tiles) for replicates start .. start + take - 1,
 block being the worker's noise buffer, reused for every block it draws,
-and tiles the block's product L @ noise, one tile of _PANEL rows and
-_TILE columns at a time (_tile_products). A fold may write each tile back
-over its own rows of the noise, which turns the noise into the paths;
-what it returns is what the consumer receives, as (start, result). Blocks
-run as a sliding window over the workers (block_map), so at most one
-block per worker is alive.
+and tiles the block's product L @ noise, one tile per row panel of _PANEL
+rows across the block's _BLOCK columns (_tile_products). A fold may write
+each tile back over its own rows of the noise, which turns the noise into
+the paths; what it returns is what the consumer receives, as
+(start, result). Blocks run as a sliding window over the workers
+(block_map), so at most one block per worker is alive.
 
 The one Monte Carlo reduction, _suprema, is such a fold: it takes
 sup (X - drift) over row segments for each path X and its mirror, folding
@@ -73,14 +74,17 @@ class NotPositiveDefiniteError(RuntimeError):
     """Cholesky failed after maximum jitter (validity-condition witness)."""
 
 
-_BLOCK = 4096          # noise columns per block; part of the determinism contract
+_BLOCK = 1024          # noise columns per block; part of the determinism contract
 _PANEL = 256           # rows per panel of the block product L @ noise
-_TILE = 1024           # output columns per product of one panel
 _DUMP_PATHS = 128      # paths per write of the dump writer's row-pair buffer
 _DUMP_NODES = 64       # nodes per copy of the writer's paths into its row pairs
 _NODE_BUDGET = 8192    # largest node count of a dense covariance
 _MAX_REPS = 2**32 - 1  # most replicates of a run: the dump header's u32 count
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
+
+# the generator and block width of the stream: a record drawn by another
+# stream holds other replicates under the same seed
+STREAM = f"SFC64, {_BLOCK} columns per block"
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
 
 def _noise_block(seed: int, block: int, out: np.ndarray) -> np.ndarray:
     """Fill the (n, _BLOCK) array out with block's normals and return it."""
-    return np.random.default_rng([seed, block]).standard_normal(out=out)
+    return np.random.Generator(np.random.SFC64([seed, block])).standard_normal(out=out)
 
 
 def _cpus() -> int:
@@ -405,34 +409,27 @@ def _panels(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _PANEL, n)) for a in range(0, n, _PANEL)]
 
 
-def _tile_products(L: np.ndarray, noise: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (a, c, tile), tile being rows [a, a + len(tile)) and columns
-    [c, c + tile.shape[1]) of L @ noise for lower-triangular L: one row
-    panel at a time from the bottom up, L[a:b, :b] @ noise[:b], one tile of
-    at most _TILE columns at a time, through one reused tile buffer that
-    the next tile overwrites. Panel [a, b) reads only rows below b of
-    noise, so a consumer may write each tile over its own rows of noise.
+def _tile_products(L: np.ndarray, noise: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (a, tile), tile being rows [a, a + len(tile)) of L @ noise for
+    lower-triangular L: one row panel at a time from the bottom up,
+    L[a:b, :b] @ noise[:b], through one reused tile buffer that the next
+    tile overwrites. Panel [a, b) reads only rows below b of noise, so a
+    consumer may write each tile over its own rows of noise.
 
     OpenBLAS splits an inner dimension K > 384 differently at one thread
     than at several, which moves the last bits, but K below 256 and K a
     multiple of 256 come out the same. A full panel's K is a multiple of
     256; a short last panel [a, n) is taken as K = n - a, then plus K = a.
-    The tiles split only the output columns: a whole tile's columns come
-    out as they do in a product across the block, but OpenBLAS may give the
-    edge columns of a narrower tile other last bits.
     """
     n, cols = noise.shape
-    tile = np.empty((min(n, _PANEL), min(cols, _TILE)))
+    tile = np.empty((min(n, _PANEL), cols))
     for a, b in reversed(_panels(n)):
         cut = a if b - a < _PANEL else 0
-        part = np.empty((b - a, tile.shape[1])) if cut else None
-        for c in range(0, cols, _TILE):
-            d = min(c + _TILE, cols)
-            rows = tile[: b - a, : d - c]
-            np.matmul(L[a:b, cut:b], noise[cut:b, c:d], out=rows)
-            if cut:
-                rows += np.matmul(L[a:b, :cut], noise[:cut, c:d], out=part[:, : d - c])
-            yield a, c, rows
+        rows = tile[: b - a]
+        np.matmul(L[a:b, cut:b], noise[cut:b], out=rows)
+        if cut:
+            rows += L[a:b, :cut] @ noise[:cut]
+        yield a, rows
 
 
 @functools.cache
@@ -538,15 +535,14 @@ def sample_blocks(
     count replicates drawn as mirror pairs, in block order: the block holds
     replicates start .. start + take - 1 (2 _BLOCK, fewer in the last).
 
-    fold runs on the worker that drew the block. block is the (n, cols)
-    noise of the block's paths, cols being the ceil(take / 2) paths rounded
-    up to whole tiles: column j gives replicate start + 2j, the path, and
-    replicate start + 2j + 1, its negation. It lies in the worker's one
-    noise buffer, which the worker's next block overwrites, so a fold
-    returns nothing that views it. tiles yields (a, c, rows), rows holding
-    rows a .. and columns c .. of L @ block through one reused tile buffer
-    (_tile_products); a fold takes them in order and may write each over its
-    own rows of block, which then holds the paths.
+    fold runs on the worker that drew the block. block is the block's
+    (n, _BLOCK) noise: column j < ceil(take / 2) gives replicate
+    start + 2j, the path, and replicate start + 2j + 1, its negation. It is
+    the worker's one noise buffer, which the worker's next block
+    overwrites, so a fold returns nothing that views it. tiles yields
+    (a, rows), rows holding rows a .. of L @ block through one reused tile
+    buffer (_tile_products); a fold takes them in order and may write each
+    over its own rows of block, which then holds the paths.
 
     L must be lower triangular: the product is taken one row panel at a
     time, L[a:b, :b] @ noise[:b], which skips the zero upper triangle.
@@ -571,11 +567,9 @@ def sample_blocks(
             noise = free.get_nowait()
         except queue.Empty:
             noise = np.empty((n, _BLOCK))
-        # the noise is drawn in full, so the stream does not follow count,
-        # and only the tiles that hold the block's paths are multiplied:
-        # whole tiles, since OpenBLAS gives the edge columns of a narrower
-        # product other last bits
-        block = _noise_block(seed, b, noise)[:, : _TILE * -(-take // (2 * _TILE))]
+        # the noise is drawn and multiplied in full, so neither the stream
+        # nor the last bits of a column follow count
+        block = _noise_block(seed, b, noise)
         out = fold(start, take, block, _tile_products(L, block))
         free.put(noise)
         return start, out
@@ -591,31 +585,31 @@ def sample_blocks(
 
 def _suprema(
     start: int, take: int, block: np.ndarray,
-    tiles: Iterable[tuple[int, int, np.ndarray]],
+    tiles: Iterable[tuple[int, np.ndarray]],
     segments: Sequence[tuple[int, int]], drift: np.ndarray | None,
 ) -> np.ndarray:
     """A fold of sample_blocks: the (take, len(segments)) suprema of
     X - drift over each row segment [s, e), for path X and for its mirror -X
     as -min((X - drift) + 2 drift), of the paths X in the columns of block,
-    in replicate order (_mirror_pairs). The tiles (a, c, rows), rows holding
-    rows a .. and columns c .. of the paths, are folded in any order into
-    running per-column maxima and minima; of block only its width is read.
+    in replicate order (_mirror_pairs). The tiles (a, rows), rows holding
+    rows a .. of the paths, are folded in any order into running
+    per-column maxima and minima; of block only its width is read.
     A drift, an (n, 1) column, is applied to each tile in place; without
     one, tiles are only read."""
     shape = (len(segments), block.shape[1])
     top, bottom = np.full(shape, -np.inf), np.full(shape, np.inf)
-    for a, c, rows in tiles:
-        b, cs = a + len(rows), slice(c, c + rows.shape[1])
+    for a, rows in tiles:
+        b = a + len(rows)
         parts = [(k, max(s, a) - a, min(e, b) - a)
                  for k, (s, e) in enumerate(segments) if max(s, a) < min(e, b)]
         if drift is not None:
             rows -= drift[a:b]
         for k, s, e in parts:
-            np.maximum(top[k, cs], rows[s:e].max(axis=0), out=top[k, cs])
+            np.maximum(top[k], rows[s:e].max(axis=0), out=top[k])
         if drift is not None:
             rows += 2.0 * drift[a:b]
         for k, s, e in parts:
-            np.minimum(bottom[k, cs], rows[s:e].min(axis=0), out=bottom[k, cs])
+            np.minimum(bottom[k], rows[s:e].min(axis=0), out=bottom[k])
     return _mirror_pairs(top.T, np.negative(bottom, out=bottom).T, take)
 
 
@@ -627,7 +621,7 @@ def segment_suprema(
     column j and 2j + 1 its mirror (all 2 cols of them when count is
     larger): the whole paths folded as one tile of _suprema, as
     sample_blocks folds each tile of a block. paths is only read."""
-    return _suprema(0, count, paths, [(0, 0, paths)], segments, None)
+    return _suprema(0, count, paths, [(0, paths)], segments, None)
 
 
 def sample_suprema(
@@ -702,8 +696,8 @@ def write_sample_dump(
 
     with open(path, "wb") as fh:
         def write(start: int, take: int, block: np.ndarray, tiles) -> None:
-            for a, c, rows in tiles:
-                block[a : a + len(rows), c : c + rows.shape[1]] = rows
+            for a, rows in tiles:
+                block[a : a + len(rows)] = rows
             paths = block[:, : (take + 1) // 2]
             pairs = np.empty((2 * _DUMP_PATHS, nodes), dtype="<f8")
             for j in range(0, paths.shape[1], _DUMP_PATHS):

@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import fields
 from .fields import (
     GridSpec,
     build_covariance,
@@ -96,10 +97,12 @@ def maxima_from_dump(
 
 def record_tag(m: BivariateMaternModel, g: GridSpec, seed: int) -> int:
     """32-bit hash of what a sample dump's rows depend on, as values: the
-    model's parameters, both fields' node coordinates and the seed. Two
-    spellings of one config (1 or 1.0, a default stated or left out) give
-    one tag; split_M, which no row depends on, is not hashed."""
-    h = hashlib.sha256(repr(([float(v) for v in astuple(m)], seed)).encode())
+    stream (fields.STREAM), the model's parameters, both fields' node
+    coordinates and the seed. Two spellings of one config (1 or 1.0, a
+    default stated or left out) give one tag; split_M, which no row depends
+    on, is not hashed."""
+    h = hashlib.sha256(
+        repr((fields.STREAM, [float(v) for v in astuple(m)], seed)).encode())
     for nodes in (g.nodes1, g.nodes2):
         h.update(repr(nodes.shape).encode())
         h.update(nodes.tobytes())

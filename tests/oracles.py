@@ -172,6 +172,6 @@ def path_fold(start: int, take: int, block: np.ndarray, tiles) -> np.ndarray:
     """The (nodes, ceil(take / 2)) paths of a sample_blocks block: each tile
     written back over its own rows of the noise, then the paths copied out,
     since the sampler reuses the noise buffer for the worker's next block."""
-    for a, c, rows in tiles:
-        block[a : a + len(rows), c : c + rows.shape[1]] = rows
+    for a, rows in tiles:
+        block[a : a + len(rows)] = rows
     return block[:, : (take + 1) // 2].copy()

@@ -39,9 +39,9 @@ from bgrf.fields import (
 from bgrf.model import BivariateMaternModel, check_assumptions, cross_corr
 from bgrf.specfun import MaternParams, matern
 
-# noise columns per sampled block and output columns per tile product: the
-# tests below are written in these, not in their current values
-BLOCK, TILE = fields._BLOCK, fields._TILE
+# noise columns per sampled block: the tests below are written in it, not in
+# its current value
+BLOCK = fields._BLOCK
 
 
 def interval(lo, hi):
@@ -84,7 +84,7 @@ def drifted_suprema(paths, segments, count, drift):
     """segment_suprema of X - drift, for an (n, 1) drift or None: the whole
     paths folded as one tile of the sampler's fold, as sample_suprema folds
     each tile of a block. A drift is applied to paths in place."""
-    return fields._suprema(0, count, paths, [(0, 0, paths)], segments, drift)
+    return fields._suprema(0, count, paths, [(0, paths)], segments, drift)
 
 
 def draw(L, seed, count):
@@ -443,6 +443,14 @@ class TestCholeskySampling:
         assert a.shape == (3, 10)
         assert np.array_equal(a, b)
 
+    # a block of 300 rows, not a multiple of the 256-row panel
+    @pytest.mark.parametrize("seed, b", [(0, 0), (1234, 7)])
+    def test_noise_block_is_the_named_stream(self, seed, b):
+        want = np.random.Generator(np.random.SFC64([seed, b])).standard_normal((300, BLOCK))
+        got = fields._noise_block(seed, b, np.empty((300, BLOCK)))
+        assert got.tobytes() == want.tobytes()
+        assert fields.STREAM == f"SFC64, {BLOCK} columns per block"
+
     def test_thread_count_does_not_change_stream(self):
         g = unit_overlap(5)
         cov = build_covariance(model(rho=0.3), g)
@@ -612,34 +620,33 @@ class TestPanelProduct:
 
         assert block(1) == block(2)
 
-    # a block that ends one column short of a tile edge, on it and one past
-    # it (where that is still one block), beside a whole block
-    @pytest.mark.parametrize("cols", sorted(
-        {c for c in (TILE - 1, TILE, TILE + 1, BLOCK) if c <= BLOCK}))
+    # paths that end one column short of a block edge, on it, one past it,
+    # and on the edge of a fourth block: each block is one tile per panel
+    @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK])
     @pytest.mark.parametrize("n", [200, 257, 800])
     def test_tile_edges(self, blas, n, cols):
         get, set_ = blas
         L = lower_factor(n)
 
-        def block(blas_threads):
+        def blocks(blas_threads):
             set_(blas_threads)
-            (_, mat), = sample_blocks(L, 2, 2 * cols, 1, path_fold)
-            return mat
+            return np.hstack([mat for _, mat in sample_blocks(L, 2, 2 * cols, 1, path_fold)])
 
-        got = block(1)
+        got = blocks(1)
         assert got.shape == (n, cols)
-        want = L @ noise(2, 0, n)[:, :cols]
+        drawn = range(-(-cols // BLOCK))
+        want = L @ np.hstack([noise(2, b, n) for b in drawn])[:, :cols]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # the bytes of the whole block's panel products, at any BLAS count
-        assert np.array_equal(got, untiled_block(L, 2, 0)[:, :cols])
-        assert got.tobytes() == block(2).tobytes()
+        # the bytes of the blocks' panel products, at any BLAS count
+        untiled = np.hstack([untiled_block(L, 2, b) for b in drawn])
+        assert np.array_equal(got, untiled[:, :cols])
+        assert got.tobytes() == blocks(2).tobytes()
 
     def test_worker_holds_one_block(self):
-        # at 1,024 nodes the product overwrites the block's noise through a
-        # 256 x TILE tile (a sixteenth of the block at BLOCK = 4 TILE); the
-        # reduction keeps two values per replicate
+        # at 1,024 nodes the product goes through a 256 x BLOCK tile, a
+        # quarter of the block; the reduction keeps two values per replicate
         L = lower_factor(1024)
-        block, tile = 8 * 1024 * BLOCK, 8 * 256 * TILE
+        block, tile = 8 * 1024 * BLOCK, 8 * 256 * BLOCK
         tracemalloc.start()
         try:
             sample_suprema(L, 1, 2 * 2 * BLOCK, 1, [(0, 512), (512, 1024)])
@@ -697,13 +704,13 @@ class TestPanelProduct:
         assert np.array_equal(got[:, 0], draw(L, 1, 2 * 5 * BLOCK).max(axis=1))
 
     # segments that cross panel edges (every 256 rows), on replicates that
-    # cross tile edges (every TILE columns); the count is odd and ends
-    # part-way through a tile of a second block
+    # cross block edges (every BLOCK columns); the count is odd and ends
+    # part-way through a third block
     @pytest.mark.parametrize("n", [200, 257, 600, 800, 1024])
     def test_fused_suprema_equal_the_paths_suprema(self, monkeypatch, n):
         usable_cpus(monkeypatch, 2)
         L = lower_factor(n)
-        count = 2 * (BLOCK + TILE + 7) - 1
+        count = 2 * (2 * BLOCK + 7) - 1
         segments = [(0, n), (0, 1), (n // 3, n - 1), (min(250, n - 2), min(520, n)),
                     (n - 1, n)]
         drift = np.linspace(0.1, 3.3, n)[:, None]
@@ -996,10 +1003,10 @@ class TestDump:
     def test_writer_frees_each_block(self, tmp_path):
         # six blocks from sample_blocks into the writer: each block must be
         # gone before the next is drawn; at 200 nodes the product's tile is
-        # 200 x TILE (a quarter block at BLOCK = 4 TILE), so the peak is the
-        # block, that tile and the writer's buffer, not a second block
+        # 200 x BLOCK, as large as the block, so the peak is the block, that
+        # tile and the writer's buffer, not a second block
         L = lower_factor(200)
-        block, tile = 8 * 200 * BLOCK, 8 * 200 * TILE
+        block, tile = 8 * 200 * BLOCK, 8 * 200 * BLOCK
         tracemalloc.start()
         try:
             write_sample_dump(str(tmp_path / "m.bgrf"), L, 1, 2 * 6 * BLOCK, 0)
@@ -1010,27 +1017,27 @@ class TestDump:
 
     def test_writer_holds_one_block(self, tmp_path):
         # at 1,024 nodes the product overwrites the block's noise through a
-        # 256 x TILE tile (a sixteenth of the block at BLOCK = 4 TILE): the
-        # peak is the block, that tile and the writer's buffer, with no
-        # second block beside them
+        # 256 x BLOCK tile (a quarter of the block), and the writer's buffer
+        # of 256 rows is as large: the peak is the block, that tile and
+        # the writer's buffer, with no second block beside them
         L = lower_factor(1024)
-        block, tile = 8 * 1024 * BLOCK, 8 * 256 * TILE
+        block, tile = 8 * 1024 * BLOCK, 8 * 256 * BLOCK
         tracemalloc.start()
         try:
             write_sample_dump(str(tmp_path / "w.bgrf"), L, 1, 2 * 3 * BLOCK, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < block + 8 * tile
+        assert peak < block + 3 * tile
 
     def test_writer_holds_one_block_per_worker(self, tmp_path, monkeypatch):
         # three blocks at two threads: the block being written and the one
-        # the other worker draws, each with its tile (200 x TILE, a quarter
-        # block at BLOCK = 4 TILE), and the writer's buffer; a third block
-        # drawn while one is written would pass the bound
+        # the other worker draws, each with its tile (200 x BLOCK, as large
+        # as the block), and the writer's buffer; a third block drawn while
+        # one is written would pass the bound
         usable_cpus(monkeypatch, 2)
         L = lower_factor(200)
-        block, tile = 8 * 200 * BLOCK, 8 * 200 * TILE
+        block, tile = 8 * 200 * BLOCK, 8 * 200 * BLOCK
         tracemalloc.start()
         try:
             write_sample_dump(str(tmp_path / "w2.bgrf"), L, 1, 2 * 3 * BLOCK, 0, 2)

@@ -257,6 +257,17 @@ class TestMcExcursion:
         with pytest.raises(ValueError, match="holds 16 nodes per replicate under tag"):
             recorded_maxima(p, m, g, 2000, 8)
 
+    def test_record_of_another_stream_is_refused(self, tmp_path, monkeypatch):
+        # under one seed another generator or block width draws other
+        # replicates, so a record written by one stream is refused by another
+        g = GridSpec(DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1), 8)
+        m = model(0.4)
+        p = str(tmp_path / "samples.bgrf")
+        write_record(p, m, g, 2000, 7)
+        monkeypatch.setattr(fields, "STREAM", "PCG64, 4096 columns per block")
+        with pytest.raises(ValueError, match="holds 16 nodes per replicate under tag"):
+            recorded_maxima(p, m, g, 2000, 7)
+
     @pytest.mark.parametrize("n1", [0, -3, 16, 17])
     def test_dump_split_must_leave_both_fields_nodes(self, tmp_path, n1):
         d = DomainPair(A1=(interval(0, 1),), A2=(interval(0, 1),), dim_N=1)

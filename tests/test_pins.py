@@ -51,9 +51,9 @@ def test_threads_give_identical_dumps_and_csvs(tmp_path, monkeypatch, reps):
     # 600 nodes end on an 88-row panel, the one product whose last bits
     # could follow the BLAS thread count; no benchmark config has one.
     # 8,193 replicates are 4,097 noise columns, each a path and its mirror:
-    # a full block, then one path whose mirror is dropped, which ends
-    # mid-tile; 10,240 replicates are 5,120 columns, so the second block
-    # ends exactly on the edge of its first 1,024-column tile
+    # four full blocks, then one path whose mirror is dropped, which ends
+    # one column into a fifth block; 10,240 replicates are 5,120 columns,
+    # so the fifth block ends exactly on its edge
     cfg = write(tmp_path / "cfg.json", {
         "model": {**MODEL, "rho": 0.4},
         "grid": {"points_per_axis": 300},
@@ -146,7 +146,7 @@ def test_multi_box_rows(tmp_path, name, cfg, us):
 
 
 def test_mc_excursion_rows_fresh_and_from_a_dump(tmp_path):
-    # 20,001 replicates are 10,001 noise columns, three blocks, the last
+    # 20,001 replicates are 10,001 noise columns, ten blocks, the last
     # mirror dropped. The rows depend only on hit counts, which the last
     # bits of a BLAS kernel do not move
     cfg = write(tmp_path / "cfg.json", {
