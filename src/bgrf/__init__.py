@@ -44,7 +44,6 @@ from .montecarlo import (
 from .pickands import (
     PickandsEstimate,
     estimate_H_constant,
-    path_suprema,
 )
 from .specfun import (
     MaternParams,

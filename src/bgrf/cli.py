@@ -276,7 +276,8 @@ def _pickands_constants(cfg, m, args) -> tuple[float, float]:
                 by_alpha[alpha] = _estimate_H(cfg, args, alpha)
             r = by_alpha[alpha]
             H[label] = r.value
-            source = f"estimated, se {r.std_error:.3g}, T = {r.horizon_T:g}, eta = {r.eta:g}"
+            source = (f"estimated, se {r.std_error:.3g}, grid constant H^eta on [-T/2, T/2], "
+                      f"T = {r.horizon_T:g}, eta = {r.eta:g}")
         print(f"{label} = {H[label]:.6g} ({source})", file=sys.stderr)
     return H["H1"], H["H2"]
 

@@ -23,18 +23,18 @@ fold(start, take, block, tiles) for replicates start .. start + take - 1,
 block being the worker's noise buffer, reused for every block it draws,
 and tiles the block's product L @ noise, one tile per row panel of _PANEL
 rows across the block's _BLOCK columns (_tile_products). A fold may write
-each tile back over its own rows of the noise, which turns the noise into
-the paths; what it returns is what the consumer receives, as
+over each tile's own rows of the noise, the tile itself turning the noise
+into the paths; what it returns is what the consumer receives, as
 (start, result). Blocks run as a sliding window over the workers
 (block_map), so at most one block per worker is alive.
 
-The one Monte Carlo reduction, _suprema, is such a fold: it takes
-sup (X - drift) over row segments for each path X and its mirror, folding
-each tile into running per-column maxima and minima while it is in cache,
-and orders them by replicate (_mirror_pairs). sample_suprema gathers it,
-for montecarlo's grid maxima and pickands' set suprema alike, and
-segment_suprema folds whole paths, such as a dump's slab, through the same
-_suprema, so fresh and stored paths give the same bits.
+The grid maxima are such a fold, _suprema: it takes sup X over row
+segments for each path X and its mirror, folding each tile into running
+per-column maxima and minima while it is in cache, and orders them by
+replicate (_mirror_pairs). sample_suprema gathers it for montecarlo's grid
+maxima, and segment_suprema folds whole paths, such as a dump's slab,
+through the same _suprema, so fresh and stored paths give the same bits.
+pickands folds its own window ratios the same way.
 
 write_sample_dump is a fold as well: it writes the tiles back over the
 noise, then the block's paths and their mirrors, one row per replicate, at
@@ -414,7 +414,7 @@ def _tile_products(L: np.ndarray, noise: np.ndarray) -> Iterator[tuple[int, np.n
     lower-triangular L: one row panel at a time from the bottom up,
     L[a:b, :b] @ noise[:b], through one reused tile buffer that the next
     tile overwrites. Panel [a, b) reads only rows below b of noise, so a
-    consumer may write each tile over its own rows of noise.
+    consumer may write over each tile's own rows of noise.
 
     OpenBLAS splits an inner dimension K > 384 differently at one thread
     than at several, which moves the last bits, but K below 256 and K a
@@ -585,31 +585,23 @@ def sample_blocks(
 
 def _suprema(
     start: int, take: int, block: np.ndarray,
-    tiles: Iterable[tuple[int, np.ndarray]],
-    segments: Sequence[tuple[int, int]], drift: np.ndarray | None,
+    tiles: Iterable[tuple[int, np.ndarray]], segments: Sequence[tuple[int, int]],
 ) -> np.ndarray:
-    """A fold of sample_blocks: the (take, len(segments)) suprema of
-    X - drift over each row segment [s, e), for path X and for its mirror -X
-    as -min((X - drift) + 2 drift), of the paths X in the columns of block,
-    in replicate order (_mirror_pairs). The tiles (a, rows), rows holding
-    rows a .. of the paths, are folded in any order into running
-    per-column maxima and minima; of block only its width is read.
-    A drift, an (n, 1) column, is applied to each tile in place; without
-    one, tiles are only read."""
+    """A fold of sample_blocks: the (take, len(segments)) suprema over each
+    row segment [s, e), for path X and for its mirror -X as -min X, of the
+    paths X in the columns of block, in replicate order (_mirror_pairs).
+    The tiles (a, rows), rows holding rows a .. of the paths, are only read,
+    and are folded in any order into running per-column maxima and minima;
+    of block only its width is read."""
     shape = (len(segments), block.shape[1])
     top, bottom = np.full(shape, -np.inf), np.full(shape, np.inf)
     for a, rows in tiles:
         b = a + len(rows)
-        parts = [(k, max(s, a) - a, min(e, b) - a)
-                 for k, (s, e) in enumerate(segments) if max(s, a) < min(e, b)]
-        if drift is not None:
-            rows -= drift[a:b]
-        for k, s, e in parts:
-            np.maximum(top[k], rows[s:e].max(axis=0), out=top[k])
-        if drift is not None:
-            rows += 2.0 * drift[a:b]
-        for k, s, e in parts:
-            np.minimum(bottom[k], rows[s:e].min(axis=0), out=bottom[k])
+        for k, (s, e) in enumerate(segments):
+            s, e = max(s, a) - a, min(e, b) - a
+            if s < e:
+                np.maximum(top[k], rows[s:e].max(axis=0), out=top[k])
+                np.minimum(bottom[k], rows[s:e].min(axis=0), out=bottom[k])
     return _mirror_pairs(top.T, np.negative(bottom, out=bottom).T, take)
 
 
@@ -621,18 +613,18 @@ def segment_suprema(
     column j and 2j + 1 its mirror (all 2 cols of them when count is
     larger): the whole paths folded as one tile of _suprema, as
     sample_blocks folds each tile of a block. paths is only read."""
-    return _suprema(0, count, paths, [(0, paths)], segments, None)
+    return _suprema(0, count, paths, [(0, paths)], segments)
 
 
 def sample_suprema(
     L: np.ndarray, seed: int, count: int, threads: int,
-    segments: Sequence[tuple[int, int]], drift: np.ndarray | None = None,
+    segments: Sequence[tuple[int, int]],
 ) -> np.ndarray:
     """(count, len(segments)) segment suprema of the count replicates of
     sample_blocks, in replicate order, each block folded by _suprema on the
     worker that sampled it."""
     out = np.empty((count, len(segments)))
-    fold = functools.partial(_suprema, segments=segments, drift=drift)
+    fold = functools.partial(_suprema, segments=segments)
     for start, sups in sample_blocks(L, seed, count, threads, fold):
         out[start : start + len(sups)] = sups
     return out

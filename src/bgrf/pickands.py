@@ -1,16 +1,16 @@
 """Monte Carlo estimation of the Pickands constant.
 
 With chi the rescaled fractional Brownian motion (covariance
-|s|^a + |t|^a - |t-s|^a) and X_T = sup_{t in [0, T]} (chi(t) - |t|^a), the
-estimator uses the expectation forms
+|s|^a + |t|^a - |t-s|^a) and W(t) = chi(t) - |t|^a, Dieker and Yakir
+(Bernoulli 20(3), 2014) give the Pickands constant of the grid eta Z as
 
-    H_a(T) = E exp(X_T),
-    H_a    = lim_T H_a(T) / T,
+    H_a^eta = E[ max_t e^W(t) / (eta sum_t e^W(t)) ],   t in eta Z,
 
-with suprema taken over a grid of spacing eta, so estimates carry a
-negative discretisation bias that shrinks as eta decreases. Within one
-call all horizons share a single path per replicate (common random
-numbers), which makes H_a(T) pathwise nondecreasing in T.
+which tends to H_a as eta -> 0. Each ratio lies in (0, 1/eta], so the
+estimate has no heavy tail. It is taken on the centred windows
+eta Z ∩ [-T/2, T/2] of T_list, t = 0 counted as W(0) = 0, all windows
+sharing one path per replicate. A window leaves lattice terms out of the
+sum, so a short window biases the estimate high.
 
 chi and -chi have the same law, and L(-Z) = -(LZ), so the sampler's
 replicates come in pairs, a path and its mirror (antithetic variates,
@@ -18,22 +18,23 @@ fields.sample_blocks): reps paths take ceil(reps / 2) noise columns. The
 standard error is taken over the (path, mirror) pairs, which are
 independent of one another.
 
-At alpha = 1 the constant is known exactly, H_1 = 1, and so is its grid
-version: on delta Z the drifted path is a Gaussian random walk, and
-Spitzer's identity gives the discrete-time constant H_1^delta in closed
-form (discrete_pickands_h1).
+At alpha = 1 the grid constant is known exactly: on delta Z the drifted
+path is a Gaussian random walk, and Spitzer's identity gives H_1^delta in
+closed form (discrete_pickands_h1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import check_reps, cholesky_factor, fbm_covariance, fbm_grid, sample_suprema
+from .fields import (_mirror_pairs, check_reps, cholesky_factor, fbm_covariance, fbm_grid,
+                     sample_blocks)
 
-_EXP_GUARD = 700.0  # exp overflows just above 709; abort well before
 _H1_TERMS = 2_000_000  # series terms of discrete_pickands_h1: delta >= 1e-4
 
 
@@ -76,100 +77,107 @@ def discrete_pickands_h1(delta: float) -> float:
     return math.exp(-np.sum(np.fromiter(map(math.erfc, x), float, n) / k)) / delta
 
 
-def _check_exponent_guard(sups: np.ndarray) -> None:
-    worst = float(np.max(sups)) if sups.size else 0.0
-    if worst > _EXP_GUARD:
-        raise OverflowError(
-            f"path supremum {worst:.1f} exceeds the exp guard {_EXP_GUARD:g}; "
-            "the estimator would overflow (this should not happen at desk "
-            "scale; check alpha/T/eta)"
-        )
-
-
-def path_suprema(
-    alpha: float,
-    T_list: list[float],
-    eta: float,
-    reps: int,
-    seed: int,
-    threads: int = 1,
+def _window_fold(
+    start: int, take: int, block: np.ndarray, tiles: Iterable[tuple[int, np.ndarray]],
+    segments: Sequence[tuple[int, int, int]], drift: np.ndarray, eta: float,
 ) -> np.ndarray:
-    """(reps, len(T_list)) matrix of sup_{t in [0, T_k]} (chi(t) - t^alpha)
-    for strictly increasing horizons T_k, each a multiple of eta.
+    """A fold of fields.sample_blocks: the (take, windows) ratios
+    max e^W / (eta sum e^W) of each path and its mirror, in replicate order
+    (_mirror_pairs). W is X - drift for path X and -X - drift for its
+    mirror; window k holds the row segments (j, s, e) with j <= k, and
+    t = 0, where W = 0.
 
-    One shared path per replicate; deterministic in (seed, replicate).
-    Replicates come in the sampler's mirror pairs, a path X and -X. Block
-    rows hold the path on t[1:]; fields.sample_suprema takes each
-    replicate's supremum over the consecutive segments (T_{k-1}, T_k], and
-    the supremum over [0, T_k] is the running maximum of those segments
-    and 0, the path at t = 0.
+    Each tile (a, rows) is folded into running per-window maxima of W and
+    sums of e^W, the tile turned into W in place; e^W goes into the tile's
+    own rows of block, free once the tile is yielded. No overflow guard is
+    needed: E e^W(t) = 1, so P(W(t) > 700) <= e^-700 at any node (Markov).
     """
-    check_reps(reps)
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
-    ends = [T / eta for T in T_list]
-    if not all(math.isfinite(i) and abs(i - round(i)) <= 1e-9 for i in ends):
-        raise ValueError(f"horizons {T_list} must be finite multiples of eta")
-    ends = [round(i) for i in ends]
-    if not (0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:]))):
-        raise ValueError(f"horizons {T_list} must be positive and strictly increasing")
-    t = fbm_grid(T_list[-1], eta)
-    L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-    segments = list(zip([0] + ends[:-1], ends))
-    sups = sample_suprema(L, seed, reps, threads, segments, (t**alpha)[1:, None])
-    np.maximum(sups, 0.0, out=sups)
-    return np.maximum.accumulate(sups, axis=1, out=sups)
+    shape = (2, segments[-1][0] + 1, block.shape[1])  # path, mirror
+    # W(0) = 0 starts every maximum and window 0's sum; the cumsum carries it on
+    top, total = np.zeros(shape), np.zeros(shape)
+    total[:, 0] = 1.0
+    for a, rows in tiles:
+        b = a + len(rows)
+        rows -= drift[a:b]
+        for m in (0, 1):
+            if m:
+                np.subtract(-2.0 * drift[a:b], rows, out=rows)  # -X - drift
+            np.exp(rows, out=block[a:b])
+            for k, s, e in segments:
+                s, e = max(s, a), min(e, b)
+                if s < e:
+                    np.maximum(top[m, k], rows[s - a : e - a].max(axis=0), out=top[m, k])
+                    total[m, k] += block[s:e].sum(axis=0)
+    np.maximum.accumulate(top, axis=1, out=top)
+    np.cumsum(total, axis=1, out=total)
+    ratio = np.exp(top, out=top) / np.multiply(eta, total, out=total)
+    return _mirror_pairs(ratio[0].T, ratio[1].T, take)
 
 
-def _mean_exp(sups: np.ndarray) -> tuple[float, float]:
-    """Mean of exp over all values, and its standard error over the
-    complete (path, mirror) pairs: std(pair means) * sqrt(2 / n), 0 with
+def window_ratios(
+    L: np.ndarray, drift: np.ndarray, eta: float, halves: Sequence[int],
+    reps: int, seed: int, threads: int = 1,
+) -> np.ndarray:
+    """(reps, len(halves)) ratios max e^W / (eta sum e^W) on the centred
+    windows of halves[k] nodes either side of t = 0, W = chi - drift, for
+    the factor L of chi on the nodes t = -K eta .. -eta, eta .. K eta, in
+    that order, K = halves[-1], drift the (2K,) values of |t|^alpha. One
+    shared path per replicate, deterministic in (seed, replicate), in the
+    sampler's mirror pairs, a path and -path.
+    """
+    K = halves[-1]
+    segments = [seg for k, (p, h) in enumerate(zip([0, *halves[:-1]], halves))
+                for seg in ((k, K - h, K - p), (k, K + p, K + h))]
+    out = np.empty((reps, len(halves)))
+    fold = functools.partial(_window_fold, segments=segments, drift=drift[:, None], eta=eta)
+    for start, ratios in sample_blocks(L, seed, reps, threads, fold):
+        out[start : start + len(ratios)] = ratios
+    return out
+
+
+def _pair_mean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of x over replicates (axis 0), and their standard errors over
+    the complete (path, mirror) pairs: std(pair means) * sqrt(2 / n), 0 with
     fewer than two pairs."""
-    _check_exponent_guard(sups)
-    x = np.exp(sups)
     n = x.shape[0]
-    mean = float(np.mean(x))
-    pairs = x[: n - n % 2].reshape(-1, 2).mean(axis=1)
-    if len(pairs) > 1:
-        se = float(np.std(pairs, ddof=1)) * math.sqrt(2.0 / n)
-    else:
-        se = 0.0
-    return mean, se
+    pairs = x[: n - n % 2].reshape(-1, 2, *x.shape[1:]).mean(axis=1)
+    se = np.std(pairs, axis=0, ddof=1) if len(pairs) > 1 else np.zeros(x.shape[1:])
+    return np.mean(x, axis=0), se * math.sqrt(2.0 / n)
 
 
 def estimate_H_constant(
-    alpha: float,
-    T_list: list[float],
-    eta: float,
-    reps: int,
-    seed: int,
-    threads: int = 1,
+    alpha: float, T_list: list[float], eta: float, reps: int, seed: int, threads: int = 1,
 ) -> PickandsEstimate:
-    """Estimate the Pickands constant as H_alpha([0, T_max]) / T_max.
+    """Estimate the grid Pickands constant H_alpha^eta on the centred
+    windows [-T/2, T/2] of T_list, each an even multiple of eta.
 
-    All horizons in T_list share paths (prefix suprema of one simulation),
-    so H(T) is pathwise nondecreasing in T. The per-T sequence of
-    H(T)/T values is reported; an increase beyond twice its combined
-    standard error flags a discretisation or variance problem.
+    All windows share paths. The per-window sequence of estimates is
+    reported; a last step that moves the estimate by more than twice its
+    combined standard error sets a warning that the window is too short.
     """
     if len(T_list) < 3:
         raise ValueError("T_list needs at least 3 horizons")
-    T_max = T_list[-1]
+    check_reps(reps)
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    halves = [T / (2.0 * eta) for T in T_list]
+    if not all(math.isfinite(h) and abs(h - round(h)) <= 1e-9 for h in halves):
+        raise ValueError(f"windows {T_list} must be finite even multiples of eta")
+    halves = [round(h) for h in halves]
+    if not (0 < halves[0] and all(a < b for a, b in zip(halves, halves[1:]))):
+        raise ValueError(f"windows {T_list} must be positive and strictly increasing")
     if eta > T_list[0] / 8:
         raise ValueError(f"need eta <= min(T)/8, got eta={eta}")
-    sups = path_suprema(alpha, T_list, eta, reps, seed, threads)
-    seq = []
-    for k, T in enumerate(T_list):
-        v, se = _mean_exp(sups[:, k])
-        seq.append((float(T), v / T, se / T))
+    half = fbm_grid(T_list[-1], eta)[1 : halves[-1] + 1]  # eta .. T_max / 2
+    t = np.concatenate([-half[::-1], half])
+    # no name here holds the factor, so it is freed before the means are taken
+    ratios = window_ratios(cholesky_factor(fbm_covariance(alpha, t)), np.abs(t) ** alpha,
+                           eta, halves, reps, seed, threads)
+    values, ses = _pair_mean(ratios)
+    seq = tuple(zip(map(float, T_list), values.tolist(), ses.tolist()))
+    (t0, v0, s0), (t1, v1, s1) = seq[-2:]
     warning = None
-    for (t0, v0, s0), (t1, v1, s1) in zip(seq, seq[1:]):
-        if v1 > v0 + 2.0 * math.hypot(s0, s1):
-            warning = (
-                f"H(T)/T increased from {v0:.4g} (T={t0:g}) to {v1:.4g} "
-                f"(T={t1:g}) beyond noise; suspect discretisation or variance"
-            )
-    _, value, se = seq[-1]
-    return PickandsEstimate(
-        value, se, alpha, T_max, eta, reps, sequence=tuple(seq), warning=warning
-    )
+    if abs(v1 - v0) > 2.0 * math.hypot(s0, s1):
+        warning = (f"the estimate moved from {v0:.4g} (T={t0:g}) to {v1:.4g} (T={t1:g}) "
+                   "beyond noise: the window is too short, and the estimate is biased high")
+    return PickandsEstimate(v1, s1, alpha, t1, eta, reps, sequence=seq, warning=warning)

@@ -19,7 +19,10 @@ computes, by another route.
   closed form, independent of bgrf.asymptotics' log-space constant.
 - path_fold: a bgrf.fields.sample_blocks fold that hands out a block's
   paths themselves, the reference the library's folds (the segment
-  suprema, the dump writer) are checked against.
+  suprema, the dump writer, the Pickands window ratios) are checked
+  against.
+- alpha_two_window_functional: the expectation bgrf.pickands estimates
+  at alpha = 2, where chi(t) = sqrt(2) t Z, as a 1-D integral over Z.
 """
 
 from __future__ import annotations
@@ -175,3 +178,26 @@ def path_fold(start: int, take: int, block: np.ndarray, tiles) -> np.ndarray:
     for a, rows in tiles:
         block[a : a + len(rows)] = rows
     return block[:, : (take + 1) // 2].copy()
+
+
+def alpha_two_window_functional(eta: float, K: int, nodes: int = 8) -> float:
+    """E[max_k e^W(k eta) / (eta sum_k e^W(k eta))] over |k| <= K, for
+    W(t) = sqrt(2) t Z - t^2 with Z standard normal: the Dieker-Yakir
+    functional of alpha = 2 (chi(t) = sqrt(2) t Z) on the centred window
+    [-K eta, K eta], t = 0 included.
+
+    The integral over Z is taken by Gauss-Legendre panels whose edges are
+    the z at which the maximising k changes (W_k = W_(k+1) at
+    z = (2k + 1) eta / sqrt(2)), so the integrand is smooth on each panel;
+    |z| > 12 carries less than 1e-32 of the normal mass.
+    """
+    t = eta * np.arange(-K, K + 1)
+    cuts = (2.0 * np.arange(-K, K) + 1.0) * eta / math.sqrt(2.0)
+    edges = np.concatenate([[-12.0], cuts[np.abs(cuts) < 12.0], [12.0]])
+    x, w = _gl_nodes(nodes)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    z = (mid[:, None] + half[:, None] * x).ravel()
+    W = math.sqrt(2.0) * np.outer(z, t) - t * t
+    ratio = 1.0 / (eta * np.exp(W - W.max(axis=1, keepdims=True)).sum(axis=1))
+    density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return float(np.dot((half[:, None] * w).ravel(), ratio * density))

@@ -34,7 +34,7 @@ SAMPLING = {
 HOOKS = {
     "pickands": (
         [["pickands", "--threads", "2"]],
-        SAMPLING | {"pickands.path_suprema", "pickands.estimate_H_constant"},
+        SAMPLING | {"pickands.window_ratios", "pickands.estimate_H_constant"},
     ),
     "mc-excursion": (
         [["mc-excursion"]],

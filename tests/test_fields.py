@@ -80,13 +80,6 @@ def usable_cpus(monkeypatch, count):
                         raising=False)
 
 
-def drifted_suprema(paths, segments, count, drift):
-    """segment_suprema of X - drift, for an (n, 1) drift or None: the whole
-    paths folded as one tile of the sampler's fold, as sample_suprema folds
-    each tile of a block. A drift is applied to paths in place."""
-    return fields._suprema(0, count, paths, [(0, paths)], segments, drift)
-
-
 def draw(L, seed, count):
     """(count, nodes) array of replicates, one per row: row 2j is path j,
     row 2j + 1 its negation, and an odd count drops the last negation."""
@@ -589,8 +582,7 @@ class TestPanelProduct:
 
     @pytest.mark.parametrize("fold", [
         path_fold,
-        functools.partial(fields._suprema, segments=[(0, 600), (250, 600), (599, 600)],
-                          drift=None),
+        functools.partial(fields._suprema, segments=[(0, 600), (250, 600), (599, 600)]),
     ], ids=["blocks", "reduced"])
     def test_threads_give_identical_bytes(self, monkeypatch, fold):
         usable_cpus(monkeypatch, 2)
@@ -671,7 +663,7 @@ class TestPanelProduct:
 
         monkeypatch.setattr(fields, "_suprema", record)
         reduced = list(sample_blocks(L, 4, count, 2, functools.partial(
-            fields._suprema, segments=segments, drift=None)))
+            fields._suprema, segments=segments)))
         assert len(workers) >= 1 and threading.get_ident() not in workers
         plain = list(sample_blocks(L, 4, count, 2, path_fold))
         assert [s for s, _ in reduced] == [s for s, _ in plain] == [0, 2 * BLOCK, 4 * BLOCK]
@@ -713,32 +705,31 @@ class TestPanelProduct:
         count = 2 * (2 * BLOCK + 7) - 1
         segments = [(0, n), (0, 1), (n // 3, n - 1), (min(250, n - 2), min(520, n)),
                     (n - 1, n)]
-        drift = np.linspace(0.1, 3.3, n)[:, None]
-        blocks = list(sample_blocks(L, 8, count, 1, path_fold))
-        for d in (None, drift):
-            want = np.vstack([
-                drifted_suprema(mat.copy(), segments, count - start, d) for start, mat in blocks
-            ])
-            assert want.shape == (count, len(segments))
-            for threads in (1, 2):
-                got = sample_suprema(L, 8, count, threads, segments, d)
-                assert got.tobytes() == want.tobytes()
+        want = np.vstack([
+            segment_suprema(mat, segments, count - start)
+            for start, mat in sample_blocks(L, 8, count, 1, path_fold)
+        ])
+        assert want.shape == (count, len(segments))
+        for threads in (1, 2):
+            got = sample_suprema(L, 8, count, threads, segments)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSegmentSuprema:
     SEGMENTS = [(0, 3), (3, 4), (4, 9), (0, 9)]
 
-    def test_mirror_is_the_negated_drifted_path(self):
-        # values and drift on a 1/8 lattice, so X - d, X + d and -X - d are
-        # exact and the mirror half must equal the max of -X - d bit for bit
+    def test_mirror_is_the_negated_path(self):
+        # the mirror's supremum is taken as -min X: on a 1/8 lattice with
+        # ties it must equal the max of -X bit for bit; an odd count drops
+        # the last mirror
         rng = np.random.default_rng(3)
         X = rng.integers(-40, 40, size=(9, 50)) / 8.0
-        d = (np.arange(1, 10) / 4.0)[:, None]
-        got = drifted_suprema(X.copy(), self.SEGMENTS, 2 * 50, d)
+        got = segment_suprema(X, self.SEGMENTS, 2 * 50 - 1)
         path, mirror = got[0::2], got[1::2]
+        assert path.shape == (50, 4) and mirror.shape == (49, 4)
         for k, (a, b) in enumerate(self.SEGMENTS):
-            assert np.array_equal(path[:, k], (X - d)[a:b].max(axis=0))
-            assert np.array_equal(mirror[:, k], (-X - d)[a:b].max(axis=0))
+            assert np.array_equal(path[:, k], X[a:b].max(axis=0))
+            assert np.array_equal(mirror[:, k], (-X)[a:b].max(axis=0)[:49])
 
     def test_read_only_paths_without_drift(self):
         # read_sample_dump yields read-only arrays

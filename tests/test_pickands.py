@@ -1,24 +1,29 @@
-"""Tests for the Pickands functional estimators.
+"""Tests for the Pickands constant estimator.
 
-Independent oracle: for alpha = 1 the drifted path chi(t_i) - t_i on the
-grid is a Gaussian random walk with steps N(-eta, 2 eta), and Spitzer's
-identity gives the exact expectation of exp(max): with
-g_k = 2 Phi(sqrt(k * 2 eta) / 2),
+Independent oracles:
 
-    m * a_m = sum_{k=1}^m g_k a_{m-k},   a_0 = 1,
+- alpha = 1: on the grid delta Z the drifted path chi(t_i) - t_i is a
+  Gaussian random walk with steps N(-delta, 2 delta), and Spitzer's
+  identity gives the exact expectation of exp(max): with
+  g_k = 2 Phi(sqrt(k * 2 delta) / 2),
 
-so a_n equals E exp(max_grid) exactly. The estimator must agree within
-Monte Carlo error.
+      m * a_m = sum_{k=1}^m g_k a_{m-k},   a_0 = 1.
 
-The same identity gives the discrete-time Pickands constant of the grid
-delta Z (Piterbarg, Extremes 7, 2004) in closed form: a_n grows by
-delta H_1^delta per step, with
+  a_n grows by delta H_1^delta per step, which gives the discrete-time
+  Pickands constant of the grid (Piterbarg, Extremes 7, 2004) in closed
+  form,
 
-    H_1^delta = delta^-1 exp(-2 sum_{k>=1} Phibar(sqrt(k delta / 2)) / k),
+      H_1^delta = delta^-1 exp(-2 sum_{k>=1} Phibar(sqrt(k delta / 2)) / k),
 
-which tends to H_1 = 1 as delta -> 0. bgrf.pickands.discrete_pickands_h1
-evaluates it; the acceptance suite and `bgrf verify` compare grid maxima
-with the theorems through this constant.
+  which tends to H_1 = 1 as delta -> 0. bgrf.pickands.discrete_pickands_h1
+  evaluates it; the estimator, which estimates H_1^eta, must agree with it
+  within Monte Carlo error on a window long enough, and the acceptance
+  suite and `bgrf verify` compare grid maxima with the theorems through it.
+- alpha = 2: chi(t) = sqrt(2) t Z, so the estimator's expectation on a
+  finite window is a 1-D integral over Z
+  (oracles.alpha_two_window_functional).
+- the window ratios taken from whole paths (oracles.path_fold), against
+  the fold that takes them tile by tile.
 """
 
 import math
@@ -27,15 +32,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bgrf.fields import cholesky_factor, fbm_covariance, fbm_grid, sample_blocks
-from oracles import path_fold
+from bgrf.fields import cholesky_factor, fbm_covariance, sample_blocks
+from oracles import alpha_two_window_functional, path_fold
 from bgrf.pickands import (
     PickandsEstimate,
-    _check_exponent_guard,
-    _mean_exp,
+    _pair_mean,
     discrete_pickands_h1,
     estimate_H_constant,
-    path_suprema,
+    window_ratios,
 )
 
 
@@ -49,14 +53,6 @@ def spitzer_expectation(n_steps: int, step_var: float) -> float:
     for m in range(1, n_steps + 1):
         a[m] = np.dot(g[:m], a[m - 1 :: -1]) / m
     return float(a[n_steps])
-
-
-def estimate_H_T(alpha, T, eta, reps, seed):
-    """H_alpha([0, T]) and its standard error: estimate_H_constant's value
-    at its last horizon T, times T (exact for the powers of two used)."""
-    est = estimate_H_constant(alpha, [T / 2, 3 * T / 4, T], eta, reps, seed)
-    assert est.replicates == reps
-    return est.value * T, est.std_error * T
 
 
 class TestDiscretePickandsConstant:
@@ -95,50 +91,61 @@ class TestDiscretePickandsConstant:
 
 
 class TestEstimateHSet:
-    # H_alpha([0, T]) = E exp(X_T), through estimate_H_constant
-
-    def test_at_least_one_with_origin(self):
-        for alpha in [0.5, 1.0, 1.5]:
-            value, _ = estimate_H_T(alpha, 1.0, 1 / 16, reps=2000, seed=1)
-            assert value >= 1.0
+    # H_alpha^eta on the centred window set [-T/2, T/2], through
+    # estimate_H_constant, against exact grid constants
 
     def test_spitzer_oracle_alpha_one(self):
-        T, eta, reps = 2.0, 1 / 32, 40_000
-        value, se = estimate_H_T(1.0, T, eta, reps=reps, seed=101)
-        want = spitzer_expectation(int(T / eta), 2 * eta)
-        assert abs(value - want) <= 4 * se
+        eta = 1 / 16
+        est = estimate_H_constant(1.0, [8.0, 16.0, 32.0], eta, reps=16_384, seed=101)
+        assert abs(est.value - discrete_pickands_h1(eta)) <= 2 * est.std_error
 
     def test_spitzer_oracle_longer_horizon(self):
-        T, eta, reps = 4.0, 1 / 32, 60_000
-        value, se = estimate_H_T(1.0, T, eta, reps=reps, seed=202)
-        want = spitzer_expectation(int(T / eta), 2 * eta)
-        assert abs(value - want) <= 4 * se
+        # windows 32 and 64 hold the grid constant within 2 SE, and the last
+        # doubling moves the estimate by less than noise, so no warning
+        eta = 1 / 16
+        est = estimate_H_constant(1.0, [4.0, 8.0, 16.0, 32.0, 64.0], eta, reps=16_384,
+                                  seed=202)
+        for T, value, se in est.sequence[-2:]:
+            assert abs(value - discrete_pickands_h1(eta)) <= 2 * se, T
+        assert est.warning is None
+
+    def test_alpha_two_oracle(self):
+        # chi(t) = sqrt(2) t Z: a factor whose one nonzero column is
+        # sqrt(2) t, since fbm_covariance refuses alpha = 2
+        eta, halves = 1 / 16, [8, 16, 32]
+        t = eta * np.r_[-32:0, 1:33]
+        L = np.zeros((len(t), len(t)))
+        L[:, 0] = math.sqrt(2.0) * t
+        values, ses = _pair_mean(window_ratios(L, t * t, eta, halves, 20_000, 41))
+        for K, value, se in zip(halves, values, ses):
+            assert abs(value - alpha_two_window_functional(eta, K)) <= 2 * se, K
+        # the oracle itself: a wide window at eta = 1/64 is near H_2 = 1/sqrt(pi)
+        wide = alpha_two_window_functional(1 / 64, 512)
+        assert wide == pytest.approx(alpha_two_window_functional(1 / 64, 512, 16), abs=1e-12)
+        assert abs(wide - 1 / math.sqrt(math.pi)) <= 2e-5
 
     def test_halving_eta_never_decreases_much(self):
-        T, reps = 2.0, 20_000
-        coarse, coarse_se = estimate_H_T(1.2, T, 1 / 16, reps=reps, seed=7)
-        fine, fine_se = estimate_H_T(1.2, T, 1 / 32, reps=reps, seed=7)
-        guard = 2.0 * math.hypot(coarse_se, fine_se)
-        assert fine >= coarse - guard
+        T_list, reps = [1.0, 1.5, 2.0], 20_000
+        coarse = estimate_H_constant(1.2, T_list, 1 / 16, reps=reps, seed=7)
+        fine = estimate_H_constant(1.2, T_list, 1 / 32, reps=reps, seed=7)
+        guard = 2.0 * math.hypot(coarse.std_error, fine.std_error)
+        assert fine.value >= coarse.value - guard
 
     def test_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            estimate_H_T(2.0, 1.0, 1 / 16, 100, 0)
-        with pytest.raises(ValueError, match="eta"):
-            estimate_H_T(1.0, 1.0, 0.5, 100, 0)
+            estimate_H_constant(2.0, [0.5, 0.75, 1.0], 1 / 16, 100, 0)
+        with pytest.raises(ValueError, match=r"need eta <= min\(T\)/8"):
+            estimate_H_constant(1.0, [1.0, 2.0, 4.0], 0.25, 100, 0)
 
 
 class TestEstimateHConstant:
-    def test_pathwise_monotone_in_T(self):
-        est = estimate_H_constant(1.0, [1.0, 2.0, 4.0], 1 / 16, reps=5000, seed=21)
-        hT = [v * T for (T, v, _) in est.sequence]
-        assert hT[0] <= hT[1] <= hT[2]  # shared paths: exact monotonicity
-
     def test_ratio_decreasing_in_T(self):
+        # a short window leaves lattice terms out of the sum: the estimate
+        # falls as the window grows, and at T = 8 it still moves past noise
         est = estimate_H_constant(1.0, [1.0, 2.0, 4.0, 8.0], 1 / 32, reps=20_000, seed=23)
         ratios = [v for (_, v, _) in est.sequence]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
-        assert est.warning is None
+        assert "the window is too short, and the estimate is biased high" in est.warning
 
     def test_alpha_near_two_approaches_classical_value(self):
         # H_2 = 1/sqrt(pi); alpha = 1.99 should sit near it from above
@@ -158,47 +165,61 @@ class TestEstimateHConstant:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the reduction path_suprema once ran on the consumer, one slice of
-# the drifted block per horizon, kept as the reference for the segment
-# extremes and running maximum it now takes. Column j of a block of paths
-# gives replicate start + 2j, the path X, and replicate start + 2j + 1, its
-# mirror -X, whose supremum is taken as -min((X - d) + 2d), the same
-# arithmetic as path_suprema. Both see the same blocks, and max and min are
-# exact, so the two must agree bit for bit.
+# Oracle: the window ratios taken from whole paths. Column j of a block of
+# paths X gives replicate start + 2j, W = X - |t|^a, and replicate
+# start + 2j + 1, its mirror, W = -X - |t|^a; each window's ratio is
+# e^max(W, 0) / (eta (1 + sum e^W)) over its rows, t = 0 being the 0 and
+# the 1. The fold sums each window tile by tile, in another order, so the
+# two agree to rounding.
 # ---------------------------------------------------------------------------
 
-def reference_suprema(alpha, T_list, eta, reps, seed):
-    t = fbm_grid(T_list[-1], eta)
-    L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-    ends = [round(T / eta) for T in T_list]
-    drift = t**alpha
+def centred_factor(alpha, T_max, eta):
+    """(t, L): the nodes -K eta .. -eta, eta .. K eta, K = T_max / (2 eta),
+    and the Cholesky factor of chi on them."""
+    K = round(T_max / (2 * eta))
+    t = eta * np.r_[-K:0, 1:K + 1]
+    return t, cholesky_factor(fbm_covariance(alpha, t))
+
+
+def reference_ratios(alpha, T_list, eta, reps, seed):
+    t, L = centred_factor(alpha, T_list[-1], eta)
+    K = len(t) // 2
+    drift = np.abs(t)[:, None] ** alpha
     out = np.empty((reps + 1, len(T_list)))
-    for start, mat in sample_blocks(L, seed, reps, 1, path_fold):
-        stop = start + 2 * mat.shape[1]
-        vals = mat - drift[1:, None]  # drifted path on t[1:]
-        shifted = vals + 2.0 * drift[1:, None]  # X + d, for the mirror
-        for k, end in enumerate(ends):
-            # [0, T_k] holds the origin, where the path is 0, and rows :end
-            out[start:stop:2, k] = np.maximum(vals[:end].max(axis=0), 0.0)
-            out[start + 1:stop:2, k] = np.maximum(-shifted[:end].min(axis=0), 0.0)
+    for start, X in sample_blocks(L, seed, reps, 1, path_fold):
+        stop = start + 2 * X.shape[1]
+        for offset, W in ((0, X - drift), (1, -X - drift)):
+            for k, T in enumerate(T_list):
+                h = round(T / (2 * eta))
+                rows = W[K - h : K + h]
+                top = np.maximum(rows.max(axis=0), 0.0)
+                out[start + offset : stop : 2, k] = (
+                    np.exp(top) / (eta * (1.0 + np.exp(rows).sum(axis=0))))
     return out[:reps]
 
 
-class TestSupremaOracle:
-    # eta = 1/128 puts 320 or 512 nodes on the path, two row panels of the
-    # block product, the first ending on a 64-row panel; origin-only's
-    # first horizon holds the origin and one node, so its supremum is often
-    # the origin's 0; 4,100 reps are 2,050 noise columns, a partial block
+def ratios_of(alpha, T_list, eta, reps, seed, threads=1):
+    t, L = centred_factor(alpha, T_list[-1], eta)
+    halves = [round(T / (2 * eta)) for T in T_list]
+    return window_ratios(L, np.abs(t) ** alpha, eta, halves, reps, seed, threads)
+
+
+class TestWindowOracle:
+    # eta = 1/128 puts 512 or 320 nodes on the window, two row panels of
+    # the block product (320 = 256 + 64); origin-only's first window holds
+    # the origin and one node either side; 4,100 reps are 2,050 noise
+    # columns, a partial block
     @pytest.mark.parametrize("T_list", [
         [1.0, 2.0, 4.0],
-        [1 / 128, 2.5],
-    ], ids=["prefix", "origin-only"])
+        [1 / 64, 2.5],
+    ], ids=["nested", "origin-only"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_bit_identical(self, T_list, threads):
-        args = (1.0, T_list, 1 / 128, 4100, 17)
-        got = path_suprema(*args, threads=threads)
-        want = reference_suprema(*args)
-        assert np.array_equal(got, want)
+    def test_equals_the_paths_ratios(self, T_list, threads):
+        args = (1.3, T_list, 1 / 128, 4100, 17)
+        got = ratios_of(*args, threads=threads)
+        assert np.allclose(got, reference_ratios(*args), rtol=1e-12, atol=0.0)
+        # each ratio is at most 1/eta: the sum holds the maximal term
+        assert np.all((got > 0.0) & (got <= 128.0))
 
 
 class TestMirrorPairs:
@@ -207,36 +228,38 @@ class TestMirrorPairs:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_bit_identical_across_blocks(self, threads):
         # 8,195 reps are 4,098 noise columns: a full block, then a partial
-        # one whose last mirror is dropped
+        # one whose last mirror is dropped; the blocks give the same bits at
+        # any thread count
         args = (1.0, self.T_LIST, 1 / 64, 8195, 23)
-        got = path_suprema(*args, threads=threads)
+        got = ratios_of(*args, threads=threads)
         assert got.shape == (8195, 3)
-        assert np.array_equal(got, reference_suprema(*args))
+        assert np.array_equal(got, ratios_of(*args, threads=1))
+        assert np.allclose(got, reference_ratios(*args), rtol=1e-12, atol=0.0)
 
     def test_odd_reps_are_a_prefix(self):
         args = (1.0, self.T_LIST, 1 / 64)
-        odd = path_suprema(*args, 4101, 31)
-        even = path_suprema(*args, 4102, 31)
+        odd = ratios_of(*args, 4101, 31)
+        even = ratios_of(*args, 4102, 31)
         assert np.array_equal(odd, even[:4101])
 
     def test_mirror_is_the_negated_path(self):
         alpha, eta, reps = 1.4, 1 / 64, 601
-        t = fbm_grid(self.T_LIST[-1], eta)
-        L = cholesky_factor(fbm_covariance(alpha, t[1:]))
+        t, L = centred_factor(alpha, self.T_LIST[-1], eta)
         ((_, X),) = sample_blocks(L, 37, reps, 1, path_fold)
-        mirror = -X - (t**alpha)[1:, None]  # -X - d, built directly
-        want = np.stack([  # each horizon holds the origin, where the path is 0
-            np.maximum(mirror[:32].max(axis=0), 0.0),  # [0, 0.5]
-            np.maximum(mirror[:64].max(axis=0), 0.0),  # [0, 1]
-            np.maximum(mirror[:128].max(axis=0), 0.0),  # [0, 2]
-        ], axis=1)
-        got = path_suprema(alpha, self.T_LIST, eta, reps, 37)
-        assert np.allclose(got[1::2], want[:reps // 2], rtol=0.0, atol=1e-12)
+        mirror = -X - np.abs(t)[:, None] ** alpha  # -X - d, built directly
+        want = []
+        for h in (16, 32, 64):  # the windows [-T/2, T/2] hold the origin, W = 0
+            rows = mirror[64 - h : 64 + h]
+            want.append(np.exp(np.maximum(rows.max(axis=0), 0.0))
+                        / (eta * (1.0 + np.exp(rows).sum(axis=0))))
+        got = ratios_of(alpha, self.T_LIST, eta, reps, 37)
+        assert np.allclose(got[1::2], np.stack(want, axis=1)[: reps // 2],
+                           rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [7, 8])
-    def test_mean_exp_over_pairs(self, n):
+    def test_mean_over_pairs(self, n):
         x = np.array([1.5, 0.9, 2.2, 1.1, 0.7, 3.0, 1.3, 0.8])[:n]
-        mean, se = _mean_exp(np.log(x))
+        mean, se = _pair_mean(x)
         pair_means = [(x[2 * i] + x[2 * i + 1]) / 2 for i in range(n // 2)]
         m = sum(pair_means) / len(pair_means)
         var = sum((p - m) ** 2 for p in pair_means) / (len(pair_means) - 1)
@@ -244,46 +267,42 @@ class TestMirrorPairs:
         assert math.isclose(se, math.sqrt(var) * math.sqrt(2 / n), rel_tol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_mean_exp_fewer_than_two_pairs(self, n):
+    def test_mean_fewer_than_two_pairs(self, n):
         x = np.array([1.5, 0.9, 2.2])[:n]
-        mean, se = _mean_exp(np.log(x))
+        mean, se = _pair_mean(x)
         assert math.isclose(mean, sum(x) / n, rel_tol=1e-14)
         assert se == 0.0
 
     def test_spitzer_oracle_odd_reps(self):
-        T, eta, reps = 2.0, 1 / 32, 40_001
-        value, se = estimate_H_T(1.0, T, eta, reps=reps, seed=303)
-        want = spitzer_expectation(int(T / eta), 2 * eta)
-        assert abs(value - want) <= 4 * se
+        eta = 1 / 16
+        est = estimate_H_constant(1.0, [8.0, 16.0, 32.0], eta, reps=40_001, seed=303)
+        assert est.replicates == 40_001
+        assert abs(est.value - discrete_pickands_h1(eta)) <= 4 * est.std_error
 
 
 class TestGuards:
-    def test_exponent_guard_trips(self):
-        with pytest.raises(OverflowError, match="exp guard"):
-            _check_exponent_guard(np.array([10.0, 701.0]))
-
-    def test_exponent_guard_passes(self):
-        _check_exponent_guard(np.array([10.0, 600.0]))
-
     def test_misaligned_set_rejected(self):
-        # the horizon [0, 0.7] ends off the grid of spacing 1/16
-        with pytest.raises(ValueError, match="multiples of eta"):
-            path_suprema(1.0, [0.5, 0.7], 1 / 16, 10, 0)
+        # [-1.0625/2, 1.0625/2] ends off the grid of spacing 1/16: 8.5 nodes
+        # either side of the origin
+        with pytest.raises(ValueError, match="must be finite even multiples of eta"):
+            estimate_H_constant(1.0, [1.0, 1.0625, 2.0], 1 / 16, 10, 0)
+        with pytest.raises(ValueError, match="must be finite even multiples of eta"):
+            estimate_H_constant(1.0, [1.0, 2.0, 2.7], 1 / 16, 10, 0)
 
-    @pytest.mark.parametrize("T_list", [[1.0, 1.0], [2.0, 1.0], [0.0, 1.0]],
+    @pytest.mark.parametrize("T_list", [[1.0, 1.0, 2.0], [2.0, 1.0, 4.0], [0.0, 1.0, 2.0]],
                              ids=["repeated", "decreasing", "zero"])
     def test_non_increasing_horizons_rejected(self, T_list):
         with pytest.raises(ValueError, match="positive and strictly increasing"):
-            path_suprema(1.0, T_list, 1 / 16, 10, 0)
+            estimate_H_constant(1.0, T_list, 1 / 16, 10, 0)
 
     @pytest.mark.parametrize("eta", [0.0, -0.125, math.inf, math.nan])
     def test_eta_must_be_finite_and_positive(self, eta):
         with pytest.raises(ValueError, match="eta must be finite and positive"):
-            path_suprema(1.0, [1.0, 2.0], eta, 10, 0)
+            estimate_H_constant(1.0, [1.0, 2.0, 4.0], eta, 10, 0)
 
     def test_infinite_horizon_rejected(self):
-        with pytest.raises(ValueError, match=r"horizons \[1.0, inf\] must be finite multiples"):
-            path_suprema(1.0, [1.0, math.inf], 1 / 16, 10, 0)
+        with pytest.raises(ValueError, match=r"windows \[1.0, 2.0, inf\] must be finite"):
+            estimate_H_constant(1.0, [1.0, 2.0, math.inf], 1 / 16, 10, 0)
 
     def test_node_budget_before_the_grid(self):
         # eta = 2^-20 to T = 4 is 4,194,304 nodes, 32 MB per array: the
