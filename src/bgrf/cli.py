@@ -246,10 +246,14 @@ def _alphas(cfg: dict, m: BivariateMaternModel) -> list[float]:
 
 
 def _estimate_H(cfg, args, alpha: float):
-    """Pickands constant estimate at the config's T_list and eta."""
+    """Pickands constant estimate at the config's T_list and eta; its
+    warning, that the window is too short, goes to stderr."""
     est = cfg["estimation"]
-    return estimate_H_constant(
+    r = estimate_H_constant(
         alpha, est["T_list"], est["eta"], est["reps"], est["seed"], args.threads)
+    if r.warning:
+        print(f"warning: alpha={alpha:g}: {r.warning}", file=sys.stderr)
+    return r
 
 
 def _pickands_constants(cfg, m, args) -> tuple[float, float]:
@@ -358,8 +362,6 @@ def cmd_pickands(cfg, args) -> int:
         r = _estimate_H(cfg, args, alpha)
         for T, value, se in r.sequence:
             w.add(alpha, T, r.eta, r.replicates, value, se)
-        if r.warning:
-            print(f"warning: alpha={alpha:g}: {r.warning}", file=sys.stderr)
     w.flush()
     return 0
 

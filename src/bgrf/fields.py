@@ -631,34 +631,6 @@ def sample_suprema(
 
 
 # ---------------------------------------------------------------------------
-# fractional Brownian motion paths (covariance |s|^a + |t|^a - |t-s|^a,
-# twice the standard fBm normalisation)
-# ---------------------------------------------------------------------------
-
-def fbm_grid(horizon_T: float, eta: float) -> np.ndarray:
-    if not (horizon_T > 0 and eta > 0 and horizon_T / eta < math.inf):
-        raise ValueError("horizon_T and eta must be positive, with a finite ratio")
-    n = round(horizon_T / eta)
-    if abs(n * eta - horizon_T) > 1e-9 * horizon_T or n < 1:
-        raise ValueError(f"eta={eta} does not divide horizon_T={horizon_T}")
-    _check_nodes(n)  # fbm_covariance's nodes, t[1:]
-    return np.arange(n + 1) * eta
-
-
-def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
-    """Cov(chi(s), chi(t)) = |s|^a + |t|^a - |t-s|^a for 0 < a < 2, on any
-    nodes (one- or two-sided).
-
-    This is twice the standard fBm covariance: Var chi(t) = 2 |t|^alpha.
-    """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    _check_nodes(len(t))
-    ta = np.abs(t) ** alpha
-    return ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** alpha
-
-
-# ---------------------------------------------------------------------------
 # binary dump: a 16-byte header (magic "BGRF", then little-endian u32 node
 # count, u32 replicate count and u32 tag), then row-major float64
 # little-endian, one replicate per row. The tag, montecarlo.record_tag,

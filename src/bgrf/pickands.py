@@ -12,6 +12,11 @@ eta Z ∩ [-T/2, T/2] of T_list, t = 0 counted as W(0) = 0, all windows
 sharing one path per replicate. A window leaves lattice terms out of the
 sum, so a short window biases the estimate high.
 
+The nodes are ordered by shell, t = eta, -eta, 2 eta, -2 eta, ..., so
+every window is a prefix of the rows: the window of T / eta nodes is the
+first T / eta rows, and its Cholesky factor is the leading block of the
+largest window's factor.
+
 chi and -chi have the same law, and L(-Z) = -(LZ), so the sampler's
 replicates come in pairs, a path and its mirror (antithetic variates,
 fields.sample_blocks): reps paths take ceil(reps / 2) noise columns. The
@@ -32,8 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import (_mirror_pairs, check_reps, cholesky_factor, fbm_covariance, fbm_grid,
-                     sample_blocks)
+from .fields import _check_nodes, _mirror_pairs, check_reps, cholesky_factor, sample_blocks
 
 _H1_TERMS = 2_000_000  # series terms of discrete_pickands_h1: delta >= 1e-4
 
@@ -77,22 +81,35 @@ def discrete_pickands_h1(delta: float) -> float:
     return math.exp(-np.sum(np.fromiter(map(math.erfc, x), float, n) / k)) / delta
 
 
+def fbm_covariance(alpha: float, t: np.ndarray) -> np.ndarray:
+    """Cov(chi(s), chi(t)) = |s|^a + |t|^a - |t-s|^a for 0 < a < 2, on any
+    nodes (one- or two-sided, in any order).
+
+    This is twice the standard fBm covariance: Var chi(t) = 2 |t|^alpha.
+    """
+    if not (0.0 < alpha < 2.0):
+        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    _check_nodes(len(t))
+    ta = np.abs(t) ** alpha
+    return ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** alpha
+
+
 def _window_fold(
     start: int, take: int, block: np.ndarray, tiles: Iterable[tuple[int, np.ndarray]],
-    segments: Sequence[tuple[int, int, int]], drift: np.ndarray, eta: float,
+    ends: Sequence[int], drift: np.ndarray, eta: float,
 ) -> np.ndarray:
-    """A fold of fields.sample_blocks: the (take, windows) ratios
+    """A fold of fields.sample_blocks: the (take, len(ends)) ratios
     max e^W / (eta sum e^W) of each path and its mirror, in replicate order
     (_mirror_pairs). W is X - drift for path X and -X - drift for its
-    mirror; window k holds the row segments (j, s, e) with j <= k, and
-    t = 0, where W = 0.
+    mirror; window k holds rows [0, ends[k]) and t = 0, where W = 0.
 
-    Each tile (a, rows) is folded into running per-window maxima of W and
-    sums of e^W, the tile turned into W in place; e^W goes into the tile's
-    own rows of block, free once the tile is yielded. No overflow guard is
-    needed: E e^W(t) = 1, so P(W(t) > 700) <= e^-700 at any node (Markov).
+    Each tile (a, rows) is folded into running maxima of W and sums of e^W
+    over the rows [ends[k - 1], ends[k]) that window k adds, the tile turned
+    into W in place; e^W goes into the tile's own rows of block, free once
+    the tile is yielded. No overflow guard is needed: E e^W(t) = 1, so
+    P(W(t) > 700) <= e^-700 at any node (Markov).
     """
-    shape = (2, segments[-1][0] + 1, block.shape[1])  # path, mirror
+    shape = (2, len(ends), block.shape[1])  # path, mirror
     # W(0) = 0 starts every maximum and window 0's sum; the cumsum carries it on
     top, total = np.zeros(shape), np.zeros(shape)
     total[:, 0] = 1.0
@@ -103,7 +120,7 @@ def _window_fold(
             if m:
                 np.subtract(-2.0 * drift[a:b], rows, out=rows)  # -X - drift
             np.exp(rows, out=block[a:b])
-            for k, s, e in segments:
+            for k, (s, e) in enumerate(zip([0, *ends], ends)):
                 s, e = max(s, a), min(e, b)
                 if s < e:
                     np.maximum(top[m, k], rows[s - a : e - a].max(axis=0), out=top[m, k])
@@ -115,21 +132,18 @@ def _window_fold(
 
 
 def window_ratios(
-    L: np.ndarray, drift: np.ndarray, eta: float, halves: Sequence[int],
+    L: np.ndarray, drift: np.ndarray, eta: float, ends: Sequence[int],
     reps: int, seed: int, threads: int = 1,
 ) -> np.ndarray:
-    """(reps, len(halves)) ratios max e^W / (eta sum e^W) on the centred
-    windows of halves[k] nodes either side of t = 0, W = chi - drift, for
-    the factor L of chi on the nodes t = -K eta .. -eta, eta .. K eta, in
-    that order, K = halves[-1], drift the (2K,) values of |t|^alpha. One
+    """(reps, len(ends)) ratios max e^W / (eta sum e^W) on the windows
+    made of the first ends[k] nodes and t = 0, W = chi - drift, for the
+    factor L of chi on nodes in shell order (pickands module docstring),
+    drift the values of |t|^alpha on them, eta the lattice's cell. One
     shared path per replicate, deterministic in (seed, replicate), in the
     sampler's mirror pairs, a path and -path.
     """
-    K = halves[-1]
-    segments = [seg for k, (p, h) in enumerate(zip([0, *halves[:-1]], halves))
-                for seg in ((k, K - h, K - p), (k, K + p, K + h))]
-    out = np.empty((reps, len(halves)))
-    fold = functools.partial(_window_fold, segments=segments, drift=drift[:, None], eta=eta)
+    out = np.empty((reps, len(ends)))
+    fold = functools.partial(_window_fold, ends=ends, drift=drift[:, None], eta=eta)
     for start, ratios in sample_blocks(L, seed, reps, threads, fold):
         out[start : start + len(ratios)] = ratios
     return out
@@ -160,19 +174,20 @@ def estimate_H_constant(
     check_reps(reps)
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta}")
-    halves = [T / (2.0 * eta) for T in T_list]
-    if not all(math.isfinite(h) and abs(h - round(h)) <= 1e-9 for h in halves):
+    ends = [T / eta for T in T_list]  # nodes in each window, t = 0 aside
+    if not all(math.isfinite(e) and abs(e / 2 - round(e / 2)) <= 1e-9 for e in ends):
         raise ValueError(f"windows {T_list} must be finite even multiples of eta")
-    halves = [round(h) for h in halves]
-    if not (0 < halves[0] and all(a < b for a, b in zip(halves, halves[1:]))):
+    ends = [2 * round(e / 2) for e in ends]
+    if not (0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:]))):
         raise ValueError(f"windows {T_list} must be positive and strictly increasing")
     if eta > T_list[0] / 8:
         raise ValueError(f"need eta <= min(T)/8, got eta={eta}")
-    half = fbm_grid(T_list[-1], eta)[1 : halves[-1] + 1]  # eta .. T_max / 2
-    t = np.concatenate([-half[::-1], half])
+    _check_nodes(ends[-1])  # before any node array exists
+    k = eta * np.arange(1, ends[-1] // 2 + 1)
+    t = np.stack([k, -k], axis=1).ravel()  # shell order: eta, -eta, 2 eta, ...
     # no name here holds the factor, so it is freed before the means are taken
     ratios = window_ratios(cholesky_factor(fbm_covariance(alpha, t)), np.abs(t) ** alpha,
-                           eta, halves, reps, seed, threads)
+                           eta, ends, reps, seed, threads)
     values, ses = _pair_mean(ratios)
     seq = tuple(zip(map(float, T_list), values.tolist(), ses.tolist()))
     (t0, v0, s0), (t1, v1, s1) = seq[-2:]

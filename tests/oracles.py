@@ -23,6 +23,9 @@ computes, by another route.
   against.
 - alpha_two_window_functional: the expectation bgrf.pickands estimates
   at alpha = 2, where chi(t) = sqrt(2) t Z, as a 1-D integral over Z.
+- shell_lattice: the points of Z^N but the origin in shell order, so that
+  every centred square window is a prefix; with it the Pickands window
+  fold, written for 1-D, is checked on a 2-D lattice.
 """
 
 from __future__ import annotations
@@ -201,3 +204,12 @@ def alpha_two_window_functional(eta: float, K: int, nodes: int = 8) -> float:
     ratio = 1.0 / (eta * np.exp(W - W.max(axis=1, keepdims=True)).sum(axis=1))
     density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return float(np.dot((half[:, None] * w).ravel(), ratio * density))
+
+
+def shell_lattice(K: int, N: int) -> np.ndarray:
+    """The ((2K + 1)^N - 1, N) integer points j of [-K, K]^N but the
+    origin, sorted by the shell max_i |j_i|, stably from np.indices'
+    row-major order: the points of [-k, k]^N but the origin are the first
+    (2k + 1)^N - 1 rows for every k <= K."""
+    j = np.indices((2 * K + 1,) * N).reshape(N, -1).T - K
+    return j[np.argsort(np.abs(j).max(axis=1), kind="stable")][1:]

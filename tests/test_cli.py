@@ -868,11 +868,30 @@ class TestPickandsConstantSources:
         )
         out = tmp_path / "o"
         assert main(["theorem", "--config", cfg, "--out-dir", str(out)]) == 0
-        h1, h2, case = capsys.readouterr().err.splitlines()
+        warned, h1, h2, case = capsys.readouterr().err.splitlines()
+        assert warned.startswith("warning: alpha=1.5: the estimate moved from ")
         assert h1.startswith("H1 = ") and h1.endswith(", T = 4, eta = 0.125)")
         assert " (estimated, se " in h1
         assert h2 == "H2 = 0.5 (given)"
         assert case == "case: M = 1, N = 1, mes_M = 1 (overlapping domains)"
+
+
+class TestShortWindowWarning:
+    # at seed 11 the alpha = 1.5 estimate moves past noise from T = 4 to 8;
+    # nu1 = 0.75 puts both fields at alpha = 1.5, which is estimated once
+    @pytest.mark.parametrize("nu1", [0.5, 0.75])
+    def test_theorem_warns_once_per_alpha(self, tmp_path, capsys, nu1):
+        cfg = write_config(
+            tmp_path,
+            model={"nu1": nu1, "nu2": 0.75, "nu12": 1.5, "rho": 0.4, "dim_N": 1},
+            estimation={"reps": 2000, "seed": 11},
+        )
+        assert main(["theorem", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        warned = [line for line in err if line.startswith("warning: ")]
+        assert len(warned) == 1
+        assert warned[0].startswith("warning: alpha=1.5: the estimate moved from ")
+        assert warned[0].endswith("the window is too short, and the estimate is biased high")
 
 
 class TestNParameterConstants:

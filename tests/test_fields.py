@@ -27,8 +27,6 @@ from bgrf.fields import (
     build_covariance,
     cholesky_factor,
     dump_header,
-    fbm_covariance,
-    fbm_grid,
     read_sample_dump,
     sample_blocks,
     sample_suprema,
@@ -37,6 +35,7 @@ from bgrf.fields import (
     write_sample_dump,
 )
 from bgrf.model import BivariateMaternModel, check_assumptions, cross_corr
+from bgrf.pickands import fbm_covariance
 from bgrf.specfun import MaternParams, matern
 
 # noise columns per sampled block: the tests below are written in it, not in
@@ -899,30 +898,19 @@ class TestBlasPin:
 
 
 class TestFbm:
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="divide"):
-            fbm_grid(1.0, 0.3)
-        assert len(fbm_grid(8.0, 1 / 64)) == 513
-
-    # an infinite span or one whose node count overflows raised OverflowError
-    @pytest.mark.parametrize("T, eta", [(math.inf, 0.1), (1e308, 1e-10)])
-    def test_grid_refuses_an_infinite_ratio(self, T, eta):
-        with pytest.raises(ValueError, match="finite ratio"):
-            fbm_grid(T, eta)
-
     def test_variance_is_twice_t_alpha(self):
-        alpha, T, eta, n = 0.8, 2.0, 1 / 4, 100_000
-        t = fbm_grid(T, eta)
-        L = cholesky_factor(fbm_covariance(alpha, t[1:]))
-        chi = paths(L, seed=2, count=2 * n)  # chi on t[1:]
-        want = 2.0 * t[1:] ** alpha
+        alpha, n = 0.8, 100_000
+        t = np.arange(1, 9) / 4  # 1/4 .. 2
+        L = cholesky_factor(fbm_covariance(alpha, t))
+        chi = paths(L, seed=2, count=2 * n)
+        want = 2.0 * t ** alpha
         got = chi.var(axis=0, ddof=1)
         se = want * np.sqrt(2.0 / n)
         assert np.all(np.abs(got - want) < 3 * se)
 
     def test_alpha_one_is_scaled_brownian(self):
         # |s| + |t| - |t - s| = 2 min(s, t) for s, t >= 0
-        t = fbm_grid(2.0, 0.5)
+        t = np.arange(5) / 2  # 0 .. 2
         cov = fbm_covariance(1.0, t)
         want = 2.0 * np.minimum(t[:, None], t[None, :])
         assert np.max(np.abs(cov - want)) < 1e-12
@@ -935,7 +923,7 @@ class TestFbm:
     def test_alpha_domain(self):
         for alpha in (0.0, 2.0):
             with pytest.raises(ValueError, match="alpha"):
-                fbm_covariance(alpha, fbm_grid(1.0, 0.25)[1:])
+                fbm_covariance(alpha, np.arange(1, 5) / 4)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_two_sided_grid(self, alpha):

@@ -32,15 +32,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bgrf.fields import cholesky_factor, fbm_covariance, sample_blocks
-from oracles import alpha_two_window_functional, path_fold
+from bgrf.fields import cholesky_factor, sample_blocks
+from oracles import alpha_two_window_functional, path_fold, shell_lattice
 from bgrf.pickands import (
     PickandsEstimate,
     _pair_mean,
     discrete_pickands_h1,
     estimate_H_constant,
+    fbm_covariance,
     window_ratios,
 )
+
+
+def shell_nodes(eta, K):
+    """eta, -eta, 2 eta, -2 eta, .., K eta, -K eta: the shell order in which
+    estimate_H_constant lays out its nodes."""
+    k = eta * np.arange(1, K + 1)
+    return np.stack([k, -k], axis=1).ravel()
 
 
 def spitzer_expectation(n_steps: int, step_var: float) -> float:
@@ -113,16 +121,37 @@ class TestEstimateHSet:
         # chi(t) = sqrt(2) t Z: a factor whose one nonzero column is
         # sqrt(2) t, since fbm_covariance refuses alpha = 2
         eta, halves = 1 / 16, [8, 16, 32]
-        t = eta * np.r_[-32:0, 1:33]
+        t = shell_nodes(eta, 32)
         L = np.zeros((len(t), len(t)))
         L[:, 0] = math.sqrt(2.0) * t
-        values, ses = _pair_mean(window_ratios(L, t * t, eta, halves, 20_000, 41))
+        ends = [2 * K for K in halves]
+        values, ses = _pair_mean(window_ratios(L, t * t, eta, ends, 20_000, 41))
         for K, value, se in zip(halves, values, ses):
             assert abs(value - alpha_two_window_functional(eta, K)) <= 2 * se, K
         # the oracle itself: a wide window at eta = 1/64 is near H_2 = 1/sqrt(pi)
         wide = alpha_two_window_functional(1 / 64, 512)
         assert wide == pytest.approx(alpha_two_window_functional(1 / 64, 512, 16), abs=1e-12)
         assert abs(wide - 1 / math.sqrt(math.pi)) <= 2e-5
+
+    def test_alpha_two_oracle_on_a_square_lattice(self):
+        # the fold is dimension-free: on the shell-ordered lattice (eta Z)^2
+        # the window [-K eta, K eta]^2 is the first (2K + 1)^2 - 1 rows, and
+        # eta^2 is the cell. At alpha = 2, chi(t) = sqrt(2) <t, Z> and
+        # W = chi - |t|^2 separates over the axes, so the window's
+        # expectation is the 1-D one squared
+        eta, halves = 1 / 8, [4, 8, 16]
+        t = eta * shell_lattice(halves[-1], 2)
+        # rotating Z leaves its law alone; this rotation zeroes the first
+        # row's second column, so the rank-2 factor is lower triangular
+        c, s = t[0] / np.linalg.norm(t[0])
+        L = np.zeros((len(t), len(t)))
+        L[:, :2] = math.sqrt(2.0) * t @ np.array([[c, -s], [s, c]])
+        L[0, 1] = 0.0  # zero but for the rotation's rounding
+        ends = [(2 * K + 1) ** 2 - 1 for K in halves]
+        drift = (t * t).sum(axis=1)
+        values, ses = _pair_mean(window_ratios(L, drift, eta**2, ends, 16_384, 11))
+        for K, value, se in zip(halves, values, ses):
+            assert abs(value - alpha_two_window_functional(eta, K) ** 2) <= 2 * se, K
 
     def test_halving_eta_never_decreases_much(self):
         T_list, reps = [1.0, 1.5, 2.0], 20_000
@@ -174,24 +203,22 @@ class TestEstimateHConstant:
 # ---------------------------------------------------------------------------
 
 def centred_factor(alpha, T_max, eta):
-    """(t, L): the nodes -K eta .. -eta, eta .. K eta, K = T_max / (2 eta),
-    and the Cholesky factor of chi on them."""
-    K = round(T_max / (2 * eta))
-    t = eta * np.r_[-K:0, 1:K + 1]
+    """(t, L): the nodes eta, -eta, 2 eta, -2 eta, .., K eta, -K eta in
+    shell order, K = T_max / (2 eta), and the Cholesky factor of chi on
+    them."""
+    t = shell_nodes(eta, round(T_max / (2 * eta)))
     return t, cholesky_factor(fbm_covariance(alpha, t))
 
 
 def reference_ratios(alpha, T_list, eta, reps, seed):
     t, L = centred_factor(alpha, T_list[-1], eta)
-    K = len(t) // 2
     drift = np.abs(t)[:, None] ** alpha
     out = np.empty((reps + 1, len(T_list)))
     for start, X in sample_blocks(L, seed, reps, 1, path_fold):
         stop = start + 2 * X.shape[1]
         for offset, W in ((0, X - drift), (1, -X - drift)):
             for k, T in enumerate(T_list):
-                h = round(T / (2 * eta))
-                rows = W[K - h : K + h]
+                rows = W[: 2 * round(T / (2 * eta))]
                 top = np.maximum(rows.max(axis=0), 0.0)
                 out[start + offset : stop : 2, k] = (
                     np.exp(top) / (eta * (1.0 + np.exp(rows).sum(axis=0))))
@@ -200,11 +227,20 @@ def reference_ratios(alpha, T_list, eta, reps, seed):
 
 def ratios_of(alpha, T_list, eta, reps, seed, threads=1):
     t, L = centred_factor(alpha, T_list[-1], eta)
-    halves = [round(T / (2 * eta)) for T in T_list]
-    return window_ratios(L, np.abs(t) ** alpha, eta, halves, reps, seed, threads)
+    ends = [round(T / eta) for T in T_list]
+    return window_ratios(L, np.abs(t) ** alpha, eta, ends, reps, seed, threads)
 
 
 class TestWindowOracle:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_smaller_window_factor_is_the_leading_block(self, alpha):
+        # shell order makes each window a prefix of the nodes, so its factor
+        # is the leading block of the largest window's factor
+        t, L = centred_factor(alpha, 8.0, 1 / 64)
+        for m in (64, 128, 256):
+            small = cholesky_factor(fbm_covariance(alpha, t[:m]))
+            assert np.max(np.abs(small - L[:m, :m])) <= 1e-12 * np.abs(L).max(), m
+
     # eta = 1/128 puts 512 or 320 nodes on the window, two row panels of
     # the block product (320 = 256 + 64); origin-only's first window holds
     # the origin and one node either side; 4,100 reps are 2,050 noise
@@ -249,7 +285,7 @@ class TestMirrorPairs:
         mirror = -X - np.abs(t)[:, None] ** alpha  # -X - d, built directly
         want = []
         for h in (16, 32, 64):  # the windows [-T/2, T/2] hold the origin, W = 0
-            rows = mirror[64 - h : 64 + h]
+            rows = mirror[: 2 * h]
             want.append(np.exp(np.maximum(rows.max(axis=0), 0.0))
                         / (eta * (1.0 + np.exp(rows).sum(axis=0))))
         got = ratios_of(alpha, self.T_LIST, eta, reps, 37)
